@@ -32,16 +32,29 @@ class FiniteCategory:
     identity: Mapping[str, str]
     composition: Mapping[tuple[str, str], str]
     _by_id: Mapping[str, Morphism] = field(init=False, repr=False, compare=False)
+    # morphisms by dst, by src and by (src, dst), each in `morphisms` order
+    _into: Mapping[str, tuple[Morphism, ...]] = field(init=False, repr=False, compare=False)
+    _out_of: Mapping[str, tuple[Morphism, ...]] = field(init=False, repr=False, compare=False)
+    _hom: Mapping[tuple[str, str], tuple[Morphism, ...]] = field(init=False, repr=False,
+                                                                  compare=False)
 
     def __post_init__(self):
+        objects = set(self.objects)
         by_id = {}
+        into, out_of, hom = {}, {}, {}
         for m in self.morphisms:
             if m.id in by_id:
                 raise InvalidCategory(f"duplicate morphism id {m.id!r}")
-            if m.src not in self.objects or m.dst not in self.objects:
+            if m.src not in objects or m.dst not in objects:
                 raise InvalidCategory(f"morphism {m.id!r} has unknown endpoint")
             by_id[m.id] = m
+            into.setdefault(m.dst, []).append(m)
+            out_of.setdefault(m.src, []).append(m)
+            hom.setdefault((m.src, m.dst), []).append(m)
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_into", {u: tuple(ms) for u, ms in into.items()})
+        object.__setattr__(self, "_out_of", {u: tuple(ms) for u, ms in out_of.items()})
+        object.__setattr__(self, "_hom", {k: tuple(ms) for k, ms in hom.items()})
         for u in self.objects:
             i = self.identity.get(u)
             if i is None or i not in by_id:
@@ -73,10 +86,14 @@ class FiniteCategory:
         return self.identity[u]
 
     def into(self, u: str) -> list[Morphism]:
-        return [m for m in self.morphisms if m.dst == u]
+        return list(self._into.get(u, ()))
 
     def out_of(self, u: str) -> list[Morphism]:
-        return [m for m in self.morphisms if m.src == u]
+        return list(self._out_of.get(u, ()))
+
+    def hom(self, src: str, dst: str) -> tuple[Morphism, ...]:
+        """The morphisms src -> dst, in `morphisms` order."""
+        return self._hom.get((src, dst), ())
 
     def check_axioms(self) -> list[str]:
         """Exhaustive associativity/identity/totality check; returns failure strings."""
@@ -103,12 +120,8 @@ class FiniteCategory:
             if self.compose(f.id, self.identity[f.src]) != f.id:
                 bad.append(f"right identity fails on {f.id}")
         for f in self.morphisms:
-            for g in self.morphisms:
-                if f.dst != g.src:
-                    continue
-                for h in self.morphisms:
-                    if g.dst != h.src:
-                        continue
+            for g in self._out_of.get(f.dst, ()):
+                for h in self._out_of.get(g.dst, ()):
                     left = self.compose(h.id, self.compose(g.id, f.id))
                     right = self.compose(self.compose(h.id, g.id), f.id)
                     if left != right:
@@ -234,6 +247,11 @@ class SiteSpec:
     coverage: Coverage
     name: str = "site"
     poset: bool = False
+    # sieve_from_cover results by cover key; a pickled copy starts empty
+    _sieves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __getstate__(self):
+        return {**self.__dict__, "_sieves": {}}
 
     def declared_covers(self, u: str) -> tuple[Cover, ...]:
         return self.coverage.covers.get(u, ())
@@ -246,8 +264,17 @@ class SiteSpec:
 
 
 def sieve_from_cover(spec: SiteSpec, cover: Cover) -> Sieve:
-    """The sieve generated by a cover: morphisms factoring through a piece."""
-    cat = spec.category
+    """The sieve generated by a cover: morphisms factoring through a piece.
+
+    Memoized on the site by cover key."""
+    key = cover.key()
+    hit = spec._sieves.get(key)
+    if hit is None:
+        hit = spec._sieves[key] = _generated_sieve(spec.category, cover)
+    return hit
+
+
+def _generated_sieve(cat: FiniteCategory, cover: Cover) -> Sieve:
     if cover.target not in cat.objects:
         raise SiteError(f"cover target {cover.target!r} not in site")
     members = set()
@@ -270,31 +297,30 @@ def comma_of_sieve(spec: SiteSpec, sieve: Sieve) -> FiniteCategory:
     cat = spec.category
     sieve.validate(cat)
     members = tuple(sorted(sieve.members))
+    src_of = {m: cat.morphism(m).src for m in members}
     morphisms = []
+    base = {}      # comma morphism id -> base morphism id
+    into = {}      # comma object -> comma morphisms into it
     identity = {}
     for m1 in members:
-        src1 = cat.morphism(m1).src
+        src1 = src_of[m1]
         for m2 in members:
-            src2 = cat.morphism(m2).src
-            for beta in cat.morphisms:
-                if beta.src != src1 or beta.dst != src2:
-                    continue
+            for beta in cat.hom(src1, src_of[m2]):
                 if cat.compose(m2, beta.id) == m1:
                     mid = f"{beta.id}|{m1}>{m2}"
-                    morphisms.append(Morphism(mid, m1, m2))
+                    mor = Morphism(mid, m1, m2)
+                    morphisms.append(mor)
+                    base[mid] = beta.id
+                    into.setdefault(m2, []).append(mor)
                     if m1 == m2 and beta.id == cat.id_of(src1):
                         identity[m1] = mid
     comp = {}
-    by_id = {m.id: m for m in morphisms}
     for g in morphisms:
-        bg = g.id.split("|")[0]
-        for f in morphisms:
-            if f.dst != g.src:
-                continue
-            bf = f.id.split("|")[0]
-            comp[(g.id, f.id)] = f"{cat.compose(bg, bf)}|{f.src}>{g.dst}"
+        bg = base[g.id]
+        for f in into.get(g.src, ()):
+            comp[(g.id, f.id)] = f"{cat.compose(bg, base[f.id])}|{f.src}>{g.dst}"
     for c in comp.values():
-        if c not in by_id:
+        if c not in base:
             raise SiteError(f"comma category not closed: missing {c!r}")
     return FiniteCategory(members, tuple(morphisms), identity, comp)
 
@@ -314,9 +340,7 @@ def find_refinement(spec: SiteSpec, fine: Cover, coarse: Cover) -> RefinementAss
         found = None
         for j, q in enumerate(coarse.pieces):
             mq = cat.morphism(q)
-            for beta in sorted(cat.morphisms):
-                if beta.src != mp.src or beta.dst != mq.src:
-                    continue
+            for beta in sorted(cat.hom(mp.src, mq.src)):
                 if cat.compose(q, beta.id) == p:
                     found = (j, beta.id)
                     break

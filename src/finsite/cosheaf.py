@@ -210,18 +210,25 @@ def _map_from_colimit(level_results, node_towers, src_tower, dst_tower, node_map
 
 
 def _levelwise_colimit(a: Precosheaf, comma: FiniteCategory):
-    """Per-level finite colimits of the comma diagram, plus the node towers."""
+    """Per-level finite colimits of the comma diagram, plus the node towers.
+
+    A level whose node objects and edge maps equal those of the level below
+    is the same diagram, so it shares that level's ColimitResult: a constant
+    tower costs one colimit, not depth + 1."""
     site_cat = a.site.category
     node_towers = {m: a.values[site_cat.morphism(m).src] for m in comma.objects}
+    bases = {cm.id: cm.id.split("|")[0] for cm in comma.morphisms}
     results = []
+    prev_nodes = prev_edges = None
     for j in range(a.depth + 1):
         nodes = {m: node_towers[m].levels[j] for m in comma.objects}
-        edges = {}
-        for cm in comma.morphisms:
-            base = cm.id.split("|")[0]
-            edges[cm.id] = a.action[base].components[j]
+        edges = {cid: a.action[base].components[j] for cid, base in bases.items()}
+        if nodes == prev_nodes and edges == prev_edges:
+            results.append(results[-1])
+            continue
         diagram = values.FiniteDiagram(comma, nodes, edges, trusted=True)
         results.append(values.finite_colimit(diagram, a.category))
+        prev_nodes, prev_edges = nodes, edges
     return results, node_towers
 
 
@@ -328,33 +335,22 @@ class FastDefect:
 @dataclass(frozen=True)
 class DefectResult:
     compare: LevelMorphism
-    fastpath: bool
-    fast: FastDefect | None = None
 
 
 def cosheaf_defect(a: Precosheaf, cover: Cover) -> DefectResult:
-    """Canonical map from the cover colimit into the value at the target.
-
-    The slow path tensors with the generated sieve; when the cover declares
-    its pairwise intersections the cokernel-of-parallel-pair fast path is
-    computed as well (the two agree up to canonical isomorphism, a tested
-    invariant)."""
+    """Canonical map from the cover colimit into the value at the target,
+    computed by tensoring with the generated sieve.  The cokernel fast path
+    over declared intersections is the oracle that `defect_agreement` checks
+    this against."""
     sieve = sieve_from_cover(a.site, cover)
-    slow = tensor_with_sieve(a, sieve)
-    if not cover.pieces:
-        fast = FastDefect(slow.compare.src, (), slow.compare, slow.level_data)
-        return DefectResult(slow.compare, True, fast)
-    fast = _fast_defect(a, cover) if cover.has_intersections() else None
-    return DefectResult(slow.compare, fast is not None, fast)
+    return DefectResult(tensor_with_sieve(a, sieve).compare)
 
 
 def _fast_legs(cat: FiniteCategory, w: str, piece_i: str, piece_j: str):
     """Lex-smallest pair of morphisms from w into the two pieces commuting
     over the shared target."""
-    src_i = cat.morphism(piece_i).src
-    src_j = cat.morphism(piece_j).src
-    cand_i = sorted(m.id for m in cat.morphisms if m.src == w and m.dst == src_i)
-    cand_j = sorted(m.id for m in cat.morphisms if m.src == w and m.dst == src_j)
+    cand_i = sorted(m.id for m in cat.hom(w, cat.morphism(piece_i).src))
+    cand_j = sorted(m.id for m in cat.hom(w, cat.morphism(piece_j).src))
     for li in cand_i:
         for lj in cand_j:
             if cat.compose(piece_i, li) == cat.compose(piece_j, lj):
@@ -362,7 +358,7 @@ def _fast_legs(cat: FiniteCategory, w: str, piece_i: str, piece_j: str):
     return None
 
 
-def _fast_defect(a: Precosheaf, cover: Cover) -> LevelMorphism:
+def _fast_defect(a: Precosheaf, cover: Cover) -> FastDefect:
     """Cokernel of the parallel pair over declared intersections, computed as
     the colimit of a pieces-and-pairs span diagram."""
     cat = a.site.category
@@ -427,13 +423,13 @@ def defect_agreement(a: Precosheaf, cover: Cover) -> bool:
     that they are mutually inverse levelwise and commute with the defects."""
     if not cover.has_intersections():
         raise EngineError("fast path needs declared intersections")
-    defect = cosheaf_defect(a, cover)
-    fast = defect.fast
     sieve = sieve_from_cover(a.site, cover)
     slow = tensor_with_sieve(a, sieve)
     if not cover.pieces:
-        return all(fast.tower.levels[j] == slow.tower.levels[j]
-                   for j in range(a.depth + 1))
+        # both paths colimit an empty diagram: the initial object
+        empty = initial_object(a.category)
+        return all(level == empty for level in slow.tower.levels)
+    fast = _fast_defect(a, cover)
     cat = a.site.category
     # phi: fast -> slow via pieces-as-members
     phi = []
@@ -462,8 +458,7 @@ def defect_agreement(a: Precosheaf, cover: Cover) -> bool:
             placed = None
             for i, p in enumerate(cover.pieces):
                 mp = cat.morphism(p)
-                for beta in sorted(m.id for m in cat.morphisms
-                                   if m.src == mg.src and m.dst == mp.src):
+                for beta in sorted(m.id for m in cat.hom(mg.src, mp.src)):
                     if cat.compose(p, beta) == g:
                         placed = (i, beta)
                         break
@@ -604,7 +599,6 @@ def plus_cosheaf(a: Precosheaf, depth: int | None = None) -> PlusResult:
         return tensors[key]
 
     plus_values = {}
-    inner_bond_cache = {}
     for u in site.category.objects:
         levels = []
         bonds = []
@@ -788,8 +782,7 @@ def cosheafify(a: Precosheaf, depth: int | None = None) -> CosheafifyResult:
 def _chain_step_morphism(site: SiteSpec, src: str, dst: str) -> str:
     if src == dst:
         return site.category.id_of(src)
-    for m in sorted(mm.id for mm in site.category.morphisms
-                    if mm.src == src and mm.dst == dst):
+    for m in sorted(mm.id for mm in site.category.hom(src, dst)):
         return m
     raise SiteError(f"point filter step {src!r} ⊆ {dst!r} has no witnessing morphism")
 

@@ -121,6 +121,8 @@ def _site_doc(spec: SiteSpec) -> dict:
 
 
 def _resolve_piece(cat: FiniteCategory, target: str, piece: str, ptr: str) -> str:
+    if not isinstance(piece, str):
+        raise InvalidDocument(ptr, f"piece must be a string, not {piece!r}")
     if cat.has_morphism(piece):
         m = cat.morphism(piece)
         if m.dst != target:
@@ -212,12 +214,21 @@ def _site_from(doc: dict) -> SiteSpec:
         chains[target] = CoverChain(target, chain_covers, refinements)
     spec = SiteSpec(cat, Coverage({u: tuple(cs) for u, cs in covers.items()}, chains),
                     name=doc.get("name", "site"), poset=poset)
-    pts = tuple(
-        PointFilter(p["label"], tuple(p["chain"])) for p in doc.get("points", [])
-    )
+    raw_points = doc.get("points", [])
+    if not isinstance(raw_points, list):
+        raise InvalidDocument("/points", "points must be an array")
+    pts = tuple(_point_from(p, f"/points/{i}") for i, p in enumerate(raw_points))
     if pts:
         object.__setattr__(spec, "_point_filters", pts)
     return spec
+
+
+def _point_from(raw, ptr) -> PointFilter:
+    if not (isinstance(raw, dict) and isinstance(raw.get("label"), str)
+            and isinstance(raw.get("chain"), list) and raw["chain"]
+            and all(isinstance(u, str) for u in raw["chain"])):
+        raise InvalidDocument(ptr, "point needs a string label and a nonempty chain of object ids")
+    return PointFilter(raw["label"], tuple(raw["chain"]))
 
 
 # ---------------------------------------------------------------------------

@@ -237,11 +237,6 @@ def stalk(a: Presheaf, p: PointFilter, depth: int = 6):
     return a.values[chain[-1]]
 
 
-def stalk_map_of_unit(a: Presheaf, result: SheafifyResult, p: PointFilter, depth: int = 6):
-    chain = p.chain if len(p.chain) <= depth + 1 else p.chain[: depth + 1]
-    return result.unit[chain[-1]]
-
-
 # ---------------------------------------------------------------------------
 # the duality bridge: Hom(A, G) as a presheaf of sets
 

@@ -125,10 +125,6 @@ class LevelMorphism:
         return LevelMorphism(self.src, other.dst, shift, comps)
 
 
-def compose_level(g: LevelMorphism, f: LevelMorphism) -> LevelMorphism:
-    return f.then(g)
-
-
 def equal_at_depth(f: LevelMorphism, g: LevelMorphism, depth: int | None = None) -> bool:
     """Pro-equality of truncations: canonical depth representatives agree."""
     if f.src != g.src or f.dst != g.dst:

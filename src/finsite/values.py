@@ -8,7 +8,7 @@ Smith-normal-form kernels and cokernels on the abelian side.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import intmat
@@ -26,11 +26,14 @@ FINAB = "finab"
 @dataclass(frozen=True)
 class FinSetObj:
     elements: tuple[str, ...]
+    element_set: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if len(set(self.elements)) != len(self.elements):
+        element_set = frozenset(self.elements)
+        if len(element_set) != len(self.elements):
             raise EngineError("duplicate elements in a finite set")
         object.__setattr__(self, "elements", tuple(sorted(self.elements)))
+        object.__setattr__(self, "element_set", element_set)
 
     def __len__(self):
         return len(self.elements)
@@ -41,22 +44,30 @@ class FinSetMap:
     src: FinSetObj
     dst: FinSetObj
     table: tuple[tuple[str, str], ...]
+    _lookup: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mapping = dict(self.table)
-        if set(mapping) != set(self.src.elements):
+        if mapping.keys() != self.src.element_set:
             raise EngineError("function table is not total on its source")
+        targets = self.dst.element_set
         for v in mapping.values():
-            if v not in self.dst.elements:
+            try:
+                inside = v in targets
+            except TypeError:  # unhashable, so no element
+                inside = False
+            if not inside:
                 raise EngineError(f"function value {v!r} outside the target")
-        object.__setattr__(self, "table", tuple(sorted(mapping.items())))
+        items = sorted(mapping.items())
+        object.__setattr__(self, "table", tuple(items))
+        object.__setattr__(self, "_lookup", dict(items))
 
     @property
     def mapping(self) -> dict[str, str]:
-        return dict(self.table)
+        return dict(self._lookup)
 
     def __call__(self, x: str) -> str:
-        return self.mapping[x]
+        return self._lookup[x]
 
 
 def finset(*elements: str) -> FinSetObj:

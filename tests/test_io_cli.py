@@ -222,3 +222,40 @@ def test_cli_check_sheaf_and_sheafify(tmp_path, capsys):
     assert code == 0
     sheafified = io.load(out)
     assert len(sheafified.values["{a,b}"].elements) == 4  # two components
+
+
+def _pi0_document(tmp_path):
+    space = pseudocircle()
+    spec = open_site(space)
+    path = tmp_path / "pi0.json"
+    io.save(pi0_precosheaf(spec, space), path)
+    return json.loads(path.read_text())
+
+
+def _check_cosheaf_input_error(tmp_path, capsys, doc):
+    path = tmp_path / "mutated.json"
+    path.write_text(io.dumps(doc))
+    code = main(["check-cosheaf", str(path)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert report["verdict"] == "INPUT-ERROR"
+    return report["witnesses"][0]
+
+
+@pytest.mark.parametrize("bad", [7, "x", None, [], {"label": 1, "chain": ["{a}"]},
+                                 {"label": "p", "chain": "a"}, {"label": "p", "chain": [3]},
+                                 {"label": "p", "chain": []}])
+def test_cli_malformed_point_is_input_error(tmp_path, capsys, bad):
+    doc = _pi0_document(tmp_path)
+    doc["site"]["points"] = [*doc["site"]["points"], bad]
+    where = len(doc["site"]["points"]) - 1
+    witness = _check_cosheaf_input_error(tmp_path, capsys, doc)
+    assert witness.startswith(f"/points/{where}:")
+
+
+@pytest.mark.parametrize("bad", [[], {}, 7, None])
+def test_cli_non_string_cover_piece_is_input_error(tmp_path, capsys, bad):
+    doc = _pi0_document(tmp_path)
+    doc["site"]["covers"][1]["pieces"][0] = bad
+    witness = _check_cosheaf_input_error(tmp_path, capsys, doc)
+    assert witness.startswith("/covers/1/pieces/0:")
