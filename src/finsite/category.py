@@ -487,8 +487,6 @@ def validate_site(spec: SiteSpec, depth: int = 4):
                 if not spec.category.has_morphism(p):
                     ok = False
                     witnesses.append(f"cover of {u!r} uses unknown morphism {p!r}")
-            if not c.pieces and any(spec.category.morphism(m.id).src != u for m in spec.category.into(u) if m.id != spec.category.id_of(u)):
-                pass  # empty cover: legal only for an initial-like object; checked by use
         if chain is not None:
             for k in range(len(chain.covers) - 1):
                 fine, coarse = chain.covers[k + 1], chain.covers[k]

@@ -22,7 +22,7 @@ from .towers import (LevelMorphism, Tower, equal_at_depth, is_epi_at_depth,
                      is_iso_at_depth, is_rudimentary_at_depth, tower_pro_zero)
 from .values import (FINAB, FINSET, FinAbMap, FinAbObj, FinSetMap, FinSetObj,
                      category_of, compose, identity_map, initial_object,
-                     maps_equal, unique_map_from_initial)
+                     maps_equal, out_map, unique_map_from_initial)
 
 
 @dataclass(frozen=True)
@@ -183,30 +183,19 @@ class TensorResult:
     tower: Tower
     cocone: Mapping[str, LevelMorphism]
     compare: LevelMorphism  # canonical map into the value at the sieve target
-    level_data: tuple = ()  # per-level ColimitResult (FinAb assembly data)
+    level_data: tuple = ()  # per-level ColimitResult
 
 
-def _map_from_colimit(level_results, node_towers, src_tower, dst_tower, node_maps):
+def _map_from_colimit(level_results, src_tower, dst_tower, node_maps):
     """Strict tower map out of a levelwise colimit, from compatible node maps.
 
     node_maps[u] is a list of per-level value maps node_u(level j) -> dst(j).
     """
-    cat = src_tower.category()
-    comps = []
-    for j in range(src_tower.depth + 1):
-        res = level_results[j]
-        if cat == FINSET:
-            table = {}
-            for u, t in node_towers.items():
-                inj = res.cocone[u]
-                f = node_maps[u][j]
-                for x in t.levels[j].elements:
-                    table[inj(x)] = f(x)
-            comps.append(FinSetMap(src_tower.levels[j], dst_tower.levels[j], tuple(table.items())))
-        else:
-            node_matrices = {u: node_maps[u][j].matrix for u in node_towers}
-            comps.append(values.finab_out_map(res, node_matrices, dst_tower.levels[j]))
-    return LevelMorphism.strict(src_tower, dst_tower, tuple(comps))
+    comps = tuple(
+        out_map(level_results[j], {u: maps[j] for u, maps in node_maps.items()},
+                dst_tower.levels[j])
+        for j in range(src_tower.depth + 1))
+    return LevelMorphism.strict(src_tower, dst_tower, comps)
 
 
 def _levelwise_colimit(a: Precosheaf, comma: FiniteCategory):
@@ -250,72 +239,36 @@ def tensor_with_sieve(a: Precosheaf, sieve: Sieve) -> TensorResult:
         return out
     comma = comma_of_sieve(a.site, sieve)
     results, node_towers = _levelwise_colimit(a, comma)
-    tower = Tower(
-        tuple(r.obj for r in results),
-        tuple(
-            _bond_between_levels(a, comma, node_towers, results, j + 1, j)
-            for j in range(a.depth)
-        ),
-    )
+    # the bond sends class(m, x) at level j + 1 to class(m, bond(x)) at level j
+    bonds = tuple(
+        out_map(results[j + 1], {m: compose(results[j].cocone[m], t.bonds[j])
+                                 for m, t in node_towers.items()}, results[j].obj)
+        for j in range(a.depth))
+    tower = Tower(tuple(r.obj for r in results), bonds)
     cocone = {}
     for m in comma.objects:
         comps = tuple(results[j].cocone[m] for j in range(a.depth + 1))
         cocone[m] = LevelMorphism.strict(node_towers[m], tower, comps)
     node_maps = {m: [a.action[m].components[j] for j in range(a.depth + 1)]
                  for m in comma.objects}
-    compare = _map_from_colimit(results, node_towers, tower, target_tower, node_maps)
+    compare = _map_from_colimit(results, tower, target_tower, node_maps)
     out = TensorResult(tower, cocone, compare, tuple(results))
     a._tensor_cache[key] = out
     return out
 
 
-def _bond_between_levels(a, comma, node_towers, results, j_hi, j_lo):
-    cat = a.category
-    hi, lo = results[j_hi], results[j_lo]
-    if cat == FINSET:
-        table = {}
-        for m in comma.objects:
-            bond = node_towers[m].bonds[j_lo]
-            for x in node_towers[m].levels[j_hi].elements:
-                table[hi.cocone[m](x)] = lo.cocone[m](bond(x))
-        return FinSetMap(hi.obj, lo.obj, tuple(table.items()))
-    node_matrices = {}
-    for m in comma.objects:
-        bond = node_towers[m].bonds[j_lo]
-        node_matrices[m] = compose(lo.cocone[m], bond).matrix
-    return values.finab_out_map(hi, node_matrices, lo.obj)
-
-
 def _pushforward(a: Precosheaf, src_tensor: TensorResult, src_sieve: Sieve,
-                 dst_tensor: TensorResult, alpha: str) -> list:
-    """Raw per-level maps [A⊗S] -> [A⊗R] sending class (g, x) to (alpha∘g, x).
+                 dst_tensor: TensorResult, alpha: str, j: int):
+    """Raw level-j map [A⊗S] -> [A⊗R] sending class (g, x) to (alpha∘g, x).
 
     Requires alpha ∘ S ⊆ R, which the refinement search guarantees."""
     cat = a.site.category
     if not src_sieve.members:
-        return [unique_map_from_initial(a.category, dst_tensor.tower.levels[j])
-                for j in range(a.depth + 1)]
-    out = []
-    for j in range(a.depth + 1):
-        if a.category == FINSET:
-            table = {}
-            for g in sorted(src_sieve.members):
-                tower = a.values[cat.morphism(g).src]
-                target_member = cat.compose(alpha, g)
-                inj_src = src_tensor.cocone[g].components[j]
-                inj_dst = dst_tensor.cocone[target_member].components[j]
-                for x in tower.levels[j].elements:
-                    table[inj_src(x)] = inj_dst(x)
-            out.append(FinSetMap(src_tensor.tower.levels[j], dst_tensor.tower.levels[j],
-                                 tuple(table.items())))
-        else:
-            node_matrices = {}
-            for g in sorted(src_sieve.members):
-                target_member = cat.compose(alpha, g)
-                node_matrices[g] = dst_tensor.cocone[target_member].components[j].matrix
-            out.append(values.finab_out_map(src_tensor.level_data[j], node_matrices,
-                                            dst_tensor.tower.levels[j]))
-    return out
+        return unique_map_from_initial(a.category, dst_tensor.tower.levels[j])
+    return out_map(src_tensor.level_data[j],
+                   {g: dst_tensor.cocone[cat.compose(alpha, g)].components[j]
+                    for g in sorted(src_sieve.members)},
+                   dst_tensor.tower.levels[j])
 
 
 # ---------------------------------------------------------------------------
@@ -328,7 +281,7 @@ class FastDefect:
     piece_cocone: tuple      # one LevelMorphism per piece index
     compare: LevelMorphism
     level_data: tuple = ()
-    # (node name, cocone LevelMorphism, composite member id, leg morphism id)
+    # (node name, composite member id) per declared intersection
     pair_routes: tuple = ()
 
 
@@ -404,13 +357,10 @@ def _fast_defect(a: Precosheaf, cover: Cover) -> FastDefect:
     for node, i, j, li, lj, w in pair_nodes:
         composite = cat.compose(cover.pieces[i], li)
         node_maps[node] = [a.action[composite].components[jj] for jj in range(a.depth + 1)]
-    compare = _map_from_colimit(col.levels, node_towers, col.tower,
-                                a.values[cover.target], node_maps)
+    compare = _map_from_colimit(col.levels, col.tower, a.values[cover.target], node_maps)
     piece_cocone = tuple(col.cocone[f"p{i}"] for i in range(len(cover.pieces)))
-    pair_routes = tuple(
-        (node, col.cocone[node], cat.compose(cover.pieces[i], li), li)
-        for node, i, j, li, lj, w in pair_nodes
-    )
+    pair_routes = tuple((node, cat.compose(cover.pieces[i], li))
+                        for node, i, j, li, lj, w in pair_nodes)
     return FastDefect(col.tower, piece_cocone, compare, col.levels, pair_routes)
 
 
@@ -432,51 +382,27 @@ def defect_agreement(a: Precosheaf, cover: Cover) -> bool:
     fast = _fast_defect(a, cover)
     cat = a.site.category
     # phi: fast -> slow via pieces-as-members
-    phi = []
-    psi = []
-    for j in range(a.depth + 1):
-        src_nodes = {f"p{i}": a.values[cat.morphism(p).src]
-                     for i, p in enumerate(cover.pieces)}
-        src_cocone = {f"p{i}": fast.piece_cocone[i] for i in range(len(cover.pieces))}
-        assignments = {f"p{i}": (slow.cocone[p], None) for i, p in enumerate(cover.pieces)}
-        for node, cocone_lm, member, leg in fast.pair_routes:
-            src_nodes[node] = a.values[cat.morphism(member).src]
-            src_cocone[node] = cocone_lm
-            assignments[node] = (slow.cocone[member], None)
-        phi.append(_class_transport(
-            a, j,
-            src_nodes=src_nodes,
-            src_cocone=src_cocone,
-            src_data=fast.level_data[j] if fast.level_data else None,
-            src_level=fast.tower.levels[j],
-            dst_level=slow.tower.levels[j],
-            assignments=assignments,
-        ))
-        member_assign = {}
-        for g in sorted(sieve.members):
-            mg = cat.morphism(g)
-            placed = None
-            for i, p in enumerate(cover.pieces):
-                mp = cat.morphism(p)
-                for beta in sorted(m.id for m in cat.hom(mg.src, mp.src)):
-                    if cat.compose(p, beta) == g:
-                        placed = (i, beta)
-                        break
-                if placed:
+    to_slow = {f"p{i}": (slow.cocone[p], None) for i, p in enumerate(cover.pieces)}
+    for node, member in fast.pair_routes:
+        to_slow[node] = (slow.cocone[member], None)
+    # psi: slow -> fast via each member's lex-smallest factorization
+    to_fast = {}
+    for g in sorted(sieve.members):
+        mg = cat.morphism(g)
+        placed = None
+        for i, p in enumerate(cover.pieces):
+            mp = cat.morphism(p)
+            for beta in sorted(m.id for m in cat.hom(mg.src, mp.src)):
+                if cat.compose(p, beta) == g:
+                    placed = (fast.piece_cocone[i], a.action[beta])
                     break
-            member_assign[g] = placed
-        psi.append(_class_transport(
-            a, j,
-            src_nodes={g: a.values[cat.morphism(g).src] for g in sieve.members},
-            src_cocone={g: slow.cocone[g] for g in sieve.members},
-            src_data=slow.level_data[j] if slow.level_data else None,
-            src_level=slow.tower.levels[j],
-            dst_level=fast.tower.levels[j],
-            assignments={
-                g: (fast.piece_cocone[i], a.action[beta])
-                for g, (i, beta) in member_assign.items()
-            },
-        ))
+            if placed:
+                break
+        to_fast[g] = placed
+    phi = [_class_transport(j, fast.level_data[j], slow.tower.levels[j], to_slow)
+           for j in range(a.depth + 1)]
+    psi = [_class_transport(j, slow.level_data[j], fast.tower.levels[j], to_fast)
+           for j in range(a.depth + 1)]
     ok = True
     for j in range(a.depth + 1):
         idf = identity_map(fast.tower.levels[j])
@@ -492,26 +418,15 @@ def defect_agreement(a: Precosheaf, cover: Cover) -> bool:
     return ok
 
 
-def _class_transport(a, j, src_nodes, src_cocone, src_data, src_level, dst_level, assignments):
-    """Map between two colimits determined by per-node routes into the target
-    colimit: assignments[node] = (target cocone LevelMorphism, pre-map or None)."""
-    if a.category == FINSET:
-        table = {}
-        for node, tower in src_nodes.items():
-            inj = src_cocone[node].components[j]
-            target_lm, pre = assignments[node]
-            tgt = target_lm.components[j]
-            for x in tower.levels[j].elements:
-                val = x if pre is None else pre.components[j](x)
-                table[inj(x)] = tgt(val)
-        return FinSetMap(src_level, dst_level, tuple(table.items()))
-    node_matrices = {}
-    for node in src_nodes:
-        target_lm, pre = assignments[node]
+def _class_transport(j, src_colim, dst_level, assignments):
+    """Level-j map between two colimits determined by per-node routes into the
+    target colimit: assignments[node] = (target cocone LevelMorphism, pre-map
+    or None)."""
+    node_maps = {}
+    for node, (target_lm, pre) in assignments.items():
         tgt = target_lm.components[j]
-        pushed = tgt if pre is None else compose(tgt, pre.components[j])
-        node_matrices[node] = pushed.matrix
-    return values.finab_out_map(src_data, node_matrices, dst_level)
+        node_maps[node] = tgt if pre is None else compose(tgt, pre.components[j])
+    return out_map(src_colim, node_maps, dst_level)
 
 
 def check_cosheaf(a: Precosheaf, depth: int | None = None) -> CheckReport:
@@ -608,13 +523,11 @@ def plus_cosheaf(a: Precosheaf, depth: int | None = None) -> PlusResult:
             hi = tensor_at(u, k + 1)
             lo = tensor_at(u, k)
             if sieves[u][k + 1].members == sieves[u][k].members:
-                step = lo.tower.bonds[k]
                 hi_to_lo_at = identity_map(hi.tower.levels[k + 1])
             else:
-                push = _pushforward(a, hi, sieves[u][k + 1], lo, site.category.id_of(u))
-                hi_to_lo_at = push[k + 1]
-                step = lo.tower.bonds[k]
-            bonds.append(compose(step, hi_to_lo_at))
+                hi_to_lo_at = _pushforward(a, hi, sieves[u][k + 1], lo, site.category.id_of(u),
+                                           k + 1)
+            bonds.append(compose(lo.tower.bonds[k], hi_to_lo_at))
         plus_values[u] = Tower(tuple(levels), tuple(bonds))
 
     plus_action = {}
@@ -636,9 +549,8 @@ def plus_cosheaf(a: Precosheaf, depth: int | None = None) -> PlusResult:
             shift.append(lvl)
             src_tensor = tensor_at(alpha.src, lvl)
             dst_tensor = tensor_at(alpha.dst, k)
-            push = _pushforward(a, src_tensor, sieves[alpha.src][lvl], dst_tensor, alpha.id)
-            step = dst_tensor.tower.bond_composite(lvl, k)
-            comps.append(compose(step, push[lvl]))
+            push = _pushforward(a, src_tensor, sieves[alpha.src][lvl], dst_tensor, alpha.id, lvl)
+            comps.append(compose(dst_tensor.tower.bond_composite(lvl, k), push))
         lm = LevelMorphism(plus_values[alpha.src], plus_values[alpha.dst],
                            tuple(shift), tuple(comps))
         plus_action[m.id] = lm
@@ -718,26 +630,12 @@ def plus_map(f: PrecosheafMorphism, plus_src: PlusResult, plus_dst: PlusResult) 
             if not s.members:
                 per_level.append(unique_map_from_initial(a.category,
                                                          dst_t.tower.levels[k]))
-            elif a.category == FINSET:
-                table = {}
-                for g in sorted(s.members):
-                    w = site.category.morphism(g).src
-                    inj_src = src_t.cocone[g].components[k]
-                    inj_dst = dst_t.cocone[g].components[k]
-                    fw = f.components[w].components[k]
-                    for x in a.values[w].levels[k].elements:
-                        table[inj_src(x)] = inj_dst(fw(x))
-                per_level.append(FinSetMap(src_t.tower.levels[k], dst_t.tower.levels[k],
-                                           tuple(table.items())))
-            else:
-                node_matrices = {}
-                for g in sorted(s.members):
-                    w = site.category.morphism(g).src
-                    inj_dst = dst_t.cocone[g].components[k]
-                    fw = f.components[w].components[k]
-                    node_matrices[g] = compose(inj_dst, fw).matrix
-                per_level.append(values.finab_out_map(src_t.level_data[k], node_matrices,
-                                                      dst_t.tower.levels[k]))
+                continue
+            node_maps = {
+                g: compose(dst_t.cocone[g].components[k],
+                           f.components[site.category.morphism(g).src].components[k])
+                for g in sorted(s.members)}
+            per_level.append(out_map(src_t.level_data[k], node_maps, dst_t.tower.levels[k]))
         comps[u] = LevelMorphism.strict(plus_src.precosheaf.values[u],
                                         plus_dst.precosheaf.values[u], tuple(per_level))
     return PrecosheafMorphism(plus_src.precosheaf, plus_dst.precosheaf, comps)
@@ -1022,19 +920,8 @@ def coproduct(a: Precosheaf, b: Precosheaf) -> Precosheaf:
             table.update({f"b:{x}": f"b:{fb(x)}" for x in fb.src.elements})
             action[m.id] = table
         return precosheaf_from_tables(site, FINSET, tables, action, d, a.points)
-    tables = {}
-    for u in site.category.objects:
-        ga, gb = a.values[u].levels[0], b.values[u].levels[0]
-        ra, rb = ga.relation_matrix(), gb.relation_matrix()
-        ca_, cb_ = intmat.shape(ra)[1], intmat.shape(rb)[1]
-        n = ga.rank + gb.rank
-        cols = []
-        for j in range(ca_):
-            cols.append([ra[i][j] for i in range(ga.rank)] + [0] * gb.rank)
-        for j in range(cb_):
-            cols.append([0] * ga.rank + [rb[i][j] for i in range(gb.rank)])
-        rel = tuple(tuple(c[i] for c in cols) for i in range(n)) if cols else ()
-        tables[u] = FinAbObj(n, rel)
+    tables = {u: values.direct_sum([a.values[u].levels[0], b.values[u].levels[0]])
+              for u in site.category.objects}
     action = {}
     for m in site.category.morphisms:
         fa = a.action[m.id].components[0]

@@ -59,20 +59,12 @@ def mul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(r) for r in out)
 
 
-def add(a: Matrix, b: Matrix) -> Matrix:
-    return tuple(tuple(x + y for x, y in zip(r, s)) for r, s in zip(a, b))
-
-
 def sub(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(x - y for x, y in zip(r, s)) for r, s in zip(a, b))
 
 
 def neg(a: Matrix) -> Matrix:
     return tuple(tuple(-x for x in row) for row in a)
-
-
-def transpose(a: Matrix) -> Matrix:
-    return tuple(zip(*a)) and tuple(tuple(col) for col in zip(*a)) or ()
 
 
 def hstack(a: Matrix, b: Matrix) -> Matrix:

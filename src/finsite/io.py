@@ -148,6 +148,8 @@ def _cover_from(cat, raw, ptr) -> Cover:
     if inter_raw is None:
         inter = None
     else:
+        if not (isinstance(inter_raw, dict) and all(isinstance(k, str) for k in inter_raw)):
+            raise InvalidDocument(ptr + "/intersections", "intersections must be an object")
         inter = []
         for key in sorted(inter_raw):
             try:
@@ -295,8 +297,11 @@ def _value_from(raw, category, ptr):
         return FinSetObj(tuple(raw))
     if not isinstance(raw, dict) or "generators" not in raw:
         raise InvalidDocument(ptr, "abelian value needs generators and relations")
+    gens = raw["generators"]
+    if type(gens) is not int or gens < 0:
+        raise InvalidDocument(ptr + "/generators", "generators must be a non-negative integer")
     rels = raw.get("relations", [])
-    return FinAbObj(int(raw["generators"]), intmat.freeze(rels) if rels else ())
+    return FinAbObj(gens, intmat.freeze(rels) if rels else ())
 
 
 def _map_from(raw, src, dst, category, ptr):

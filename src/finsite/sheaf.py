@@ -14,9 +14,9 @@ from .category import (FiniteCategory, Morphism, Sieve, SiteSpec,
 from .cosheaf import PointFilter, Precosheaf
 from .errors import EngineError, SiteError
 from .report import CheckReport
-from .values import (FINAB, FINSET, FinAbMap, FinAbObj, FinSetMap, FinSetObj,
-                     FiniteDiagram, classify_map, compose, express_through,
-                     identity_map, maps_equal, terminal_object)
+from .values import (FINAB, FINSET, FinAbMap, FinSetMap, FinSetObj, FiniteDiagram,
+                     classify_map, compose, direct_sum, identity_map, into_limit,
+                     maps_equal, unique_map_to_terminal)
 
 
 @dataclass(frozen=True)
@@ -69,14 +69,8 @@ def hom_with_sieve(a: Presheaf, sieve: Sieve) -> HomResult:
     canonical restriction map from the value at the target."""
     site_cat = a.site.category
     if not sieve.members:
-        obj = terminal_object(a.category)
-        value = a.values[sieve.target]
-        if a.category == FINSET:
-            restriction = FinSetMap(value, obj, tuple((x, obj.elements[0]) for x in value.elements))
-        else:
-            restriction = FinAbMap(value, obj, tuple(() for _ in range(0)))
-        empty = values.LimitResult(obj, {})
-        return HomResult(obj, restriction, empty, ())
+        restriction = unique_map_to_terminal(a.category, a.values[sieve.target])
+        return HomResult(restriction.dst, restriction, values.LimitResult(restriction.dst, {}), ())
     comma = comma_of_sieve(a.site, sieve)
     shape = opposite_category(comma)
     nodes = {m: a.values[site_cat.morphism(m).src] for m in shape.objects}
@@ -87,30 +81,8 @@ def hom_with_sieve(a: Presheaf, sieve: Sieve) -> HomResult:
     diagram = FiniteDiagram(shape, nodes, edges, trusted=True)
     limit = values.finite_limit(diagram, a.category)
     members = tuple(sorted(sieve.members))
-    value = a.values[sieve.target]
-    member_maps = {m: a.action[m] for m in members}
-    restriction = _into_limit(limit, value, member_maps, a.category)
+    restriction = into_limit(limit, a.values[sieve.target], {m: a.action[m] for m in members})
     return HomResult(limit.obj, restriction, limit, members)
-
-
-def _into_limit(limit: values.LimitResult, src, member_maps: Mapping[str, object], category: str):
-    """Universal map into a computed limit from a compatible family of maps."""
-    nodes = sorted(member_maps)
-    if category == FINSET:
-        table = {}
-        for x in src.elements:
-            fam = {m: member_maps[m](x) for m in nodes}
-            key = "(" + ",".join(f"{m}={fam[m]}" for m in nodes) + ")"
-            if key not in limit.obj.elements:
-                raise EngineError("family does not satisfy the limit constraints")
-            table[x] = key
-        return FinSetMap(src, limit.obj, tuple(table.items()))
-    rows = []
-    for m in nodes:
-        rows.extend(member_maps[m].matrix)
-    to_product = FinAbMap(src, limit.product, intmat.freeze(rows) if rows else tuple(() for _ in range(0)))
-    mtx = express_through(limit.incl, to_product)
-    return FinAbMap(src, limit.obj, mtx)
 
 
 def check_sheaf(a: Presheaf, depth: int = 6) -> CheckReport:
@@ -174,25 +146,17 @@ def plus_sheaf(a: Presheaf, depth: int = 6) -> SheafPlusResult:
             if composite not in sieves[u].members:
                 raise SiteError(
                     f"stability breach: {composite!r} escapes the sieve of {u!r}")
-            member_maps[g] = (
-                _family_component(homs[u], composite, a)
-            )
+            member_maps[g] = _family_component(homs[u], composite)
         if sieves[v].members:
-            new_action[m.id] = _into_limit(homs[v].limit, homs[u].obj, member_maps, a.category)
+            new_action[m.id] = into_limit(homs[v].limit, homs[u].obj, member_maps)
         else:
-            if a.category == FINSET:
-                new_action[m.id] = FinSetMap(
-                    homs[u].obj, homs[v].obj,
-                    tuple((x, homs[v].obj.elements[0]) for x in homs[u].obj.elements))
-            else:
-                new_action[m.id] = FinAbMap(homs[u].obj, homs[v].obj,
-                                            tuple(() for _ in range(0)))
+            new_action[m.id] = unique_map_to_terminal(a.category, homs[u].obj)
     plus = Presheaf(site, a.category, new_values, new_action, a.points)
     unit = {u: homs[u].restriction for u in site.category.objects}
     return SheafPlusResult(plus, unit, truncated)
 
 
-def _family_component(hom: HomResult, member: str, a: Presheaf):
+def _family_component(hom: HomResult, member: str):
     """Projection of the section object onto the family value at one member."""
     if not hom.members:
         raise SiteError("projection out of an empty-sieve section object")
@@ -290,17 +254,7 @@ def presheaf_product(a: Presheaf, b: Presheaf) -> Presheaf:
                     table[f"<{x}|{y}>"] = f"<{fa(x)}|{fb(y)}>"
             action[m.id] = FinSetMap(vals[m.dst], vals[m.src], tuple(table.items()))
         return Presheaf(site, FINSET, vals, action, a.points)
-    vals = {}
-    for u in site.category.objects:
-        ga, gb = a.values[u], b.values[u]
-        ra, rb = ga.relation_matrix(), gb.relation_matrix()
-        n = ga.rank + gb.rank
-        cols = []
-        for j in range(intmat.shape(ra)[1]):
-            cols.append([ra[i][j] for i in range(ga.rank)] + [0] * gb.rank)
-        for j in range(intmat.shape(rb)[1]):
-            cols.append([0] * ga.rank + [rb[i][j] for i in range(gb.rank)])
-        vals[u] = FinAbObj(n, tuple(tuple(c[i] for c in cols) for i in range(n)) if cols else ())
+    vals = {u: direct_sum([a.values[u], b.values[u]]) for u in site.category.objects}
     action = {}
     for m in site.category.morphisms:
         fa, fb = a.action[m.id], b.action[m.id]

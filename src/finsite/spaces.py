@@ -192,7 +192,7 @@ def h0_precosheaf(spec: SiteSpec, space: FiniteSpace, g: FinAbObj, depth: int = 
     tables = {}
     for u in spec.category.objects:
         comps = pi0.values[u].levels[0].elements
-        tables[u] = _direct_sum(g, len(comps))
+        tables[u] = values.direct_sum([g] * len(comps))
     action = {}
     for m in spec.category.morphisms:
         src_comps = pi0.values[m.src].levels[0].elements
@@ -205,20 +205,6 @@ def h0_precosheaf(spec: SiteSpec, space: FiniteSpace, g: FinAbObj, depth: int = 
                 rows[di * g.rank + i][si * g.rank + i] = 1
         action[m.id] = tuple(tuple(r) for r in rows)
     return precosheaf_from_tables(spec, FINAB, tables, action, depth, site_points(spec))
-
-
-def _direct_sum(g: FinAbObj, count: int) -> FinAbObj:
-    rel = g.relation_matrix()
-    from . import intmat
-    cols = []
-    n = g.rank * count
-    for b in range(count):
-        for j in range(intmat.shape(rel)[1]):
-            col = [0] * n
-            for i in range(g.rank):
-                col[b * g.rank + i] = rel[i][j]
-            cols.append(col)
-    return FinAbObj(n, tuple(tuple(c[i] for c in cols) for i in range(n)) if cols else ())
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,9 @@ from typing import Mapping
 from . import intmat, values
 from .category import FiniteCategory
 from .errors import EngineError, InsufficientDepth
-from .values import (FINSET, FinAbMap, FinAbObj, FinSetMap, FinSetObj,
-                     FiniteDiagram, category_of, classify_map, compose,
-                     finite_colimit, identity_map, is_zero_map, maps_equal)
+from .values import (FINSET, FinAbMap, FinAbObj, FinSetObj, FiniteDiagram,
+                     category_of, classify_map, compose, finite_colimit,
+                     identity_map, is_zero_map, maps_equal, out_map)
 
 
 @dataclass(frozen=True)
@@ -38,9 +38,6 @@ class Tower:
 
     def category(self) -> str:
         return category_of(self.levels[0])
-
-    def level(self, k: int):
-        return self.levels[k]
 
     def bond_composite(self, i: int, j: int):
         """The composite X_i -> X_j for i >= j (identity when i == j)."""
@@ -483,7 +480,7 @@ def is_rudimentary_at_depth(x: Tower, depth: int | None = None, window: int = 3)
 class TowerColimit:
     tower: Tower
     cocone: Mapping[str, LevelMorphism]
-    levels: tuple = ()   # per-level ColimitResult (assembly data for FinAb)
+    levels: tuple = ()   # per-level ColimitResult
 
 
 def _stable_reindex(shape: FiniteCategory, edges: Mapping[str, LevelMorphism], depth: int):
@@ -534,28 +531,14 @@ def tower_colimit(shape: FiniteCategory, nodes: Mapping[str, Tower],
             FiniteDiagram(shape, diag_nodes, diag_edges, trusted=True), cat))
     bonds = []
     for j in range(d):
-        hi, lo = level_results[j + 1], level_results[j]
-        bonds.append(_induced_colimit_map(shape, nodes, phi, j + 1, j, hi, lo, cat))
+        lo = level_results[j]
+        # class(u, x at phi(j + 1)) goes to class(u, bond(x))
+        bonds.append(out_map(level_results[j + 1], {
+            u: compose(lo.cocone[u], nodes[u].bond_composite(phi[j + 1], phi[j]))
+            for u in shape.objects}, lo.obj))
     tower = Tower(tuple(r.obj for r in level_results), tuple(bonds))
     cocone = {}
     for u in shape.objects:
         comps = tuple(level_results[j].cocone[u] for j in range(d + 1))
         cocone[u] = LevelMorphism(nodes[u], tower, phi, comps)
     return TowerColimit(tower, cocone, tuple(level_results))
-
-
-def _induced_colimit_map(shape, nodes, phi, j_hi, j_lo, hi, lo, cat):
-    """Colimit map sending class(u, x at phi(j_hi)) to class(u, bond(x))."""
-    if cat == FINSET:
-        table = {}
-        for u in shape.objects:
-            bond = nodes[u].bond_composite(phi[j_hi], phi[j_lo])
-            inj_hi, inj_lo = hi.cocone[u], lo.cocone[u]
-            for x in nodes[u].levels[phi[j_hi]].elements:
-                table[inj_hi(x)] = inj_lo(bond(x))
-        return FinSetMap(hi.obj, lo.obj, tuple(table.items()))
-    node_matrices = {}
-    for u in shape.objects:
-        bond = nodes[u].bond_composite(phi[j_hi], phi[j_lo])
-        node_matrices[u] = compose(lo.cocone[u], bond).matrix
-    return values.finab_out_map(hi, node_matrices, lo.obj)

@@ -216,6 +216,34 @@ def cokernel(f: FinAbMap) -> tuple[FinAbObj, FinAbMap]:
     return c, FinAbMap(f.dst, c, intmat.identity(f.dst.rank))
 
 
+def block_relations(objs: list) -> tuple[list[int], int, list[list[int]]]:
+    """The direct sum of a list of FinAb objects as (offset of each summand,
+    total rank, block-diagonal relation columns in summand order)."""
+    offsets = []
+    total = 0
+    for g in objs:
+        offsets.append(total)
+        total += g.rank
+    columns = []
+    for off, g in zip(offsets, objs):
+        rel = g.relation_matrix()
+        for j in range(intmat.shape(rel)[1]):
+            col = [0] * total
+            for i in range(g.rank):
+                col[off + i] = rel[i][j]
+            columns.append(col)
+    return offsets, total, columns
+
+
+def _from_columns(rank: int, columns) -> FinAbObj:
+    return FinAbObj(rank, tuple(tuple(c[i] for c in columns) for i in range(rank)) if columns else ())
+
+
+def direct_sum(objs: list) -> FinAbObj:
+    _, total, columns = block_relations(objs)
+    return _from_columns(total, columns)
+
+
 # ---------------------------------------------------------------------------
 # category-agnostic helpers
 
@@ -274,6 +302,13 @@ def unique_map_from_initial(category: str, dst):
     if category == FINSET:
         return FinSetMap(finset(), dst, ())
     return FinAbMap(FinAbObj(0), dst, tuple(() for _ in range(dst.rank)))
+
+
+def unique_map_to_terminal(category: str, src):
+    dst = terminal_object(category)
+    if category == FINSET:
+        return FinSetMap(src, dst, tuple((x, dst.elements[0]) for x in src.elements))
+    return FinAbMap(src, dst, ())
 
 
 @dataclass(frozen=True)
@@ -345,6 +380,8 @@ class FiniteDiagram:
 
 @dataclass(frozen=True)
 class ColimitResult:
+    """A computed colimit; maps out of it are built by `out_map` only."""
+
     obj: object
     cocone: Mapping[str, object]
     # FinAb assembly data: colimit presentations are Tietze-reduced, and maps
@@ -355,29 +392,55 @@ class ColimitResult:
     unreduced_rank: int | None = None
 
 
-def finab_out_map(level: ColimitResult, node_matrices: Mapping[str, object], dst: FinAbObj) -> FinAbMap:
-    """Map out of a reduced FinAb colimit from per-node matrices."""
-    n0 = level.unreduced_rank
-    m1 = [[0] * n0 for _ in range(dst.rank)]
-    for node, mtx in node_matrices.items():
-        off = level.offsets[node]
-        ncols = len(mtx[0]) if mtx and len(mtx) else 0
-        for g in range(ncols):
-            for i in range(dst.rank):
-                m1[i][off + g] = mtx[i][g]
-    reduced = intmat.mul(intmat.freeze(m1) if m1 else (), level.embed)
-    return FinAbMap(level.obj, dst, reduced)
+def out_map(colim: ColimitResult, node_maps: Mapping[str, object], dst):
+    """The map colim.obj -> dst induced by one map node_u -> dst per node.
+
+    The node maps must form a cocone over the colimit's diagram."""
+    if isinstance(colim.obj, FinSetObj):
+        table = {}
+        for u, f in node_maps.items():
+            inj = colim.cocone[u]
+            for x in f.src.elements:
+                table[inj(x)] = f(x)
+        return FinSetMap(colim.obj, dst, tuple(table.items()))
+    blocks = [[0] * colim.unreduced_rank for _ in range(dst.rank)]
+    for u, f in node_maps.items():
+        off = colim.offsets[u]
+        for i in range(dst.rank):
+            blocks[i][off:off + f.src.rank] = f.matrix[i]
+    return FinAbMap(colim.obj, dst, intmat.mul(intmat.freeze(blocks), colim.embed))
 
 
 @dataclass(frozen=True)
 class LimitResult:
+    """A computed limit; maps into it are built by `into_limit` only."""
+
     obj: object
     cone: Mapping[str, object]
-    # decoding data for maps INTO the limit:
-    families: Mapping[str, Mapping[str, str]] | None = None  # FinSet: element -> node family
     incl: object | None = None       # FinAb: kernel inclusion into the product
     product: object | None = None    # FinAb: the ambient product object
-    offsets: Mapping[str, int] | None = None
+
+
+def _family_label(family: Mapping[str, str], nodes) -> str:
+    return "(" + ",".join(f"{u}={family[u]}" for u in nodes) + ")"
+
+
+def into_limit(limit: LimitResult, src, member_maps: Mapping[str, object]):
+    """The map src -> limit.obj induced by one map src -> node_u per node.
+
+    Raises when the maps do not form a cone over the limit's diagram."""
+    nodes = sorted(member_maps)
+    if isinstance(limit.obj, FinSetObj):
+        table = {}
+        for x in src.elements:
+            key = _family_label({u: member_maps[u](x) for u in nodes}, nodes)
+            if key not in limit.obj.element_set:
+                raise EngineError("family does not satisfy the limit constraints")
+            table[x] = key
+        return FinSetMap(src, limit.obj, tuple(table.items()))
+    rows = [row for u in nodes for row in member_maps[u].matrix]
+    to_product = FinAbMap(src, limit.product, intmat.freeze(rows))
+    return FinAbMap(src, limit.obj, express_through(limit.incl, to_product))
 
 
 def _union_find_classes(items, pairs):
@@ -427,20 +490,10 @@ def finite_colimit(diagram: FiniteDiagram, category: str | None = None) -> Colim
         }
         return ColimitResult(obj, cocone)
     # FinAb: cokernel of the difference map into the node direct sum, with the
-    # presentation Tietze-reduced before anything downstream sees it.
-    offsets = {}
-    total = 0
-    for u in nodes:
-        offsets[u] = total
-        total += diagram.nodes[u].rank
-    rel_cols = []
-    for u in nodes:
-        r = diagram.nodes[u].relation_matrix()
-        for j in range(intmat.shape(r)[1]):
-            col = [0] * total
-            for i in range(diagram.nodes[u].rank):
-                col[offsets[u] + i] = r[i][j]
-            rel_cols.append(col)
+    # presentation Tietze-reduced before anything downstream sees it.  The
+    # column order (node relations, then edges) fixes the reduced result.
+    starts, total, rel_cols = block_relations([diagram.nodes[u] for u in nodes])
+    offsets = dict(zip(nodes, starts))
     for m in sorted(diagram.edges):
         mor = diagram.shape.morphism(m)
         e = diagram.edges[m]
@@ -465,8 +518,7 @@ def finite_colimit(diagram: FiniteDiagram, category: str | None = None) -> Colim
             for k in range(len(kept))
         )
         cocone[u] = FinAbMap(diagram.nodes[u], obj, block)
-    return ColimitResult(obj, cocone, offsets=dict(offsets), embed=embed,
-                         unreduced_rank=total)
+    return ColimitResult(obj, cocone, offsets=offsets, embed=embed, unreduced_rank=total)
 
 
 def _matching_families(diagram: FiniteDiagram, nodes):
@@ -516,31 +568,19 @@ def finite_limit(diagram: FiniteDiagram, category: str | None = None) -> LimitRe
             _matching_families(diagram, nodes),
             key=lambda fam: tuple(fam[u] for u in nodes),
         )
-        ids = ["(" + ",".join(f"{u}={fam[u]}" for u in nodes) + ")" for fam in families]
+        ids = [_family_label(fam, nodes) for fam in families]
         obj = FinSetObj(tuple(ids))
         by_id = dict(zip(ids, families))
         cone = {
             u: FinSetMap(obj, diagram.nodes[u], tuple((i, by_id[i][u]) for i in obj.elements))
             for u in nodes
         }
-        return LimitResult(obj, cone, families=by_id)
+        return LimitResult(obj, cone)
     # FinAb: kernel of the difference map out of the product.
-    offsets = {}
-    total = 0
-    for u in nodes:
-        offsets[u] = total
-        total += diagram.nodes[u].rank
-    prod_rels = []
-    for u in nodes:
-        r = diagram.nodes[u].relation_matrix()
-        for j in range(intmat.shape(r)[1]):
-            col = [0] * total
-            for i in range(diagram.nodes[u].rank):
-                col[offsets[u] + i] = r[i][j]
-            prod_rels.append(col)
-    prod = FinAbObj(total, tuple(tuple(c[i] for c in prod_rels) for i in range(total)) if prod_rels else ())
+    starts, total, prod_rels = block_relations([diagram.nodes[u] for u in nodes])
+    offsets = dict(zip(nodes, starts))
+    prod = _from_columns(total, prod_rels)
     rows = []
-    row_offset = 0
     edge_list = sorted(diagram.edges)
     for m in edge_list:
         mor = diagram.shape.morphism(m)
@@ -551,22 +591,9 @@ def finite_limit(diagram: FiniteDiagram, category: str | None = None) -> LimitRe
                 row[offsets[mor.src] + g] += e.matrix[i][g]
             row[offsets[mor.dst] + i] -= 1
             rows.append(row)
-        row_offset += e.dst.rank
     # target of the difference map: product over edges of the edge targets
-    tgt_rels = []
-    tgt_total = row_offset
-    off = 0
-    for m in edge_list:
-        mor = diagram.shape.morphism(m)
-        r = diagram.nodes[mor.dst].relation_matrix()
-        for j in range(intmat.shape(r)[1]):
-            col = [0] * tgt_total
-            for i in range(diagram.nodes[mor.dst].rank):
-                col[off + i] = r[i][j]
-            tgt_rels.append(col)
-        off += diagram.nodes[mor.dst].rank
-    tgt = FinAbObj(tgt_total, tuple(tuple(c[i] for c in tgt_rels) for i in range(tgt_total)) if tgt_rels else ())
-    delta = FinAbMap(prod, tgt, intmat.freeze(rows) if rows else tuple(() for _ in range(tgt_total)))
+    tgt = direct_sum([diagram.edges[m].dst for m in edge_list])
+    delta = FinAbMap(prod, tgt, intmat.freeze(rows))
     k, incl = kernel(delta)
     cone = {}
     for u in nodes:
@@ -575,7 +602,7 @@ def finite_limit(diagram: FiniteDiagram, category: str | None = None) -> LimitRe
             mtx[i][offsets[u] + i] = 1
         proj = FinAbMap(prod, diagram.nodes[u], intmat.freeze(mtx))
         cone[u] = compose(proj, incl)
-    return LimitResult(k, cone, incl=incl, product=prod, offsets=dict(offsets))
+    return LimitResult(k, cone, incl=incl, product=prod)
 
 
 # ---------------------------------------------------------------------------
@@ -611,16 +638,7 @@ def set_pairings(g, z: FinSetObj) -> SetPairings:
         return SetPairings(tensor, injections, power, projections)
     n = g.rank
     count = len(zs)
-    rel = g.relation_matrix()
-    cols = intmat.shape(rel)[1]
-    big_rel = []
-    for b in range(count):
-        for j in range(cols):
-            col = [0] * (n * count)
-            for i in range(n):
-                col[b * n + i] = rel[i][j]
-            big_rel.append(col)
-    big = FinAbObj(n * count, tuple(tuple(c[i] for c in big_rel) for i in range(n * count)) if big_rel else ())
+    big = direct_sum([g] * count)
     injections = []
     projections = []
     for b in range(count):
@@ -688,12 +706,8 @@ def functor_pairings(a: FiniteDiagram, b: FiniteDiagram, f: FiniteDiagram) -> Fu
         return FunctorPairings(end, coend)
     # FinAb values in `a`
     powers = {u: set_pairings(a.nodes[u], b.nodes[u]) for u in nodes}
-    total = sum(powers[u].power.rank for u in nodes)
-    offsets = {}
-    acc = 0
-    for u in nodes:
-        offsets[u] = acc
-        acc += powers[u].power.rank
+    starts, total, prod_rels = block_relations([powers[u].power for u in nodes])
+    offsets = dict(zip(nodes, starts))
     rows = []
     tgt_blocks = []
     for m in shape.morphisms:
@@ -713,45 +727,13 @@ def functor_pairings(a: FiniteDiagram, b: FiniteDiagram, f: FiniteDiagram) -> Fu
                 for jj in range(powers[m.dst].power.rank):
                     row[offsets[m.dst] + jj] -= dst_proj.matrix[i][jj]
                 rows.append(row)
-    prod_rels = []
-    for u in nodes:
-        r = powers[u].power.relation_matrix()
-        for j in range(intmat.shape(r)[1]):
-            col = [0] * total
-            for i in range(powers[u].power.rank):
-                col[offsets[u] + i] = r[i][j]
-            prod_rels.append(col)
-    prod = FinAbObj(total, tuple(tuple(c[i] for c in prod_rels) for i in range(total)) if prod_rels else ())
-    tgt_rank = sum(blk.rank for blk in tgt_blocks)
-    tgt_rels = []
-    base = 0
-    for blk in tgt_blocks:
-        r = blk.relation_matrix()
-        for j in range(intmat.shape(r)[1]):
-            col = [0] * tgt_rank
-            for i in range(blk.rank):
-                col[base + i] = r[i][j]
-            tgt_rels.append(col)
-        base += blk.rank
-    tgt = FinAbObj(tgt_rank, tuple(tuple(c[i] for c in tgt_rels) for i in range(tgt_rank)) if tgt_rels else ())
-    delta = FinAbMap(prod, tgt, intmat.freeze(rows) if rows else tuple(() for _ in range(tgt_rank)))
+    prod = _from_columns(total, prod_rels)
+    delta = FinAbMap(prod, direct_sum(tgt_blocks), intmat.freeze(rows))
     end_obj, _ = kernel(delta)
     # coend: quotient of ∐_U A(U) ⊗ F(U)
     tensors = {u: set_pairings(a.nodes[u], f.nodes[u]) for u in nodes}
-    ctotal = sum(tensors[u].tensor.rank for u in nodes)
-    coffsets = {}
-    acc = 0
-    for u in nodes:
-        coffsets[u] = acc
-        acc += tensors[u].tensor.rank
-    rel_cols = []
-    for u in nodes:
-        r = tensors[u].tensor.relation_matrix()
-        for j in range(intmat.shape(r)[1]):
-            col = [0] * ctotal
-            for i in range(tensors[u].tensor.rank):
-                col[coffsets[u] + i] = r[i][j]
-            rel_cols.append(col)
+    starts, ctotal, rel_cols = block_relations([tensors[u].tensor for u in nodes])
+    coffsets = dict(zip(nodes, starts))
     for m in shape.morphisms:
         am, fm = a.edges[m.id], f.edges[m.id]
         for y in f.nodes[m.dst].elements:
@@ -767,8 +749,7 @@ def functor_pairings(a: FiniteDiagram, b: FiniteDiagram, f: FiniteDiagram) -> Fu
                 for i in range(tensors[m.dst].tensor.rank):
                     col[coffsets[m.dst] + i] -= pushed.matrix[i][g]
                 rel_cols.append(col)
-    coend_obj = FinAbObj(ctotal, tuple(tuple(c[i] for c in rel_cols) for i in range(ctotal)) if rel_cols else ())
-    return FunctorPairings(end_obj, coend_obj)
+    return FunctorPairings(end_obj, _from_columns(ctotal, rel_cols))
 
 
 def smith_normal_form(m) -> tuple[intmat.Matrix, intmat.Matrix, intmat.Matrix]:

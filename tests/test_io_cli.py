@@ -8,9 +8,9 @@ from finsite import io
 from finsite.cli import main
 from finsite.cosheaf import constant_precosheaf, cosheafify
 from finsite.errors import InvalidDocument
-from finsite.spaces import (converging_sequence_site, open_site, pi0_precosheaf,
-                            pseudocircle, site_points)
-from finsite.values import finset
+from finsite.spaces import (converging_sequence_site, h0_precosheaf, open_site,
+                            pi0_precosheaf, pseudocircle, site_points)
+from finsite.values import finset, free_ab
 
 
 @pytest.fixture()
@@ -259,3 +259,24 @@ def test_cli_non_string_cover_piece_is_input_error(tmp_path, capsys, bad):
     doc["site"]["covers"][1]["pieces"][0] = bad
     witness = _check_cosheaf_input_error(tmp_path, capsys, doc)
     assert witness.startswith("/covers/1/pieces/0:")
+
+
+@pytest.mark.parametrize("bad", [7, [1], True, "x"])
+def test_cli_malformed_intersections_is_input_error(tmp_path, capsys, bad):
+    doc = _pi0_document(tmp_path)
+    doc["site"]["covers"][1]["intersections"] = bad
+    witness = _check_cosheaf_input_error(tmp_path, capsys, doc)
+    assert witness.startswith("/covers/1/intersections")
+
+
+@pytest.mark.parametrize("bad", ["x", None, [], {}, True, -1, 1.0])
+def test_cli_malformed_generators_is_input_error(tmp_path, capsys, bad):
+    space = pseudocircle()
+    spec = open_site(space)
+    path = tmp_path / "h0.json"
+    io.save(h0_precosheaf(spec, space, free_ab(1)), path)
+    doc = json.loads(path.read_text())
+    u = sorted(doc["values"])[0]
+    doc["values"][u]["generators"] = bad
+    witness = _check_cosheaf_input_error(tmp_path, capsys, doc)
+    assert witness.startswith(f"/values/{u}/generators:")
