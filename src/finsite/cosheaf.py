@@ -18,8 +18,9 @@ from .category import (Cover, FiniteCategory, Morphism, Sieve, SiteSpec,
                        sieve_from_cover, sieve_levels)
 from .errors import EngineError, InsufficientDepth, SiteError
 from .report import CheckReport
-from .towers import (LevelMorphism, Tower, equal_at_depth, is_epi_at_depth,
-                     is_iso_at_depth, is_rudimentary_at_depth, tower_pro_zero)
+from .towers import (LevelMorphism, Tower, TowerColimit, _stable_reindex, equal_at_depth,
+                     is_epi_at_depth, is_iso_at_depth, is_rudimentary_at_depth,
+                     tower_colimit, tower_pro_zero)
 from .values import (FINAB, FINSET, FinAbMap, FinAbObj, FinSetMap, FinSetObj,
                      category_of, compose, identity_map, initial_object,
                      maps_equal, out_map, unique_map_from_initial)
@@ -180,45 +181,20 @@ def identity_morphism(a: Precosheaf) -> PrecosheafMorphism:
 
 @dataclass(frozen=True)
 class TensorResult:
-    tower: Tower
-    cocone: Mapping[str, LevelMorphism]
+    colimit: TowerColimit
     compare: LevelMorphism  # canonical map into the value at the sieve target
-    level_data: tuple = ()  # per-level ColimitResult
+
+    @property
+    def tower(self) -> Tower:
+        return self.colimit.tower
 
 
-def _map_from_colimit(level_results, src_tower, dst_tower, node_maps):
-    """Strict tower map out of a levelwise colimit, from compatible node maps.
-
-    node_maps[u] is a list of per-level value maps node_u(level j) -> dst(j).
-    """
-    comps = tuple(
-        out_map(level_results[j], {u: maps[j] for u, maps in node_maps.items()},
-                dst_tower.levels[j])
-        for j in range(src_tower.depth + 1))
-    return LevelMorphism.strict(src_tower, dst_tower, comps)
-
-
-def _levelwise_colimit(a: Precosheaf, comma: FiniteCategory):
-    """Per-level finite colimits of the comma diagram, plus the node towers.
-
-    A level whose node objects and edge maps equal those of the level below
-    is the same diagram, so it shares that level's ColimitResult: a constant
-    tower costs one colimit, not depth + 1."""
-    site_cat = a.site.category
-    node_towers = {m: a.values[site_cat.morphism(m).src] for m in comma.objects}
-    bases = {cm.id: cm.id.split("|")[0] for cm in comma.morphisms}
-    results = []
-    prev_nodes = prev_edges = None
-    for j in range(a.depth + 1):
-        nodes = {m: node_towers[m].levels[j] for m in comma.objects}
-        edges = {cid: a.action[base].components[j] for cid, base in bases.items()}
-        if nodes == prev_nodes and edges == prev_edges:
-            results.append(results[-1])
-            continue
-        diagram = values.FiniteDiagram(comma, nodes, edges, trusted=True)
-        results.append(values.finite_colimit(diagram, a.category))
-        prev_nodes, prev_edges = nodes, edges
-    return results, node_towers
+def _map_out(col: TowerColimit, dst: Tower, routes) -> LevelMorphism:
+    """Strict tower map out of a tower colimit of strict edges, from one
+    strict level morphism per node into dst."""
+    comps = tuple(out_map(colim, {u: lm.components[j] for u, lm in routes.items()}, dst.levels[j])
+                  for j, colim in enumerate(col.levels))
+    return LevelMorphism.strict(col.tower, dst, comps)
 
 
 def tensor_with_sieve(a: Precosheaf, sieve: Sieve) -> TensorResult:
@@ -234,25 +210,16 @@ def tensor_with_sieve(a: Precosheaf, sieve: Sieve) -> TensorResult:
         tower = Tower.constant(obj, a.depth)
         comps = tuple(unique_map_from_initial(a.category, target_tower.levels[j])
                       for j in range(a.depth + 1))
-        out = TensorResult(tower, {}, LevelMorphism.strict(tower, target_tower, comps))
+        out = TensorResult(TowerColimit(tower, {}),
+                           LevelMorphism.strict(tower, target_tower, comps))
         a._tensor_cache[key] = out
         return out
     comma = comma_of_sieve(a.site, sieve)
-    results, node_towers = _levelwise_colimit(a, comma)
-    # the bond sends class(m, x) at level j + 1 to class(m, bond(x)) at level j
-    bonds = tuple(
-        out_map(results[j + 1], {m: compose(results[j].cocone[m], t.bonds[j])
-                                 for m, t in node_towers.items()}, results[j].obj)
-        for j in range(a.depth))
-    tower = Tower(tuple(r.obj for r in results), bonds)
-    cocone = {}
-    for m in comma.objects:
-        comps = tuple(results[j].cocone[m] for j in range(a.depth + 1))
-        cocone[m] = LevelMorphism.strict(node_towers[m], tower, comps)
-    node_maps = {m: [a.action[m].components[j] for j in range(a.depth + 1)]
-                 for m in comma.objects}
-    compare = _map_from_colimit(results, tower, target_tower, node_maps)
-    out = TensorResult(tower, cocone, compare, tuple(results))
+    site_cat = a.site.category
+    nodes = {m: a.values[site_cat.morphism(m).src] for m in comma.objects}
+    edges = {cm.id: a.action[cm.id.split("|")[0]] for cm in comma.morphisms}
+    col = tower_colimit(comma, nodes, edges, a.depth)
+    out = TensorResult(col, _map_out(col, target_tower, {m: a.action[m] for m in comma.objects}))
     a._tensor_cache[key] = out
     return out
 
@@ -265,8 +232,8 @@ def _pushforward(a: Precosheaf, src_tensor: TensorResult, src_sieve: Sieve,
     cat = a.site.category
     if not src_sieve.members:
         return unique_map_from_initial(a.category, dst_tensor.tower.levels[j])
-    return out_map(src_tensor.level_data[j],
-                   {g: dst_tensor.cocone[cat.compose(alpha, g)].components[j]
+    return out_map(src_tensor.colimit.levels[j],
+                   {g: dst_tensor.colimit.cocone[cat.compose(alpha, g)].components[j]
                     for g in sorted(src_sieve.members)},
                    dst_tensor.tower.levels[j])
 
@@ -277,10 +244,8 @@ def _pushforward(a: Precosheaf, src_tensor: TensorResult, src_sieve: Sieve,
 
 @dataclass(frozen=True)
 class FastDefect:
-    tower: Tower
-    piece_cocone: tuple      # one LevelMorphism per piece index
+    colimit: TowerColimit    # nodes "p<i>" per piece, "w<i>,<j>" per intersection
     compare: LevelMorphism
-    level_data: tuple = ()
     # (node name, composite member id) per declared intersection
     pair_routes: tuple = ()
 
@@ -349,19 +314,13 @@ def _fast_defect(a: Precosheaf, cover: Cover) -> FastDefect:
         edge_lm[f"id:{node}"] = LevelMorphism.identity(node_towers[node])
         edge_lm[f"l:{node}>p{i}"] = a.action[li]
         edge_lm[f"l:{node}>p{j}"] = a.action[lj]
-    from .towers import tower_colimit
     col = tower_colimit(shape, node_towers, edge_lm, a.depth)
-    node_maps = {}
-    for i, p in enumerate(cover.pieces):
-        node_maps[f"p{i}"] = [a.action[p].components[j] for j in range(a.depth + 1)]
-    for node, i, j, li, lj, w in pair_nodes:
-        composite = cat.compose(cover.pieces[i], li)
-        node_maps[node] = [a.action[composite].components[jj] for jj in range(a.depth + 1)]
-    compare = _map_from_colimit(col.levels, col.tower, a.values[cover.target], node_maps)
-    piece_cocone = tuple(col.cocone[f"p{i}"] for i in range(len(cover.pieces)))
     pair_routes = tuple((node, cat.compose(cover.pieces[i], li))
                         for node, i, j, li, lj, w in pair_nodes)
-    return FastDefect(col.tower, piece_cocone, compare, col.levels, pair_routes)
+    routes = {f"p{i}": a.action[p] for i, p in enumerate(cover.pieces)}
+    routes.update({node: a.action[member] for node, member in pair_routes})
+    compare = _map_out(col, a.values[cover.target], routes)
+    return FastDefect(col, compare, pair_routes)
 
 
 def defect_agreement(a: Precosheaf, cover: Cover) -> bool:
@@ -382,9 +341,9 @@ def defect_agreement(a: Precosheaf, cover: Cover) -> bool:
     fast = _fast_defect(a, cover)
     cat = a.site.category
     # phi: fast -> slow via pieces-as-members
-    to_slow = {f"p{i}": (slow.cocone[p], None) for i, p in enumerate(cover.pieces)}
+    to_slow = {f"p{i}": slow.colimit.cocone[p] for i, p in enumerate(cover.pieces)}
     for node, member in fast.pair_routes:
-        to_slow[node] = (slow.cocone[member], None)
+        to_slow[node] = slow.colimit.cocone[member]
     # psi: slow -> fast via each member's lex-smallest factorization
     to_fast = {}
     for g in sorted(sieve.members):
@@ -394,18 +353,16 @@ def defect_agreement(a: Precosheaf, cover: Cover) -> bool:
             mp = cat.morphism(p)
             for beta in sorted(m.id for m in cat.hom(mg.src, mp.src)):
                 if cat.compose(p, beta) == g:
-                    placed = (fast.piece_cocone[i], a.action[beta])
+                    placed = a.action[beta].then(fast.colimit.cocone[f"p{i}"])
                     break
             if placed:
                 break
         to_fast[g] = placed
-    phi = [_class_transport(j, fast.level_data[j], slow.tower.levels[j], to_slow)
-           for j in range(a.depth + 1)]
-    psi = [_class_transport(j, slow.level_data[j], fast.tower.levels[j], to_fast)
-           for j in range(a.depth + 1)]
+    phi = _map_out(fast.colimit, slow.tower, to_slow).components
+    psi = _map_out(slow.colimit, fast.colimit.tower, to_fast).components
     ok = True
     for j in range(a.depth + 1):
-        idf = identity_map(fast.tower.levels[j])
+        idf = identity_map(fast.colimit.tower.levels[j])
         ids = identity_map(slow.tower.levels[j])
         if not maps_equal(compose(psi[j], phi[j]), idf):
             ok = False
@@ -416,17 +373,6 @@ def defect_agreement(a: Precosheaf, cover: Cover) -> bool:
         if not maps_equal(compose(fast.compare.components[j], psi[j]), slow.compare.components[j]):
             ok = False
     return ok
-
-
-def _class_transport(j, src_colim, dst_level, assignments):
-    """Level-j map between two colimits determined by per-node routes into the
-    target colimit: assignments[node] = (target cocone LevelMorphism, pre-map
-    or None)."""
-    node_maps = {}
-    for node, (target_lm, pre) in assignments.items():
-        tgt = target_lm.components[j]
-        node_maps[node] = tgt if pre is None else compose(tgt, pre.components[j])
-    return out_map(src_colim, node_maps, dst_level)
 
 
 def check_cosheaf(a: Precosheaf, depth: int | None = None) -> CheckReport:
@@ -475,7 +421,6 @@ class PlusResult:
     precosheaf: Precosheaf
     counit: PrecosheafMorphism
     sieves: Mapping[str, list]
-    tensors: Mapping[tuple, TensorResult]
 
 
 def truncate_precosheaf(a: Precosheaf, depth: int) -> Precosheaf:
@@ -504,24 +449,17 @@ def plus_cosheaf(a: Precosheaf, depth: int | None = None) -> PlusResult:
         a = truncate_precosheaf(a, d)
     site = a.site
     sieves = {u: sieve_levels(site, u, d) for u in site.category.objects}
-    tensors: dict[tuple, TensorResult] = {}
-
-    def tensor_at(u, k):
-        s = sieves[u][k]
-        key = (u, s.members)
-        if key not in tensors:
-            tensors[key] = tensor_with_sieve(a, s)
-        return tensors[key]
+    tensors = {u: [tensor_with_sieve(a, s) for s in sieves[u]] for u in site.category.objects}
 
     plus_values = {}
     for u in site.category.objects:
         levels = []
         bonds = []
         for k in range(d + 1):
-            levels.append(tensor_at(u, k).tower.levels[k])
+            levels.append(tensors[u][k].tower.levels[k])
         for k in range(d):
-            hi = tensor_at(u, k + 1)
-            lo = tensor_at(u, k)
+            hi = tensors[u][k + 1]
+            lo = tensors[u][k]
             if sieves[u][k + 1].members == sieves[u][k].members:
                 hi_to_lo_at = identity_map(hi.tower.levels[k + 1])
             else:
@@ -547,8 +485,8 @@ def plus_cosheaf(a: Precosheaf, depth: int | None = None) -> PlusResult:
                 raise InsufficientDepth("insufficient depth for the plus action")
             prev_phi = lvl
             shift.append(lvl)
-            src_tensor = tensor_at(alpha.src, lvl)
-            dst_tensor = tensor_at(alpha.dst, k)
+            src_tensor = tensors[alpha.src][lvl]
+            dst_tensor = tensors[alpha.dst][k]
             push = _pushforward(a, src_tensor, sieves[alpha.src][lvl], dst_tensor, alpha.id, lvl)
             comps.append(compose(dst_tensor.tower.bond_composite(lvl, k), push))
         lm = LevelMorphism(plus_values[alpha.src], plus_values[alpha.dst],
@@ -561,7 +499,7 @@ def plus_cosheaf(a: Precosheaf, depth: int | None = None) -> PlusResult:
         counit_components = {
             u: LevelMorphism.strict(
                 plus.values[u], a.values[u],
-                tuple(tensor_at(u, k).compare.components[k] for k in range(d + 1)))
+                tuple(tensors[u][k].compare.components[k] for k in range(d + 1)))
             for u in site.category.objects
         }
     else:
@@ -570,34 +508,19 @@ def plus_cosheaf(a: Precosheaf, depth: int | None = None) -> PlusResult:
         for u in site.category.objects:
             comps = []
             for k in range(d + 1):
-                c = tensor_at(u, phi[k]).compare.components[phi[k]]
+                c = tensors[u][phi[k]].compare.components[phi[k]]
                 comps.append(compose(a.values[u].bond_composite(phi[k], k), c))
             counit_components[u] = LevelMorphism.strict(plus.values[u], a.values[u], tuple(comps))
     counit = PrecosheafMorphism(plus, a, counit_components)
-    return PlusResult(plus, counit, sieves, tensors)
+    return PlusResult(plus, counit, sieves)
 
 
 def _normalize_with_reindex(site, category, depth, towers, action, points):
     """Strictify actions by the iterated-max reindexing of their shifts."""
-    phi = list(range(depth + 1))
-    for _ in range(depth + 2):
-        changed = False
-        for lm in action.values():
-            for j in range(depth + 1):
-                want = lm.shift[phi[j]]
-                if want > phi[j]:
-                    phi[j] = want
-                    changed = True
-        for j in range(depth):
-            if phi[j] > phi[j + 1]:
-                phi[j + 1] = phi[j]
-                changed = True
-        if max(phi) > depth:
-            raise InsufficientDepth("insufficient depth to normalize the precosheaf")
-        if not changed:
-            break
-    else:
-        raise InsufficientDepth("insufficient depth to normalize the precosheaf")
+    try:
+        phi = _stable_reindex(action, depth)
+    except InsufficientDepth:
+        raise InsufficientDepth("insufficient depth to normalize the precosheaf") from None
     new_towers = {}
     for u, t in towers.items():
         levels = tuple(t.levels[phi[j]] for j in range(depth + 1))
@@ -625,17 +548,17 @@ def plus_map(f: PrecosheafMorphism, plus_src: PlusResult, plus_dst: PlusResult) 
         per_level = []
         for k in range(d + 1):
             s = sieves_u[k]
-            src_t = plus_src.tensors[(u, s.members)]
-            dst_t = plus_dst.tensors[(u, s.members)]
+            src_t = tensor_with_sieve(plus_src.counit.dst, s)
+            dst_t = tensor_with_sieve(plus_dst.counit.dst, s)
             if not s.members:
                 per_level.append(unique_map_from_initial(a.category,
                                                          dst_t.tower.levels[k]))
                 continue
             node_maps = {
-                g: compose(dst_t.cocone[g].components[k],
+                g: compose(dst_t.colimit.cocone[g].components[k],
                            f.components[site.category.morphism(g).src].components[k])
                 for g in sorted(s.members)}
-            per_level.append(out_map(src_t.level_data[k], node_maps, dst_t.tower.levels[k]))
+            per_level.append(out_map(src_t.colimit.levels[k], node_maps, dst_t.tower.levels[k]))
         comps[u] = LevelMorphism.strict(plus_src.precosheaf.values[u],
                                         plus_dst.precosheaf.values[u], tuple(per_level))
     return PrecosheafMorphism(plus_src.precosheaf, plus_dst.precosheaf, comps)
@@ -787,27 +710,9 @@ def is_smooth(a: Precosheaf, depth: int | None = None) -> CheckReport:
 
 def _invert_level_morphism(lm: LevelMorphism) -> LevelMorphism:
     """Exact inverse of a levelwise isomorphism (strict towers)."""
-    comps = []
-    for j in range(lm.dst.depth + 1):
-        f = compose(lm.components[j], lm.src.bond_composite(j, lm.shift[j]))
-        if isinstance(f, FinSetMap):
-            inv = {f(x): x for x in f.src.elements}
-            if len(inv) != len(f.dst.elements):
-                raise EngineError("component is not an isomorphism")
-            comps.append(FinSetMap(f.dst, f.src, tuple(inv.items())))
-        else:
-            cols = []
-            rel = f.dst.relation_matrix()
-            stacked = intmat.hstack(f.matrix, rel) if intmat.shape(rel)[1] else f.matrix
-            for i in range(f.dst.rank):
-                e = tuple(1 if r == i else 0 for r in range(f.dst.rank))
-                sol = intmat.solve(stacked, e)
-                if sol is None:
-                    raise EngineError("component is not an isomorphism")
-                cols.append(sol[: f.src.rank])
-            mtx = tuple(tuple(c[i] for c in cols) for i in range(f.src.rank)) if cols else ()
-            comps.append(FinAbMap(f.dst, f.src, mtx if cols else tuple(() for _ in range(f.src.rank))))
-    return LevelMorphism.strict(lm.dst, lm.src, tuple(comps))
+    comps = tuple(values.inverse(compose(lm.components[j], lm.src.bond_composite(j, lm.shift[j])))
+                  for j in range(lm.dst.depth + 1))
+    return LevelMorphism.strict(lm.dst, lm.src, comps)
 
 
 def invert_counit(result: PlusResult | CosheafifyResult) -> PrecosheafMorphism:

@@ -290,18 +290,37 @@ def _presheaf_doc(a: Presheaf) -> dict:
     }
 
 
+def _natural(raw, ptr, what):
+    """A non-negative JSON integer (no bool, no float)."""
+    if type(raw) is not int or raw < 0:
+        raise InvalidDocument(ptr, f"{what} must be a non-negative integer")
+    return raw
+
+
+def _int_matrix(raw, ptr) -> intmat.Matrix:
+    """An array of equally long arrays of JSON integers (no bool, no float)."""
+    if not (isinstance(raw, list) and all(isinstance(row, list) for row in raw)
+            and len({len(row) for row in raw}) <= 1):
+        raise InvalidDocument(ptr, "matrix must be an array of equally long integer rows")
+    for i, row in enumerate(raw):
+        for k, x in enumerate(row):
+            if type(x) is not int:
+                raise InvalidDocument(f"{ptr}/{i}/{k}", f"matrix entry {x!r} is not an integer")
+    return intmat.freeze(raw)
+
+
 def _value_from(raw, category, ptr):
     if category == FINSET:
-        if not isinstance(raw, list):
-            raise InvalidDocument(ptr, "finite-set value must be an array")
+        if not (isinstance(raw, list) and all(isinstance(x, str) for x in raw)):
+            raise InvalidDocument(ptr, "finite-set value must be an array of strings")
         return FinSetObj(tuple(raw))
     if not isinstance(raw, dict) or "generators" not in raw:
         raise InvalidDocument(ptr, "abelian value needs generators and relations")
-    gens = raw["generators"]
-    if type(gens) is not int or gens < 0:
-        raise InvalidDocument(ptr + "/generators", "generators must be a non-negative integer")
-    rels = raw.get("relations", [])
-    return FinAbObj(gens, intmat.freeze(rels) if rels else ())
+    gens = _natural(raw["generators"], ptr + "/generators", "generators")
+    rels = _int_matrix(raw.get("relations", []), ptr + "/relations")
+    if rels and len(rels) != gens:
+        raise InvalidDocument(ptr + "/relations", "relations need one row per generator")
+    return FinAbObj(gens, rels)
 
 
 def _map_from(raw, src, dst, category, ptr):
@@ -310,7 +329,7 @@ def _map_from(raw, src, dst, category, ptr):
             if not isinstance(raw, dict):
                 raise InvalidDocument(ptr, "finite-set map must be a table")
             return values.finset_map(src, dst, raw)
-        return values.finab_map(src, dst, raw)
+        return values.finab_map(src, dst, _int_matrix(raw, ptr))
     except InvalidDocument:
         raise
     except Exception as exc:
@@ -332,13 +351,20 @@ def _site_ref(doc, base: Path | None):
     raise InvalidDocument("/site", "site must be inline or a reference path")
 
 
+def _tables(doc):
+    """The values and action objects of a (pre)(co)sheaf document."""
+    for key in ("values", "action"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise InvalidDocument(f"/{key}", f"{key} must be an object")
+    return doc.get("values", {}), doc.get("action", {})
+
+
 def _precosheaf_from(doc, depth, base) -> Precosheaf:
     site = _site_ref(doc, base)
     category = doc.get("category")
     if category not in (FINSET, FINAB):
         raise InvalidDocument("/category", f"unknown category {category!r}")
-    vals_raw = doc.get("values", {})
-    action_raw = doc.get("action", {})
+    vals_raw, action_raw = _tables(doc)
     for u in site.category.objects:
         if u not in vals_raw:
             raise InvalidDocument(f"/values/{u}", "missing value")
@@ -352,33 +378,47 @@ def _precosheaf_from(doc, depth, base) -> Precosheaf:
         action[m.id] = _map_from(action_raw[m.id], objs[m.src], objs[m.dst],
                                  category, f"/action/{m.id}")
     return precosheaf_from_tables(site, category, objs, action,
-                                  int(doc.get("depth", depth)),
+                                  _natural(doc.get("depth", depth), "/depth", "depth"),
                                   getattr(site, "_point_filters", ()))
 
 
 def _tower_precosheaf_from(site, category, vals_raw, action_raw, doc) -> Precosheaf:
     towers = {}
     for u in site.category.objects:
-        raw = vals_raw[u]["tower"]
-        levels = tuple(_value_from(v, category, f"/values/{u}/tower/levels") for v in raw["levels"])
+        ptr = f"/values/{u}/tower"
+        raw = vals_raw[u].get("tower") if isinstance(vals_raw[u], dict) else None
+        if not (isinstance(raw, dict) and isinstance(raw.get("levels"), list) and raw["levels"]
+                and isinstance(raw.get("bonds"), list)
+                and len(raw["bonds"]) == len(raw["levels"]) - 1):
+            raise InvalidDocument(ptr, "tower needs nonempty levels and one bond fewer")
+        levels = tuple(_value_from(v, category, f"{ptr}/levels/{k}")
+                       for k, v in enumerate(raw["levels"]))
         bonds = tuple(
-            _map_from(b, levels[k + 1], levels[k], category, f"/values/{u}/tower/bonds/{k}")
+            _map_from(b, levels[k + 1], levels[k], category, f"{ptr}/bonds/{k}")
             for k, b in enumerate(raw["bonds"])
         )
         towers[u] = Tower(levels, bonds)
     action = {}
     for m in site.category.morphisms:
         raw = action_raw.get(m.id)
+        ptr = f"/action/{m.id}"
         if raw is None:
-            raise InvalidDocument(f"/action/{m.id}", "missing action")
-        shift = tuple(int(s) for s in raw["shift"])
+            raise InvalidDocument(ptr, "missing action")
+        if not (isinstance(raw, dict) and isinstance(raw.get("shift"), list)
+                and isinstance(raw.get("components"), list)
+                and len(raw["shift"]) == len(raw["components"]) == towers[m.dst].depth + 1):
+            raise InvalidDocument(ptr, "level morphism needs one shift and one component "
+                                       "per target level")
+        shift = tuple(_natural(s, f"{ptr}/shift/{j}", "shift") for j, s in enumerate(raw["shift"]))
+        if any(s > towers[m.src].depth for s in shift):
+            raise InvalidDocument(ptr + "/shift", "shift exceeds the source depth")
         comps = tuple(
             _map_from(c, towers[m.src].levels[shift[j]], towers[m.dst].levels[j],
-                      category, f"/action/{m.id}/components/{j}")
+                      category, f"{ptr}/components/{j}")
             for j, c in enumerate(raw["components"])
         )
         action[m.id] = LevelMorphism(towers[m.src], towers[m.dst], shift, comps)
-    depth = int(doc.get("depth", next(iter(towers.values())).depth))
+    depth = _natural(doc.get("depth", next(iter(towers.values())).depth), "/depth", "depth")
     return Precosheaf(site, category, depth, towers, action,
                       getattr(site, "_point_filters", ()))
 
@@ -388,8 +428,7 @@ def _presheaf_from(doc, base) -> Presheaf:
     category = doc.get("category")
     if category not in (FINSET, FINAB):
         raise InvalidDocument("/category", f"unknown category {category!r}")
-    vals_raw = doc.get("values", {})
-    action_raw = doc.get("action", {})
+    vals_raw, action_raw = _tables(doc)
     objs = {}
     for u in site.category.objects:
         if u not in vals_raw:

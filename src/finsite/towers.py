@@ -14,8 +14,8 @@ from . import intmat, values
 from .category import FiniteCategory
 from .errors import EngineError, InsufficientDepth
 from .values import (FINSET, FinAbMap, FinAbObj, FinSetObj, FiniteDiagram,
-                     category_of, classify_map, compose, finite_colimit,
-                     identity_map, is_zero_map, maps_equal, out_map)
+                     category_of, classify_map, compose, identity_map,
+                     is_zero_map, maps_equal, out_map)
 
 
 @dataclass(frozen=True)
@@ -483,18 +483,18 @@ class TowerColimit:
     levels: tuple = ()   # per-level ColimitResult
 
 
-def _stable_reindex(shape: FiniteCategory, edges: Mapping[str, LevelMorphism], depth: int):
+def _stable_reindex(edges: Mapping[str, LevelMorphism], depth: int):
     """Nondecreasing phi with phi(j) >= shift_e(phi(j)) for every edge."""
     phi = list(range(depth + 1))
     for _ in range(depth + 2):
         changed = False
         for e in edges.values():
-            for j in range(depth + 1):
-                want = e.shift[phi[j]] if phi[j] <= e.dst.depth else None
-                if want is None:
+            shift = e.shift   # one entry per level of e.dst
+            for j, p in enumerate(phi):
+                if p >= len(shift):
                     raise InsufficientDepth("insufficient depth")
-                if want > phi[j]:
-                    phi[j] = want
+                if shift[p] > p:
+                    phi[j] = shift[p]
                     changed = True
         for j in range(depth):
             if phi[j] > phi[j + 1]:
@@ -512,33 +512,35 @@ def tower_colimit(shape: FiniteCategory, nodes: Mapping[str, Tower],
     """Levelwise finite colimit of a finite diagram of towers.
 
     Edges are reindexed to a common nondecreasing shift first; the result
-    keeps the input depth, with bonds induced on colimit classes.
+    keeps the input depth, with bonds induced on colimit classes.  A level
+    whose node objects and edge maps equal those of the level below is the
+    same diagram and shares its ColimitResult, so a constant diagram of
+    towers costs one colimit, not depth + 1.
     """
     if not nodes:
         raise EngineError("empty tower diagram needs a value category; use finite_colimit")
     d = min(t.depth for t in nodes.values()) if depth is None else depth
-    phi = _stable_reindex(shape, edges, d)
+    phi = _stable_reindex(edges, d)
     cat = next(iter(nodes.values())).category()
-    level_results = []
-    for j in range(d + 1):
-        diag_nodes = {u: nodes[u].levels[phi[j]] for u in shape.objects}
-        diag_edges = {}
-        for mid, e in edges.items():
-            m = shape.morphism(mid)
-            comp = compose(e.components[phi[j]], e.src.bond_composite(phi[j], e.shift[phi[j]]))
-            diag_edges[mid] = comp
-        level_results.append(finite_colimit(
-            FiniteDiagram(shape, diag_nodes, diag_edges, trusted=True), cat))
-    bonds = []
-    for j in range(d):
-        lo = level_results[j]
-        # class(u, x at phi(j + 1)) goes to class(u, bond(x))
-        bonds.append(out_map(level_results[j + 1], {
-            u: compose(lo.cocone[u], nodes[u].bond_composite(phi[j + 1], phi[j]))
-            for u in shape.objects}, lo.obj))
-    tower = Tower(tuple(r.obj for r in level_results), tuple(bonds))
-    cocone = {}
-    for u in shape.objects:
-        comps = tuple(level_results[j].cocone[u] for j in range(d + 1))
-        cocone[u] = LevelMorphism(nodes[u], tower, phi, comps)
-    return TowerColimit(tower, cocone, tuple(level_results))
+    results = []
+    prev = None
+    for p in phi:
+        diagram = ({u: nodes[u].levels[p] for u in shape.objects},
+                   {mid: e.components[p] if e.shift[p] == p else
+                    compose(e.components[p], e.src.bond_composite(p, e.shift[p]))
+                    for mid, e in edges.items()})
+        if diagram == prev:
+            results.append(results[-1])
+            continue
+        results.append(values.finite_colimit(FiniteDiagram(shape, *diagram, trusted=True), cat))
+        prev = diagram
+    # class(u, x at phi(j + 1)) goes to class(u, bond(x)) at level j
+    bonds = tuple(
+        out_map(results[j + 1], {u: compose(results[j].cocone[u],
+                                            nodes[u].bond_composite(phi[j + 1], phi[j]))
+                                 for u in shape.objects}, results[j].obj)
+        for j in range(d))
+    tower = Tower(tuple(r.obj for r in results), bonds)
+    cocone = {u: LevelMorphism(nodes[u], tower, phi, tuple(r.cocone[u] for r in results))
+              for u in shape.objects}
+    return TowerColimit(tower, cocone, tuple(results))

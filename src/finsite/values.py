@@ -195,6 +195,8 @@ def kernel(f: FinAbMap) -> tuple[FinAbObj, FinAbMap]:
     if n == 0:
         k = FinAbObj(0)
         return k, FinAbMap(k, f.src, tuple(() for _ in range(n)))
+    if f.dst.rank == 0:  # an empty matrix has lost its column count
+        return f.src, identity_map(f.src)
     null = intmat.nullspace(stacked)
     gens = tuple(row[: intmat.shape(null)[1]] for row in null[:n]) if null else tuple(() for _ in range(n))
     t = intmat.shape(gens)[1] if gens else 0
@@ -755,6 +757,22 @@ def functor_pairings(a: FiniteDiagram, b: FiniteDiagram, f: FiniteDiagram) -> Fu
 def smith_normal_form(m) -> tuple[intmat.Matrix, intmat.Matrix, intmat.Matrix]:
     """Exported through the value layer for callers that think in groups."""
     return intmat.smith_normal_form(intmat.freeze(m))
+
+
+def inverse(f):
+    """The inverse of an isomorphism; raises when f is not one."""
+    if isinstance(f, FinSetMap):
+        table = {f(x): x for x in f.src.elements}
+        if len(table) != len(f.src) or len(table) != len(f.dst):
+            raise EngineError("component is not an isomorphism")
+        return FinSetMap(f.dst, f.src, tuple(table.items()))
+    try:
+        inv = FinAbMap(f.dst, f.src, express_through(f, identity_map(f.dst)))
+        if maps_equal(compose(inv, f), identity_map(f.src)):
+            return inv
+    except EngineError:
+        pass
+    raise EngineError("component is not an isomorphism")
 
 
 def express_through(incl: FinAbMap, g: FinAbMap) -> intmat.Matrix:

@@ -1,9 +1,13 @@
 """The cosheaf engine: tensors, defects, plus construction, coreflection,
 costalks, local isomorphisms, smoothness."""
 
+import hashlib
+
 import pytest
 
-from finsite.category import Cover, Sieve, distinct_covers, sieve_from_cover
+from finsite import cosheaf, io
+from finsite.category import (Cover, CoverChain, Coverage, Sieve, SiteSpec, distinct_covers,
+                              poset_category, sieve_from_cover)
 from finsite.cosheaf import (PointFilter, PrecosheafMorphism, check_cosheaf,
                              constant_precosheaf, coproduct, cosheaf_defect,
                              cosheafify, costalk, defect_agreement,
@@ -17,8 +21,8 @@ from finsite.spaces import (converging_sequence_site, h0_precosheaf, open_site,
                             pi0_precosheaf, pseudocircle, site_points)
 from finsite.towers import (LevelMorphism, equal_at_depth, is_iso_at_depth,
                             is_rudimentary_at_depth)
-from finsite.values import (classify_map, finab_map, finset, finset_map,
-                            free_ab, hom_set)
+from finsite.values import (FinSetMap, classify_map, cyclic, finab_map, finset,
+                            finset_map, free_ab, hom_set)
 
 X = "{a,b,c,d}"
 
@@ -498,3 +502,58 @@ def test_hom_tensor_limit_duality(circle_pi0):
             lhs = len(g) ** len(tensor.tower.levels[0])
             rhs = len(hom_with_sieve(presheaf, sieve).obj.elements)
             assert lhs == rhs, (u, cover.pieces)
+
+
+# ---------------------------------------------------------------------------
+# the plus construction on a chain site whose action shifts need reindexing
+
+
+def _lagging_chain_site():
+    """U ⊇ V ⊇ W1, W2.  The chain of U reaches the cover {W1, W2} at level 1,
+    the chain of V only at level 2, so the plus action on V<U is shifted."""
+    cat = poset_category(["U", "V", "W1", "W2"], [("W1", "V"), ("W2", "V"), ("V", "U")])
+
+    def cover(target, *pieces):
+        return Cover(target, tuple(f"{p}<{target}" for p in pieces), ())
+
+    chains = {
+        "U": CoverChain("U", (cover("U", "U"), cover("U", "W1", "W2")),
+                        (((0, "W1<U"), (0, "W2<U")),)),
+        "V": CoverChain("V", (cover("V", "V"), cover("V", "V"), cover("V", "W1", "W2")),
+                        (((0, "V<V"),), ((0, "W1<V"), (0, "W2<V")))),
+    }
+    covers = {u: (cover(u, u),) for u in cat.objects}
+    return SiteSpec(cat, Coverage(covers, chains), name="lagging", poset=True)
+
+
+# sha256 of the saved plus precosheaf followed by its counit components,
+# recorded before plus normalization shared the tower reindexing loop
+LAGGING_PLUS_DIGESTS = {
+    "pt": (finset("*"), "7c3992dd4455c3fa353d5d522309d2a49023b885d9728c574c8d8485a45b760e"),
+    "Z/2": (cyclic(2), "d677011b4c0c9d5a067270bfa28363de57042a48408378bc43443f99a73a31fb"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAGGING_PLUS_DIGESTS))
+def test_plus_on_lagging_chain_reindexes_shifts(tmp_path, monkeypatch, name):
+    g, digest = LAGGING_PLUS_DIGESTS[name]
+    phis = []
+    normalize = cosheaf._normalize_with_reindex
+
+    def recording(*args):
+        out = normalize(*args)
+        phis.append(out[1])
+        return out
+
+    monkeypatch.setattr(cosheaf, "_normalize_with_reindex", recording)
+    a = constant_precosheaf(_lagging_chain_site(), g, 3)
+    plus = plus_cosheaf(a)
+    assert phis == [(0, 2, 2, 3)]
+    assert all(lm.is_strict() for lm in plus.precosheaf.action.values())
+    path = tmp_path / "plus.json"
+    io.save(plus.precosheaf, path)
+    counit = repr([(u, [c.table if isinstance(c, FinSetMap) else c.matrix
+                        for c in lm.components])
+                   for u, lm in sorted(plus.counit.components.items())])
+    assert hashlib.sha256(path.read_bytes() + counit.encode()).hexdigest() == digest
+    assert cosheafify(a).report.verdict == "PASS"

@@ -1,5 +1,6 @@
 """Serialization round-trips and the command-line driver."""
 
+import functools
 import json
 
 import pytest
@@ -280,3 +281,65 @@ def test_cli_malformed_generators_is_input_error(tmp_path, capsys, bad):
     doc["values"][u]["generators"] = bad
     witness = _check_cosheaf_input_error(tmp_path, capsys, doc)
     assert witness.startswith(f"/values/{u}/generators:")
+
+
+@pytest.mark.parametrize("bad", ["x", 7, [[1, "a"]], {"a": 1}, [[1.5]], [[True]], None])
+def test_cli_malformed_relations_is_input_error(tmp_path, capsys, bad):
+    space = pseudocircle()
+    path = tmp_path / "h0.json"
+    io.save(h0_precosheaf(open_site(space), space, free_ab(1)), path)
+    doc = json.loads(path.read_text())
+    u = sorted(doc["values"])[0]
+    doc["values"][u]["relations"] = bad
+    witness = _check_cosheaf_input_error(tmp_path, capsys, doc)
+    assert witness.startswith(f"/values/{u}/relations")
+
+
+@functools.lru_cache(maxsize=None)
+def _tower_document_text():
+    spec = converging_sequence_site(6)
+    pt = constant_precosheaf(spec, finset("*"), 3, site_points(spec))
+    return io.dumps(io.to_document(cosheafify(pt, 3).precosheaf))
+
+
+@pytest.mark.parametrize("bad", [7, {"levels": []}, {"levels": [["a"]], "bonds": [{}]}])
+def test_cli_malformed_tower_value_is_input_error(tmp_path, capsys, bad):
+    doc = json.loads(_tower_document_text())
+    doc["values"]["X"] = {"tower": bad}
+    witness = _check_cosheaf_input_error(tmp_path, capsys, doc)
+    assert witness.startswith("/values/X/tower:")
+
+
+@pytest.mark.parametrize("bad", [7, {"shift": "x", "components": []}, {"components": []},
+                                 {"shift": [0, 1, 2, 3.0], "components": [{}, {}, {}, {}]},
+                                 {"shift": [0, 1, 2, 9], "components": [{}, {}, {}, {}]}])
+def test_cli_malformed_tower_action_is_input_error(tmp_path, capsys, bad):
+    doc = json.loads(_tower_document_text())
+    doc["action"]["S1<X"] = bad
+    witness = _check_cosheaf_input_error(tmp_path, capsys, doc)
+    assert witness.startswith("/action/S1<X")
+
+
+@pytest.mark.parametrize("tower", [False, True])
+@pytest.mark.parametrize("bad", ["x", [1], None, 1.5, True, -1])
+def test_cli_malformed_depth_is_input_error(tmp_path, capsys, bad, tower):
+    doc = json.loads(_tower_document_text()) if tower else _pi0_document(tmp_path)
+    doc["depth"] = bad
+    witness = _check_cosheaf_input_error(tmp_path, capsys, doc)
+    assert witness.startswith("/depth:")
+
+
+@pytest.mark.parametrize("key", ["values", "action"])
+def test_cli_non_object_tables_are_input_errors(tmp_path, capsys, key):
+    doc = _pi0_document(tmp_path)
+    doc[key] = 7
+    witness = _check_cosheaf_input_error(tmp_path, capsys, doc)
+    assert witness.startswith(f"/{key}:")
+
+
+def test_cli_non_string_set_element_is_input_error(tmp_path, capsys):
+    doc = _pi0_document(tmp_path)
+    u = sorted(doc["values"])[0]
+    doc["values"][u] = [[]]
+    witness = _check_cosheaf_input_error(tmp_path, capsys, doc)
+    assert witness.startswith(f"/values/{u}:")

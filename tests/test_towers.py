@@ -11,7 +11,7 @@ from finsite.towers import (LevelMorphism, Tower, equal_at_depth,
                             is_epi_at_depth, is_iso_at_depth,
                             is_rudimentary_at_depth, pro_hom_at_depth,
                             tower_colimit)
-from finsite.values import (classify_map, cyclic, finab_map, finset,
+from finsite.values import (FINAB, FINSET, classify_map, cyclic, finab_map, finset,
                             finset_map, free_ab, hom_set, identity_map)
 
 
@@ -334,3 +334,93 @@ def test_tower_colimit_insufficient_depth():
     shape = poset_category(["u"], [])
     with pytest.raises(InsufficientDepth):
         tower_colimit(shape, {"u": t}, {"u<u": shifted}, 2)
+
+
+# ---------------------------------------------------------------------------
+# level sharing in tower_colimit: a wedge of two towers along a point
+
+
+def _wedge_diagram(category, s_sizes, t_sizes):
+    """Towers s and t whose level k has s_sizes[k] and t_sizes[k] elements
+    (finite sets) or generators (free abelian groups), bonds forgetting the
+    last ones, glued along a constant one-point tower w at the first one."""
+    if category == FINSET:
+        def level(n):
+            return finset(*[str(i) for i in range(1, n + 1)])
+
+        def bond(hi, lo):
+            return finset_map(level(hi), level(lo), {str(i): str(min(i, lo)) for i in range(1, hi + 1)})
+
+        point = finset("*")
+
+        def first(n):
+            return finset_map(point, level(n), {"*": "1"})
+    else:
+        def level(n):
+            return free_ab(n)
+
+        def bond(hi, lo):
+            return finab_map(level(hi), level(lo),
+                             [[int(i == k) for k in range(hi)] for i in range(lo)])
+
+        point = free_ab(1)
+
+        def first(n):
+            return finab_map(point, level(n), [[int(i == 0)] for i in range(n)])
+
+    def tower(sizes):
+        return Tower(tuple(level(n) for n in sizes),
+                     tuple(bond(sizes[k + 1], sizes[k]) for k in range(len(sizes) - 1)))
+
+    shape = poset_category(["s", "t", "w"], [("w", "s"), ("w", "t")])
+    sizes = {"s": s_sizes, "t": t_sizes}
+    nodes = {u: tower(n) for u, n in sizes.items()}
+    nodes["w"] = Tower.constant(point, len(s_sizes) - 1)
+    edges = {f"{u}<{u}": LevelMorphism.identity(t) for u, t in nodes.items()}
+    for u, n in sizes.items():
+        edges[f"w<{u}"] = LevelMorphism.strict(nodes["w"], nodes[u], tuple(first(k) for k in n))
+    return shape, nodes, edges
+
+
+def _counting_colimits(monkeypatch):
+    from finsite import values
+    calls = []
+    original = values.finite_colimit
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(values, "finite_colimit", counting)
+    return calls
+
+
+@pytest.mark.parametrize("category", [FINSET, FINAB])
+def test_tower_colimit_of_constant_towers_builds_one_colimit(monkeypatch, category):
+    shape, nodes, edges = _wedge_diagram(category, [2] * 5, [3] * 5)
+    calls = _counting_colimits(monkeypatch)
+    res = tower_colimit(shape, nodes, edges, 4)
+    assert len(calls) == 1
+    assert all(level == res.tower.levels[0] for level in res.tower.levels)
+
+
+@pytest.mark.parametrize("category", [FINSET, FINAB])
+def test_tower_colimit_sharing_matches_the_unshared_levelwise_colimit(monkeypatch, category):
+    from finsite.values import FiniteDiagram, compose, finite_colimit, out_map
+    s_sizes, t_sizes = [1, 2, 2, 2, 3], [1, 2, 2, 3, 3]   # only level 2 repeats level 1
+    shape, nodes, edges = _wedge_diagram(category, s_sizes, t_sizes)
+    oracle = [finite_colimit(FiniteDiagram(
+        shape, {u: t.levels[j] for u, t in nodes.items()},
+        {m: e.components[j] for m, e in edges.items()}))
+        for j in range(5)]
+    calls = _counting_colimits(monkeypatch)
+    res = tower_colimit(shape, nodes, edges, 4)
+    assert len(calls) == 4
+    assert res.tower.levels == tuple(r.obj for r in oracle)
+    for j in range(4):
+        assert res.tower.bonds[j] == out_map(oracle[j + 1], {
+            u: compose(oracle[j].cocone[u], t.bonds[j]) for u, t in nodes.items()},
+            oracle[j].obj)
+    for u in nodes:
+        assert res.cocone[u].shift == (0, 1, 2, 3, 4)
+        assert res.cocone[u].components == tuple(r.cocone[u] for r in oracle)

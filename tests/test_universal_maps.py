@@ -6,10 +6,13 @@ import random
 
 import pytest
 
+from finsite.errors import EngineError
 from finsite.randsuite import random_finab_precosheaf, random_finset_precosheaf, random_site
-from finsite.values import (FINAB, FINSET, FinAbMap, FinAbObj, FiniteDiagram, FinSetMap, compose,
-                            cyclic, direct_sum, finite_colimit, finite_limit, finset,
-                            free_ab, identity_map, into_limit, maps_equal, out_map)
+from finsite.values import (FINAB, FINSET, FinAbMap, FinAbObj, FiniteDiagram, FinSetMap,
+                            classify_map, compose, cyclic, direct_sum, finite_colimit,
+                            finite_limit, finset, free_ab, identity_map, into_limit, inverse,
+                            maps_equal, out_map, unique_map_from_initial,
+                            unique_map_to_terminal)
 
 SEEDS = range(12)
 
@@ -116,3 +119,40 @@ def test_direct_sum_invariants_combine_the_summands(seed):
 
 def test_direct_sum_of_nothing_is_zero():
     assert direct_sum([]) == FinAbObj(0)
+
+
+@pytest.mark.parametrize("category", [FINSET, FINAB])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_inverse_of_an_isomorphism_composes_to_identities(seed, category):
+    diagram, a, _ = _site_diagram(seed, category)
+    cat = diagram.shape
+    top = _top(cat)
+    legs = {u: a.action[cat.hom(u, top)[0].id].components[0] for u in cat.objects}
+    colim = finite_colimit(diagram)
+    # the shape has a terminal object, whose value is the colimit
+    iso = out_map(colim, legs, diagram.nodes[top])
+    inv = inverse(iso)
+    assert maps_equal(compose(inv, iso), identity_map(colim.obj))
+    assert maps_equal(compose(iso, inv), identity_map(diagram.nodes[top]))
+
+
+@pytest.mark.parametrize("category", [FINSET, FINAB])
+@pytest.mark.parametrize("seed", SEEDS)
+def test_inverse_exists_exactly_for_isomorphisms(seed, category):
+    """Cocone legs and the maps from the initial and to the terminal object,
+    judged against classify_map's kernel and cokernel."""
+    diagram, _, _ = _site_diagram(seed, category)
+    top = diagram.nodes[_top(diagram.shape)]
+    candidates = [*finite_colimit(diagram).cocone.values(),
+                  unique_map_from_initial(category, top), unique_map_to_terminal(category, top)]
+    refused = 0
+    for f in candidates:
+        if classify_map(f).iso:
+            inv = inverse(f)
+            assert maps_equal(compose(inv, f), identity_map(f.src))
+            assert maps_equal(compose(f, inv), identity_map(f.dst))
+        else:
+            refused += 1
+            with pytest.raises(EngineError, match="not an isomorphism"):
+                inverse(f)
+    assert refused or category == FINAB

@@ -226,6 +226,15 @@ def test_equalizer_of_parallel_pair():
     assert res.cone["s"](res.obj.elements[0]) == "b"
 
 
+def test_finab_kernel_of_a_map_into_zero_is_the_source():
+    src = FinAbObj(2, ((0,), (2,)))  # Z + Z/2
+    f = finab_map(src, FinAbObj(0), ())
+    k, incl = kernel(f)
+    assert k.invariants() == ((2,), 1)
+    assert classify_map(incl).iso
+    assert not classify_map(f).mono
+
+
 def test_finab_kernel_of_times_two_is_zero():
     z = free_ab(1)
     f = finab_map(z, z, ((2,),))
