@@ -22,7 +22,7 @@ from .towers import (LevelMorphism, Tower, TowerColimit, _stable_reindex, equal_
                      is_epi_at_depth, is_iso_at_depth, is_rudimentary_at_depth,
                      tower_colimit, tower_pro_zero)
 from .values import (FINAB, FINSET, FinAbMap, FinAbObj, FinSetMap, FinSetObj,
-                     category_of, compose, identity_map, initial_object,
+                     category_of, commutes, compose, identity_map, initial_object,
                      maps_equal, out_map, unique_map_from_initial)
 
 
@@ -736,9 +736,8 @@ def enumerate_natural_transformations(b: Precosheaf, a: Precosheaf) -> list[Prec
         comp0 = dict(zip(objs, combo))
         natural = True
         for m in site.morphisms:
-            left = compose(comp0[m.dst], b.action[m.id].components[0])
-            right = compose(a.action[m.id].components[0], comp0[m.src])
-            if not maps_equal(left, right):
+            if not commutes(comp0[m.dst], b.action[m.id].components[0],
+                            a.action[m.id].components[0], comp0[m.src]):
                 natural = False
                 break
         if not natural:

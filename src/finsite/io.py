@@ -134,6 +134,18 @@ def _resolve_piece(cat: FiniteCategory, target: str, piece: str, ptr: str) -> st
     raise InvalidDocument(ptr, f"unknown morphism or object {piece!r}")
 
 
+def _array(raw, ptr, what) -> list:
+    if not isinstance(raw, list):
+        raise InvalidDocument(ptr, f"{what} must be an array")
+    return raw
+
+
+def _object(raw, ptr, what) -> dict:
+    if not isinstance(raw, dict):
+        raise InvalidDocument(ptr, f"{what} must be an object")
+    return raw
+
+
 def _cover_from(cat, raw, ptr) -> Cover:
     if not isinstance(raw, dict) or "target" not in raw or "pieces" not in raw:
         raise InvalidDocument(ptr, "cover needs target and pieces")
@@ -142,7 +154,7 @@ def _cover_from(cat, raw, ptr) -> Cover:
         raise InvalidDocument(ptr + "/target", f"unknown object {target!r}")
     pieces = tuple(
         _resolve_piece(cat, target, p, f"{ptr}/pieces/{i}")
-        for i, p in enumerate(raw["pieces"])
+        for i, p in enumerate(_array(raw["pieces"], ptr + "/pieces", "pieces"))
     )
     inter_raw = raw.get("intersections")
     if inter_raw is None:
@@ -172,7 +184,7 @@ def _site_from(doc: dict) -> SiteSpec:
         raise InvalidDocument("/objects", "objects must be a nonempty array")
     poset = bool(doc.get("poset", False))
     if poset:
-        leq = doc.get("leq", [])
+        leq = _array(doc.get("leq", []), "/leq", "leq")
         for i, pair in enumerate(leq):
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise InvalidDocument(f"/leq/{i}", "pairs expected")
@@ -182,7 +194,8 @@ def _site_from(doc: dict) -> SiteSpec:
         cat = poset_category(objects, [tuple(p) for p in leq])
     else:
         morphs = []
-        for i, m in enumerate(doc.get("morphisms", [])):
+        for i, m in enumerate(_array(doc.get("morphisms", []), "/morphisms", "morphisms")):
+            _object(m, f"/morphisms/{i}", "morphism")
             for fieldname in ("id", "src", "dst"):
                 if fieldname not in m:
                     raise InvalidDocument(f"/morphisms/{i}", f"missing {fieldname!r}")
@@ -190,28 +203,31 @@ def _site_from(doc: dict) -> SiteSpec:
                 raise InvalidDocument(f"/morphisms/{i}", "unknown endpoint")
             morphs.append(Morphism(m["id"], m["src"], m["dst"]))
         comp = {}
-        for i, triple in enumerate(doc.get("composition", [])):
+        for i, triple in enumerate(_array(doc.get("composition", []), "/composition",
+                                          "composition")):
             if not (isinstance(triple, list) and len(triple) == 3):
                 raise InvalidDocument(f"/composition/{i}", "triples expected")
             comp[(triple[0], triple[1])] = triple[2]
         cat = FiniteCategory(tuple(objects), tuple(morphs),
-                             doc.get("identity", {}), comp)
+                             _object(doc.get("identity", {}), "/identity", "identity"), comp)
     covers: dict[str, list[Cover]] = {}
-    for i, raw in enumerate(doc.get("covers", [])):
+    for i, raw in enumerate(_array(doc.get("covers", []), "/covers", "covers")):
         c = _cover_from(cat, raw, f"/covers/{i}")
         covers.setdefault(c.target, []).append(c)
     chains = {}
-    for i, raw in enumerate(doc.get("chains", [])):
-        target = raw.get("target")
+    for i, raw in enumerate(_array(doc.get("chains", []), "/chains", "chains")):
+        ptr = f"/chains/{i}"
+        target = _object(raw, ptr, "chain").get("target")
         if target not in cat.objects:
-            raise InvalidDocument(f"/chains/{i}/target", f"unknown object {target!r}")
+            raise InvalidDocument(f"{ptr}/target", f"unknown object {target!r}")
         chain_covers = tuple(
-            _cover_from(cat, c, f"/chains/{i}/covers/{k}")
-            for k, c in enumerate(raw.get("covers", []))
+            _cover_from(cat, c, f"{ptr}/covers/{k}")
+            for k, c in enumerate(_array(raw.get("covers", []), ptr + "/covers", "covers"))
         )
         refinements = tuple(
-            tuple((int(j), factor) for j, factor in assignment)
-            for assignment in raw.get("refinements", [])
+            _refinement_from(assignment, f"{ptr}/refinements/{k}")
+            for k, assignment in enumerate(
+                _array(raw.get("refinements", []), ptr + "/refinements", "refinements"))
         )
         chains[target] = CoverChain(target, chain_covers, refinements)
     spec = SiteSpec(cat, Coverage({u: tuple(cs) for u, cs in covers.items()}, chains),
@@ -223,6 +239,16 @@ def _site_from(doc: dict) -> SiteSpec:
     if pts:
         object.__setattr__(spec, "_point_filters", pts)
     return spec
+
+
+def _refinement_from(raw, ptr) -> tuple:
+    """One refinement assignment: [piece index, factor] per finer piece."""
+    out = []
+    for i, pair in enumerate(_array(raw, ptr, "refinement")):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise InvalidDocument(f"{ptr}/{i}", "[piece index, factor] pairs expected")
+        out.append((_natural(pair[0], f"{ptr}/{i}/0", "piece index"), pair[1]))
+    return tuple(out)
 
 
 def _point_from(raw, ptr) -> PointFilter:

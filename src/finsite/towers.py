@@ -14,7 +14,7 @@ from . import intmat, values
 from .category import FiniteCategory
 from .errors import EngineError, InsufficientDepth
 from .values import (FINSET, FinAbMap, FinAbObj, FinSetObj, FiniteDiagram,
-                     category_of, classify_map, compose, identity_map,
+                     category_of, classify_map, commutes, compose, identity_map,
                      is_zero_map, maps_equal, out_map)
 
 
@@ -90,9 +90,9 @@ class LevelMorphism:
             if f.src != self.src.levels[self.shift[j]] or f.dst != self.dst.levels[j]:
                 raise EngineError(f"component {j} has wrong endpoints")
         for j in range(d):
-            left = compose(self.components[j], self.src.bond_composite(self.shift[j + 1], self.shift[j]))
-            right = compose(self.dst.bonds[j], self.components[j + 1])
-            if not maps_equal(left, right):
+            if not commutes(self.components[j],
+                            self.src.bond_composite(self.shift[j + 1], self.shift[j]),
+                            self.dst.bonds[j], self.components[j + 1]):
                 raise EngineError(f"level morphism squares fail at level {j}")
 
     @staticmethod
@@ -127,10 +127,10 @@ def equal_at_depth(f: LevelMorphism, g: LevelMorphism, depth: int | None = None)
     if f.src != g.src or f.dst != g.dst:
         raise EngineError("endpoint mismatch")
     d = f.dst.depth if depth is None else min(depth, f.dst.depth)
-    for j in range(d + 1):
-        if not maps_equal(f.component_from_depth(j), g.component_from_depth(j)):
-            return False
-    return True
+    top = f.src.depth
+    return all(commutes(f.components[j], f.src.bond_composite(top, f.shift[j]),
+                        g.components[j], g.src.bond_composite(top, g.shift[j]))
+               for j in range(d + 1))
 
 
 def pro_hom_at_depth(x: Tower, y: Tower, depth: int) -> tuple[LevelMorphism, ...]:
@@ -458,13 +458,16 @@ def is_rudimentary_at_depth(x: Tower, depth: int | None = None, window: int = 3)
         return RudVerdict(True, d, w, profile, stable_index=max(0, d - w))
     # FinAb: image subgroup presented on the deepest level's generators.
     images = []
+    n = x.levels[d].rank
     for k in range(d + 1):
+        if x.levels[k].rank == 0:  # an empty matrix has lost its column count
+            images.append(FinAbObj(n, intmat.identity(n)))
+            continue
         comp = x.bond_composite(d, k)
         lat = x.levels[k].relation_matrix()
         # relations of the image: z with comp·z in the relation lattice
         stacked = intmat.hstack(comp.matrix, intmat.neg(lat)) if intmat.shape(lat)[1] else comp.matrix
         null = intmat.nullspace(stacked)
-        n = x.levels[d].rank
         rel = tuple(row[: intmat.shape(null)[1]] for row in null[:n]) if null else ()
         images.append(FinAbObj(n, rel if rel and intmat.shape(rel)[1] else ()))
     profile = tuple(img.invariants() for img in images)

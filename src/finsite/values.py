@@ -268,10 +268,14 @@ def compose(g, f):
     """g ∘ f (apply f first)."""
     if isinstance(f, FinSetMap):
         return FinSetMap(f.src, g.dst, tuple((x, g(f(x))) for x in f.src.elements))
+    return FinAbMap(f.src, g.dst, _composite_matrix(g, f))
+
+
+def _composite_matrix(g, f) -> intmat.Matrix:
     if g.dst.rank == 0 or f.src.rank == 0 or f.dst.rank == 0:
         # factoring through a trivial group: the zero map of the right shape
-        return FinAbMap(f.src, g.dst, intmat.zeros(g.dst.rank, f.src.rank))
-    return FinAbMap(f.src, g.dst, intmat.mul(g.matrix, f.matrix))
+        return intmat.zeros(g.dst.rank, f.src.rank)
+    return intmat.mul(g.matrix, f.matrix)
 
 
 def maps_equal(f, g) -> bool:
@@ -280,10 +284,30 @@ def maps_equal(f, g) -> bool:
         return False
     if isinstance(f, FinSetMap):
         return f.table == g.table
-    diff = intmat.sub(f.matrix, g.matrix)
-    if intmat.is_zero(diff):
+    return _congruent(f.matrix, g.matrix, f.dst, f.src.rank)
+
+
+def _congruent(a: intmat.Matrix, b: intmat.Matrix, dst: FinAbObj, ncols: int) -> bool:
+    """Whether two matrices into dst agree modulo its relations."""
+    if a == b:
         return True
-    return all(f.dst.lattice_contains(intmat.column(diff, j)) for j in range(f.src.rank))
+    diff = intmat.sub(a, b)
+    return all(dst.lattice_contains(intmat.column(diff, j)) for j in range(ncols))
+
+
+def commutes(g1, f1, g2, f2) -> bool:
+    """Whether g1 ∘ f1 == g2 ∘ f2, decided without building either composite.
+
+    The verdict is that of maps_equal(compose(g1, f1), compose(g2, f2)):
+    finite sets are compared element by element, and abelian groups by the
+    difference of the two matrix products modulo the target relations."""
+    src, dst = f1.src, g1.dst
+    if src != f2.src or dst != g2.dst:
+        return False
+    if isinstance(f1, FinSetMap):
+        a, b, c, d = g1._lookup, f1._lookup, g2._lookup, f2._lookup
+        return all(a[b[x]] == c[d[x]] for x in src.elements)
+    return _congruent(_composite_matrix(g1, f1), _composite_matrix(g2, f2), dst, src.rank)
 
 
 def is_zero_map(f: FinAbMap) -> bool:
@@ -683,9 +707,7 @@ def functor_pairings(a: FiniteDiagram, b: FiniteDiagram, f: FiniteDiagram) -> Fu
             ok = True
             for m in shape.morphisms:
                 au, bu = a.edges[m.id], b.edges[m.id]
-                left = compose(au, phi[m.src])
-                right = compose(phi[m.dst], bu)
-                if not maps_equal(left, right):
+                if not commutes(au, phi[m.src], phi[m.dst], bu):
                     ok = False
                     break
             if ok:

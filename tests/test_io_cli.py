@@ -343,3 +343,31 @@ def test_cli_non_string_set_element_is_input_error(tmp_path, capsys):
     doc["values"][u] = [[]]
     witness = _check_cosheaf_input_error(tmp_path, capsys, doc)
     assert witness.startswith(f"/values/{u}:")
+
+
+@functools.lru_cache(maxsize=None)
+def _chain_document_text():
+    spec = converging_sequence_site(4)
+    return io.dumps(io.to_document(constant_precosheaf(spec, finset("*"), 2, site_points(spec))))
+
+
+@pytest.mark.parametrize("path,bad", [
+    (("chains",), 7), (("chains",), "x"), (("chains", 0), 7), (("chains", 0), "x"),
+    (("chains", 0, "covers"), 7), (("chains", 0, "covers", 1), 7),
+    (("chains", 0, "covers", 1, "pieces"), 7), (("chains", 0, "refinements"), 7),
+    (("chains", 0, "refinements"), "x"), (("chains", 0, "refinements", 0), 7),
+    (("chains", 0, "refinements", 0), "x"), (("chains", 0, "refinements", 0, 1), 7),
+    (("chains", 0, "refinements", 0, 1), "x"), (("chains", 0, "refinements", 0, 1), [0]),
+    (("chains", 0, "refinements", 0, 1, 0), None), (("chains", 0, "refinements", 0, 1, 0), "x"),
+    (("chains", 0, "refinements", 0, 1, 0), 1.5), (("chains", 0, "refinements", 0, 1, 0), True),
+    (("covers",), 7), (("covers",), "x"), (("covers", 0, "pieces"), 7), (("leq",), 7),
+    (("leq",), {}),
+])
+def test_cli_malformed_site_part_is_input_error(tmp_path, capsys, path, bad):
+    doc = json.loads(_chain_document_text())
+    node = doc["site"]
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = bad
+    witness = _check_cosheaf_input_error(tmp_path, capsys, doc)
+    assert witness.startswith("".join(f"/{key}" for key in path) + ":")

@@ -424,3 +424,17 @@ def test_tower_colimit_sharing_matches_the_unshared_levelwise_colimit(monkeypatc
     for u in nodes:
         assert res.cocone[u].shift == (0, 1, 2, 3, 4)
         assert res.cocone[u].components == tuple(r.cocone[u] for r in oracle)
+
+
+def test_rudimentary_finab_sees_a_zero_level():
+    from finsite.values import FinAbMap, FinAbObj
+    z, zero = free_ab(1), FinAbObj(0)
+    # 0 <- Z <- Z <- Z: S_1 = Z -> S_0 = 0 is no isomorphism
+    t = Tower((zero, z, z, z), (FinAbMap(z, zero, ()), identity_map(z), identity_map(z)))
+    v = is_rudimentary_at_depth(t, 3, 3)
+    assert v.verdict == "NOT-RUDIMENTARY-AT-DEPTH"
+    assert v.profile == (((), 0), ((), 1), ((), 1), ((), 1))
+    # Z <- Z <- Z <- 0: every image of the zero top level is zero
+    t = Tower((z, z, z, zero), (identity_map(z), identity_map(z), FinAbMap(zero, z, ((),))))
+    v = is_rudimentary_at_depth(t, 3, 3)
+    assert v.rudimentary and v.profile == (((), 0),) * 4
