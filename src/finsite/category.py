@@ -227,13 +227,6 @@ class CoverChain:
     def cover_at(self, level: int) -> Cover:
         return self.covers[min(level, len(self.covers) - 1)]
 
-    def assignment_at(self, level: int) -> RefinementAssignment:
-        """Assignment from cover_at(level+1) into cover_at(level)."""
-        if level < len(self.refinements):
-            return self.refinements[level]
-        cover = self.covers[-1]
-        return tuple((i, None) for i in range(len(cover.pieces)))  # identity tail
-
 
 @dataclass(frozen=True)
 class Coverage:
@@ -247,11 +240,13 @@ class SiteSpec:
     coverage: Coverage
     name: str = "site"
     poset: bool = False
-    # sieve_from_cover results by cover key; a pickled copy starts empty
+    # sieve_from_cover results by cover key and refinement_search results by
+    # argument; a pickled copy starts with both empty
     _sieves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _refinements: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __getstate__(self):
-        return {**self.__dict__, "_sieves": {}}
+        return {**self.__dict__, "_sieves": {}, "_refinements": {}}
 
     def declared_covers(self, u: str) -> tuple[Cover, ...]:
         return self.coverage.covers.get(u, ())
@@ -391,13 +386,19 @@ def refinement_search(spec: SiteSpec, v: str, target_sieve: Sieve, alpha: str, d
 
     Returns (level, sieve) where `level` indexes the chain of v (0 for the
     common-refinement of a finite family).  None when nothing fits.
+    Memoized on the site by its arguments.
     """
+    key = (v, target_sieve, alpha, depth)
+    if key in spec._refinements:
+        return spec._refinements[key]
     pulled = pullback_sieve(spec, target_sieve, alpha)
-    levels = sieve_levels(spec, v, depth)
-    for lvl, s in enumerate(levels):
+    hit = None
+    for lvl, s in enumerate(sieve_levels(spec, v, depth)):
         if s.members <= pulled.members:
-            return lvl, s
-    return None
+            hit = lvl, s
+            break
+    spec._refinements[key] = hit
+    return hit
 
 
 def common_refinement(spec: SiteSpec, u: str) -> Cover:

@@ -1,6 +1,7 @@
 """Command-line driver: every engine verdict behind one deterministic CLI.
 
-Exit codes: 0 = PASS, 1 = FAIL (with witness in the report), 2 = input error.
+Exit codes: 0 = PASS, 1 = FAIL (with witness in the report), 2 = input error,
+3 = internal error (an unexpected exception; traceback on stderr).
 """
 
 from __future__ import annotations
@@ -70,6 +71,16 @@ def _fail_input(message: str) -> int:
     sys.stdout.write(io.dumps({"kind": "report", "verdict": "INPUT-ERROR",
                                "witnesses": [message], "trace": []}))
     return 2
+
+
+def _fail_internal(exc: Exception) -> int:
+    """An engine fault is neither a verdict nor an input error: report it
+    apart from both, with the traceback on stderr."""
+    import traceback  # only the fault path needs it; keeps it off every start
+    traceback.print_exc(file=sys.stderr)
+    sys.stdout.write(io.dumps({"kind": "report", "verdict": "INTERNAL-ERROR",
+                               "witnesses": [f"{type(exc).__name__}: {exc}"], "trace": []}))
+    return 3
 
 
 def _tower_profile(t) -> list[str]:
@@ -191,6 +202,8 @@ def main(argv=None) -> int:
         return _fail_input(str(exc))
     except EngineError as exc:
         return _fail_input(str(exc))
+    except Exception as exc:
+        return _fail_internal(exc)
     return 2
 
 

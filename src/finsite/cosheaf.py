@@ -18,12 +18,13 @@ from .category import (Cover, FiniteCategory, Morphism, Sieve, SiteSpec,
                        sieve_from_cover, sieve_levels)
 from .errors import EngineError, InsufficientDepth, SiteError
 from .report import CheckReport
-from .towers import (LevelMorphism, Tower, TowerColimit, _stable_reindex, equal_at_depth,
-                     is_epi_at_depth, is_iso_at_depth, is_rudimentary_at_depth,
-                     tower_colimit, tower_pro_zero)
+from .towers import (LevelMorphism, Tower, TowerColimit, _stable_reindex, chain_components,
+                     chains_equal_at_depth, is_epi_at_depth,
+                     is_iso_at_depth, is_rudimentary_at_depth, tower_colimit,
+                     tower_pro_zero)
 from .values import (FINAB, FINSET, FinAbMap, FinAbObj, FinSetMap, FinSetObj,
-                     category_of, commutes, compose, identity_map, initial_object,
-                     maps_equal, out_map, unique_map_from_initial)
+                     category_of, chains_equal, commutes, compose, identity_map,
+                     initial_object, out_map, unique_map_from_initial)
 
 
 @dataclass(frozen=True)
@@ -87,13 +88,11 @@ class Precosheaf:
             if not a.is_strict():
                 raise EngineError("precosheaf actions must be normalized to strict form")
         for u in cat.objects:
-            ident = self.action[cat.id_of(u)]
-            if not equal_at_depth(ident, LevelMorphism.identity(self.values[u])):
+            if not chains_equal_at_depth((self.action[cat.id_of(u)],), ()):
                 raise EngineError(f"identity action at {u!r} is not the identity")
         for g, f in _generating_pairs(self.site):
-            gf = cat.compose(g, f)
-            comp = self.action[f].then(self.action[g])
-            if not equal_at_depth(self.action[gf], comp):
+            if not chains_equal_at_depth((self.action[cat.compose(g, f)],),
+                                         (self.action[f], self.action[g])):
                 raise EngineError(f"functoriality fails on ({g},{f})")
 
     def is_rudimentary_valued(self) -> bool:
@@ -161,9 +160,8 @@ class PrecosheafMorphism:
             if c is None or c.src != self.src.values[u] or c.dst != self.dst.values[u]:
                 raise EngineError(f"component at {u!r} missing or mismatched")
         for m in cat.morphisms:
-            left = self.src.action[m.id].then(self.components[m.dst])
-            right = self.components[m.src].then(self.dst.action[m.id])
-            if not equal_at_depth(left, right):
+            if not chains_equal_at_depth((self.src.action[m.id], self.components[m.dst]),
+                                         (self.components[m.src], self.dst.action[m.id])):
                 raise EngineError(f"naturality fails on {m.id!r}")
 
     def then(self, other: "PrecosheafMorphism") -> "PrecosheafMorphism":
@@ -191,8 +189,10 @@ class TensorResult:
 
 def _map_out(col: TowerColimit, dst: Tower, routes) -> LevelMorphism:
     """Strict tower map out of a tower colimit of strict edges, from one
-    strict level morphism per node into dst."""
-    comps = tuple(out_map(colim, {u: lm.components[j] for u, lm in routes.items()}, dst.levels[j])
+    chain of level morphisms per node into dst (listed in the order they
+    apply; the composite of each is never built)."""
+    comps = tuple(out_map(colim, {u: chain_components(chain, j)[1]
+                                  for u, chain in routes.items()}, dst.levels[j])
                   for j, colim in enumerate(col.levels))
     return LevelMorphism.strict(col.tower, dst, comps)
 
@@ -219,7 +219,7 @@ def tensor_with_sieve(a: Precosheaf, sieve: Sieve) -> TensorResult:
     nodes = {m: a.values[site_cat.morphism(m).src] for m in comma.objects}
     edges = {cm.id: a.action[cm.id.split("|")[0]] for cm in comma.morphisms}
     col = tower_colimit(comma, nodes, edges, a.depth)
-    out = TensorResult(col, _map_out(col, target_tower, {m: a.action[m] for m in comma.objects}))
+    out = TensorResult(col, _map_out(col, target_tower, {m: (a.action[m],) for m in comma.objects}))
     a._tensor_cache[key] = out
     return out
 
@@ -317,8 +317,8 @@ def _fast_defect(a: Precosheaf, cover: Cover) -> FastDefect:
     col = tower_colimit(shape, node_towers, edge_lm, a.depth)
     pair_routes = tuple((node, cat.compose(cover.pieces[i], li))
                         for node, i, j, li, lj, w in pair_nodes)
-    routes = {f"p{i}": a.action[p] for i, p in enumerate(cover.pieces)}
-    routes.update({node: a.action[member] for node, member in pair_routes})
+    routes = {f"p{i}": (a.action[p],) for i, p in enumerate(cover.pieces)}
+    routes.update({node: (a.action[member],) for node, member in pair_routes})
     compare = _map_out(col, a.values[cover.target], routes)
     return FastDefect(col, compare, pair_routes)
 
@@ -341,9 +341,9 @@ def defect_agreement(a: Precosheaf, cover: Cover) -> bool:
     fast = _fast_defect(a, cover)
     cat = a.site.category
     # phi: fast -> slow via pieces-as-members
-    to_slow = {f"p{i}": slow.colimit.cocone[p] for i, p in enumerate(cover.pieces)}
+    to_slow = {f"p{i}": (slow.colimit.cocone[p],) for i, p in enumerate(cover.pieces)}
     for node, member in fast.pair_routes:
-        to_slow[node] = slow.colimit.cocone[member]
+        to_slow[node] = (slow.colimit.cocone[member],)
     # psi: slow -> fast via each member's lex-smallest factorization
     to_fast = {}
     for g in sorted(sieve.members):
@@ -353,7 +353,7 @@ def defect_agreement(a: Precosheaf, cover: Cover) -> bool:
             mp = cat.morphism(p)
             for beta in sorted(m.id for m in cat.hom(mg.src, mp.src)):
                 if cat.compose(p, beta) == g:
-                    placed = a.action[beta].then(fast.colimit.cocone[f"p{i}"])
+                    placed = (a.action[beta], fast.colimit.cocone[f"p{i}"])
                     break
             if placed:
                 break
@@ -364,13 +364,13 @@ def defect_agreement(a: Precosheaf, cover: Cover) -> bool:
     for j in range(a.depth + 1):
         idf = identity_map(fast.colimit.tower.levels[j])
         ids = identity_map(slow.tower.levels[j])
-        if not maps_equal(compose(psi[j], phi[j]), idf):
+        if not chains_equal((phi[j], psi[j]), (idf,)):
             ok = False
-        if not maps_equal(compose(phi[j], psi[j]), ids):
+        if not chains_equal((psi[j], phi[j]), (ids,)):
             ok = False
-        if not maps_equal(compose(slow.compare.components[j], phi[j]), fast.compare.components[j]):
+        if not chains_equal((phi[j], slow.compare.components[j]), (fast.compare.components[j],)):
             ok = False
-        if not maps_equal(compose(fast.compare.components[j], psi[j]), slow.compare.components[j]):
+        if not chains_equal((psi[j], fast.compare.components[j]), (slow.compare.components[j],)):
             ok = False
     return ok
 
@@ -460,11 +460,10 @@ def plus_cosheaf(a: Precosheaf, depth: int | None = None) -> PlusResult:
         for k in range(d):
             hi = tensors[u][k + 1]
             lo = tensors[u][k]
-            if sieves[u][k + 1].members == sieves[u][k].members:
-                hi_to_lo_at = identity_map(hi.tower.levels[k + 1])
-            else:
-                hi_to_lo_at = _pushforward(a, hi, sieves[u][k + 1], lo, site.category.id_of(u),
-                                           k + 1)
+            if hi is lo:  # equal sieves share one tensor
+                bonds.append(lo.tower.bonds[k])
+                continue
+            hi_to_lo_at = _pushforward(a, hi, sieves[u][k + 1], lo, site.category.id_of(u), k + 1)
             bonds.append(compose(lo.tower.bonds[k], hi_to_lo_at))
         plus_values[u] = Tower(tuple(levels), tuple(bonds))
 
@@ -555,8 +554,8 @@ def plus_map(f: PrecosheafMorphism, plus_src: PlusResult, plus_dst: PlusResult) 
                                                          dst_t.tower.levels[k]))
                 continue
             node_maps = {
-                g: compose(dst_t.colimit.cocone[g].components[k],
-                           f.components[site.category.morphism(g).src].components[k])
+                g: (f.components[site.category.morphism(g).src].components[k],
+                    dst_t.colimit.cocone[g].components[k])
                 for g in sorted(s.members)}
             per_level.append(out_map(src_t.colimit.levels[k], node_maps, dst_t.tower.levels[k]))
         comps[u] = LevelMorphism.strict(plus_src.precosheaf.values[u],
@@ -757,7 +756,8 @@ def universal_factorization_check(a: Precosheaf, b: Precosheaf, f: PrecosheafMor
                                   uniqueness_bound: int = 6) -> CheckReport:
     """Factor a morphism from a cosheaf through the coreflection and verify it.
 
-    Builds u = f₊₊ ∘ (counit_B)⁻¹ : B -> A₊₊ and checks counit_A ∘ u == f.
+    The factorization is u = f₊₊ ∘ (counit_B)⁻¹ : B -> A₊₊; existence checks
+    counit_A ∘ u == f objectwise through the chain, without building u.
     On finite-set instances with total value cardinality within the bound,
     uniqueness is verified by exhaustive enumeration."""
     if check_cosheaf(b, depth).classification != "COSHEAF":
@@ -767,11 +767,10 @@ def universal_factorization_check(a: Precosheaf, b: Precosheaf, f: PrecosheafMor
     f1 = plus_map(f, cb.plus1, ca.plus1)
     f2 = plus_map(f1, cb.plus2, ca.plus2)
     section = invert_counit(cb)
-    u = section.then(f2)
-    composite = u.then(ca.counit)
     trace = []
     ok = all(
-        equal_at_depth(composite.components[obj], f.components[obj])
+        chains_equal_at_depth((section.components[obj], f2.components[obj],
+                               ca.counit.components[obj]), (f.components[obj],))
         for obj in sorted(a.site.category.objects)
     )
     trace.append("existence: " + ("factorization composes to f" if ok else "composition mismatch"))
@@ -782,7 +781,8 @@ def universal_factorization_check(a: Precosheaf, b: Precosheaf, f: PrecosheafMor
             candidates = enumerate_natural_transformations(b, ca.precosheaf)
             matching = [
                 g for g in candidates
-                if all(equal_at_depth(g.then(ca.counit).components[obj], f.components[obj])
+                if all(chains_equal_at_depth((g.components[obj], ca.counit.components[obj]),
+                                             (f.components[obj],))
                        for obj in a.site.category.objects)
             ]
             trace.append(f"uniqueness: {len(matching)} factorization(s) among "

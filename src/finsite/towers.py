@@ -14,8 +14,8 @@ from . import intmat, values
 from .category import FiniteCategory
 from .errors import EngineError, InsufficientDepth
 from .values import (FINSET, FinAbMap, FinAbObj, FinSetObj, FiniteDiagram,
-                     category_of, classify_map, commutes, compose, identity_map,
-                     is_zero_map, maps_equal, out_map)
+                     category_of, chains_equal, classify_map, commutes, compose,
+                     identity_map, is_zero_map, maps_equal, out_map)
 
 
 @dataclass(frozen=True)
@@ -41,6 +41,8 @@ class Tower:
 
     def bond_composite(self, i: int, j: int):
         """The composite X_i -> X_j for i >= j (identity when i == j)."""
+        if i == j + 1:
+            return self.bonds[j]
         if i < j:
             raise EngineError("bond composites run downward")
         cache = self.__dict__.get("_bond_cache")
@@ -124,13 +126,50 @@ class LevelMorphism:
 
 def equal_at_depth(f: LevelMorphism, g: LevelMorphism, depth: int | None = None) -> bool:
     """Pro-equality of truncations: canonical depth representatives agree."""
-    if f.src != g.src or f.dst != g.dst:
+    return chains_equal_at_depth((f,), (g,), depth)
+
+
+def chain_components(chain, j: int):
+    """The source level of a chain's composite at target level j, and the
+    components that composite passes through there, in the order they apply.
+
+    The chain lists its level morphisms in the order they apply; the result
+    is what `then` would give at level j, without building it."""
+    maps = []
+    for lm in reversed(chain):
+        maps.append(lm.components[j])
+        j = lm.shift[j]
+    return j, tuple(reversed(maps))
+
+
+def _chain_ends(chain, src: Tower):
+    for f, g in zip(chain, chain[1:]):
+        if f.dst is not g.src and f.dst != g.src:
+            raise EngineError("level morphisms are not composable")
+    return (chain[0].src, chain[-1].dst) if chain else (src, src)
+
+
+def chains_equal_at_depth(first, second, depth: int | None = None) -> bool:
+    """equal_at_depth of the composites of two chains of level morphisms,
+    decided level by level without building either composite.
+
+    Each chain lists its level morphisms in the order they apply, so
+    chains_equal_at_depth((f1, g1), (f2, g2)) decides
+    equal_at_depth(f1.then(g1), f2.then(g2)).  An empty chain stands for the
+    identity of the other chain's source."""
+    src = (first or second)[0].src
+    ends = _chain_ends(first, src)
+    if ends != _chain_ends(second, src):
         raise EngineError("endpoint mismatch")
-    d = f.dst.depth if depth is None else min(depth, f.dst.depth)
-    top = f.src.depth
-    return all(commutes(f.components[j], f.src.bond_composite(top, f.shift[j]),
-                        g.components[j], g.src.bond_composite(top, g.shift[j]))
-               for j in range(d + 1))
+    d = ends[1].depth if depth is None else min(depth, ends[1].depth)
+    top = src.depth
+    for j in range(d + 1):
+        i, left = chain_components(first, j)
+        k, right = chain_components(second, j)
+        if not chains_equal((src.bond_composite(top, i), *left),
+                            (src.bond_composite(top, k), *right)):
+            return False
+    return True
 
 
 def pro_hom_at_depth(x: Tower, y: Tower, depth: int) -> tuple[LevelMorphism, ...]:
@@ -539,8 +578,8 @@ def tower_colimit(shape: FiniteCategory, nodes: Mapping[str, Tower],
         prev = diagram
     # class(u, x at phi(j + 1)) goes to class(u, bond(x)) at level j
     bonds = tuple(
-        out_map(results[j + 1], {u: compose(results[j].cocone[u],
-                                            nodes[u].bond_composite(phi[j + 1], phi[j]))
+        out_map(results[j + 1], {u: (nodes[u].bond_composite(phi[j + 1], phi[j]),
+                                     results[j].cocone[u])
                                  for u in shape.objects}, results[j].obj)
         for j in range(d))
     tower = Tower(tuple(r.obj for r in results), bonds)

@@ -267,15 +267,29 @@ def identity_map(obj):
 def compose(g, f):
     """g ∘ f (apply f first)."""
     if isinstance(f, FinSetMap):
-        return FinSetMap(f.src, g.dst, tuple((x, g(f(x))) for x in f.src.elements))
-    return FinAbMap(f.src, g.dst, _composite_matrix(g, f))
+        return FinSetMap(f.src, g.dst, tuple(zip(f.src.elements, _images((f, g)))))
+    return FinAbMap(f.src, g.dst, _chain_matrix((f, g)))
 
 
-def _composite_matrix(g, f) -> intmat.Matrix:
-    if g.dst.rank == 0 or f.src.rank == 0 or f.dst.rank == 0:
+def _images(chain) -> list:
+    """Images of the chain's source elements under its composite, in element
+    order (finite sets; the chain lists its maps in the order they apply)."""
+    xs = chain[0].src.elements
+    for f in chain:
+        xs = map(f._lookup.__getitem__, xs)
+    return list(xs)
+
+
+def _chain_matrix(chain) -> intmat.Matrix:
+    """Matrix of the chain's composite (abelian groups; the chain lists its
+    maps in the order they apply)."""
+    if chain[-1].dst.rank == 0 or any(f.src.rank == 0 for f in chain):
         # factoring through a trivial group: the zero map of the right shape
-        return intmat.zeros(g.dst.rank, f.src.rank)
-    return intmat.mul(g.matrix, f.matrix)
+        return intmat.zeros(chain[-1].dst.rank, chain[0].src.rank)
+    m = chain[0].matrix
+    for f in chain[1:]:
+        m = intmat.mul(f.matrix, m)
+    return m
 
 
 def maps_equal(f, g) -> bool:
@@ -295,19 +309,37 @@ def _congruent(a: intmat.Matrix, b: intmat.Matrix, dst: FinAbObj, ncols: int) ->
     return all(dst.lattice_contains(intmat.column(diff, j)) for j in range(ncols))
 
 
-def commutes(g1, f1, g2, f2) -> bool:
-    """Whether g1 ∘ f1 == g2 ∘ f2, decided without building either composite.
+def chains_equal(first, second) -> bool:
+    """Whether two chains of composable maps have equal composites, decided
+    without building either composite.
 
-    The verdict is that of maps_equal(compose(g1, f1), compose(g2, f2)):
-    finite sets are compared element by element, and abelian groups by the
-    difference of the two matrix products modulo the target relations."""
-    src, dst = f1.src, g1.dst
-    if src != f2.src or dst != g2.dst:
+    Each chain is a nonempty sequence of maps listed in the order they apply,
+    so (f, g) stands for g ∘ f.  The verdict is that of maps_equal on the two
+    composites: finite sets are compared element by element, and abelian
+    groups by the chained matrix products modulo the target relations."""
+    src, dst = first[0].src, first[-1].dst
+    src2, dst2 = second[0].src, second[-1].dst
+    # identity first: ends are nearly always the same objects, and the
+    # generated dataclass __eq__ is a Python-level call
+    if (src2 is not src and src2 != src) or (dst2 is not dst and dst2 != dst):
         return False
-    if isinstance(f1, FinSetMap):
-        a, b, c, d = g1._lookup, f1._lookup, g2._lookup, f2._lookup
-        return all(a[b[x]] == c[d[x]] for x in src.elements)
-    return _congruent(_composite_matrix(g1, f1), _composite_matrix(g2, f2), dst, src.rank)
+    if isinstance(src, FinSetObj):
+        left, right = [f._lookup for f in first], [f._lookup for f in second]
+        for x in src.elements:
+            y = z = x
+            for lookup in left:
+                y = lookup[y]
+            for lookup in right:
+                z = lookup[z]
+            if y != z:
+                return False
+        return True
+    return _congruent(_chain_matrix(first), _chain_matrix(second), dst, src.rank)
+
+
+def commutes(g1, f1, g2, f2) -> bool:
+    """Whether g1 ∘ f1 == g2 ∘ f2: the chain check on (f1, g1) and (f2, g2)."""
+    return chains_equal((f1, g1), (f2, g2))
 
 
 def is_zero_map(f: FinAbMap) -> bool:
@@ -421,19 +453,24 @@ class ColimitResult:
 def out_map(colim: ColimitResult, node_maps: Mapping[str, object], dst):
     """The map colim.obj -> dst induced by one map node_u -> dst per node.
 
-    The node maps must form a cocone over the colimit's diagram."""
+    A node's map may be given as a chain, a tuple of composable maps in the
+    order they apply, whose composite is then never built.  The node maps
+    must form a cocone over the colimit's diagram."""
+    chains = {u: f if isinstance(f, tuple) else (f,) for u, f in node_maps.items()}
     if isinstance(colim.obj, FinSetObj):
         table = {}
-        for u, f in node_maps.items():
-            inj = colim.cocone[u]
-            for x in f.src.elements:
-                table[inj(x)] = f(x)
+        for u, chain in chains.items():
+            inj = colim.cocone[u]._lookup
+            for x, y in zip(chain[0].src.elements, _images(chain)):
+                table[inj[x]] = y
         return FinSetMap(colim.obj, dst, tuple(table.items()))
     blocks = [[0] * colim.unreduced_rank for _ in range(dst.rank)]
-    for u, f in node_maps.items():
+    for u, chain in chains.items():
         off = colim.offsets[u]
+        width = chain[0].src.rank
+        matrix = _chain_matrix(chain)
         for i in range(dst.rank):
-            blocks[i][off:off + f.src.rank] = f.matrix[i]
+            blocks[i][off:off + width] = matrix[i]
     return FinAbMap(colim.obj, dst, intmat.mul(intmat.freeze(blocks), colim.embed))
 
 

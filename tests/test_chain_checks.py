@@ -1,0 +1,280 @@
+"""Chain checks: `values.chains_equal` and `towers.chains_equal_at_depth`
+against the composite-building oracle, the constructions that use them in
+place of `then` and composite maps, and the refinement-search memo."""
+
+import functools
+import itertools
+import pickle
+import random
+
+import pytest
+
+from finsite import towers
+from finsite.category import pullback_sieve, refinement_search, sieve_levels
+from finsite.cosheaf import (PrecosheafMorphism, constant_precosheaf, identity_morphism,
+                             plus_cosheaf, tensor_with_sieve)
+from finsite.errors import EngineError
+from finsite.randsuite import random_finab_precosheaf, random_finset_precosheaf, random_site
+from finsite.spaces import converging_sequence_site
+from finsite.towers import (LevelMorphism, Tower, chains_equal_at_depth, equal_at_depth,
+                            pro_hom_at_depth)
+from finsite.values import (FINAB, FINSET, FinAbMap, FinAbObj, FinSetMap, chains_equal, compose,
+                            cyclic, finset, finset_map, free_ab, identity_map, maps_equal)
+
+from test_square_checks import _plus_relations, _random_map
+
+Z = free_ab(1)
+ZERO = FinAbObj(0)
+
+
+def _composite(chain):
+    """The oracle: the chain's composite, built map by map."""
+    return functools.reduce(lambda f, g: compose(g, f), chain)
+
+
+def _agree(first, second):
+    verdict = chains_equal(first, second)
+    assert verdict == maps_equal(_composite(first), _composite(second))
+    return verdict
+
+
+# ---------------------------------------------------------------------------
+# values.chains_equal
+
+
+def _diagram_chains(seed, category):
+    """Composable chains of length 1 to 3 of the level-0 edge maps of the
+    seeded random precosheaf of tests/test_universal_maps.py."""
+    rng = random.Random(seed)
+    spec = random_site(rng)
+    make = random_finset_precosheaf if category == FINSET else random_finab_precosheaf
+    a = make(spec, rng)
+    cat = spec.category
+    edges = [(m, a.action[m.id].components[0]) for m in cat.morphisms]
+    chains = [[(m,) for m, _ in edges]]
+    for _ in range(2):
+        chains.append([c + (m,) for c in chains[-1] for m, _ in edges if c[-1].dst == m.src])
+    by_id = dict((m.id, f) for m, f in edges)
+    out = [tuple(by_id[m.id] for m in c) for level in chains for c in level]
+    return out, rng
+
+
+def _variants(chain, rng):
+    """Chains to compare with `chain`: random maps through the same middle
+    objects, one factor shifted by target relations, and shorter chains
+    across the same ends."""
+    for _ in range(2):
+        other = tuple(_random_map(f.src, f.dst, rng) for f in chain)
+        if None not in other:
+            yield other
+        i = rng.randrange(len(chain))
+        swapped = _random_map(chain[i].src, chain[i].dst, rng)
+        if swapped is not None:
+            yield chain[:i] + (swapped,) + chain[i + 1:]
+    i = rng.randrange(len(chain))
+    yield chain[:i] + (_plus_relations(chain[i], rng),) + chain[i + 1:]
+    direct = _random_map(chain[0].src, chain[-1].dst, rng)
+    if direct is not None:
+        yield (direct,)
+    yield (_composite(chain),)
+
+
+@pytest.mark.parametrize("category", [FINSET, FINAB])
+def test_chains_equal_agrees_with_composite_oracle(category):
+    seen = {1: set(), 2: set(), 3: set()}
+    for seed in range(12):
+        chains, rng = _diagram_chains(seed, category)
+        sample = rng.sample(chains, min(40, len(chains)))
+        for chain in sample:
+            same_ends = [c for c in chains if c[0].src == chain[0].src and c[-1].dst == chain[-1].dst]
+            for other in rng.sample(same_ends, min(3, len(same_ends))):
+                seen[len(chain)].add(_agree(chain, other))
+            for other in _variants(chain, rng):
+                seen[len(chain)].add(_agree(chain, other))
+                _agree(other, chain)
+    assert seen == {1: {True, False}, 2: {True, False}, 3: {True, False}}
+
+
+def test_chains_through_a_rank_zero_middle_level():
+    into_zero, out_of_zero = FinAbMap(Z, ZERO, ()), FinAbMap(ZERO, cyclic(2), ((),))
+    zero = FinAbMap(Z, cyclic(2), ((0,),))
+    one = FinAbMap(Z, cyclic(2), ((1,),))
+    three = FinAbMap(Z, cyclic(2), ((3,),))
+    assert _agree((into_zero, out_of_zero), (zero,))
+    assert not _agree((into_zero, out_of_zero), (one,))
+    assert _agree((into_zero, out_of_zero, identity_map(cyclic(2))), (FinAbMap(Z, Z, ((2,),)), one))
+    assert _agree((one,), (three,))  # congruent modulo the relations of Z/2
+    # chains with other ends are never equal
+    assert not _agree((into_zero,), (identity_map(Z),))
+    assert not _agree((zero,), (FinAbMap(Z, cyclic(3), ((0,),)),))
+
+
+def test_chains_through_an_empty_middle_level():
+    empty, a, two = finset(), finset("a"), finset("0", "1")
+    out_of_empty = FinSetMap(empty, two, ())
+    assert _agree((FinSetMap(empty, a, ()), finset_map(a, two, {"a": "0"})), (out_of_empty,))
+    assert _agree((identity_map(empty), FinSetMap(empty, empty, ()), out_of_empty), (out_of_empty,))
+    to_zero, to_one = finset_map(a, two, {"a": "0"}), finset_map(a, two, {"a": "1"})
+    swap = finset_map(two, two, {"0": "1", "1": "0"})
+    assert _agree((to_zero, swap), (to_one,))
+    assert not _agree((to_zero, swap, swap), (to_one,))
+
+
+# ---------------------------------------------------------------------------
+# towers.chains_equal_at_depth
+
+
+def _finset_towers():
+    """Three finite-set towers with non-identity bonds."""
+    x = Tower((finset("a", "b"), finset("a", "b", "c"), finset("a", "b", "c")),
+              (finset_map(finset("a", "b", "c"), finset("a", "b"), {"a": "a", "b": "b", "c": "b"}),
+               finset_map(finset("a", "b", "c"), finset("a", "b", "c"),
+                          {"a": "a", "b": "c", "c": "c"})))
+    y = Tower((finset("0", "1"), finset("0", "1")),
+              (finset_map(finset("0", "1"), finset("0", "1"), {"0": "0", "1": "0"}),))
+    z = Tower.constant(finset("0", "1"), 1)
+    return x, y, z
+
+
+def test_chains_equal_at_depth_agrees_with_then_oracle():
+    x, y, z = _finset_towers()
+    xy, yz = pro_hom_at_depth(x, y, 1), pro_hom_at_depth(y, z, 1)
+    pairs = list(itertools.product(xy, yz))
+    seen = set()
+    for (f1, g1), (f2, g2) in itertools.product(pairs, repeat=2):
+        verdict = chains_equal_at_depth((f1, g1), (f2, g2))
+        assert verdict == equal_at_depth(f1.then(g1), f2.then(g2))
+        assert chains_equal_at_depth((f1, g1), (f2.then(g2),)) == verdict
+        seen.add(verdict)
+    assert seen == {True, False}
+
+
+def _finab_morphisms(x, y, shift):
+    """Every level morphism x -> y with the given shift whose components are
+    the scalars 0..5 (the squares decide which exist)."""
+    out = []
+    for scalars in itertools.product(range(6), repeat=len(shift)):
+        comps = tuple(FinAbMap(x.levels[s], y.levels[j], ((k,),))
+                      for j, (s, k) in enumerate(zip(shift, scalars)))
+        try:
+            out.append(LevelMorphism(x, y, shift, comps))
+        except EngineError:
+            pass
+    return out
+
+
+def test_chains_equal_at_depth_agrees_with_then_oracle_on_abelian_towers():
+    # X: Z <-2- Z <-3- Z, Y: Z/6 constant
+    x = Tower((Z, Z, Z), (FinAbMap(Z, Z, ((2,),)), FinAbMap(Z, Z, ((3,),))))
+    y = Tower.constant(cyclic(6), 2)
+    firsts = _finab_morphisms(x, y, (0, 1, 2)) + _finab_morphisms(x, y, (1, 2, 2))
+    seconds = _finab_morphisms(y, y, (0, 1, 2))
+    seen = set()
+    rng = random.Random(0)
+    pairs = list(itertools.product(firsts, seconds))
+    for (f1, g1), (f2, g2) in zip(rng.sample(pairs, 60), rng.sample(pairs, 60)):
+        verdict = chains_equal_at_depth((f1, g1), (f2, g2))
+        assert verdict == equal_at_depth(f1.then(g1), f2.then(g2))
+        seen.add(verdict)
+    assert seen == {True, False}
+
+
+def test_chains_equal_at_depth_on_shifted_and_identity_chains():
+    x, _, _ = _finset_towers()
+    ident = LevelMorphism.identity(x)
+    shifted = LevelMorphism(x, x, (1, 2, 2), tuple(x.bond_composite(s, j)
+                                                    for j, s in enumerate((1, 2, 2))))
+    assert chains_equal_at_depth((shifted,), (ident,))
+    assert chains_equal_at_depth((shifted,), ())
+    assert chains_equal_at_depth((shifted, shifted), ())
+    assert chains_equal_at_depth((shifted, ident, shifted), (shifted.then(shifted),))
+    assert chains_equal_at_depth((), (ident,), 1)
+
+
+def test_chains_equal_at_depth_keeps_the_errors_of_then():
+    x, y, z = _finset_towers()
+    f, g = pro_hom_at_depth(x, y, 1)[0], pro_hom_at_depth(y, z, 1)[0]
+    with pytest.raises(EngineError, match="not composable"):
+        chains_equal_at_depth((g, f), (g, f))
+    with pytest.raises(EngineError, match="endpoint mismatch"):
+        chains_equal_at_depth((f, g), (f,))
+    with pytest.raises(EngineError, match="endpoint mismatch"):
+        chains_equal_at_depth((f,), ())
+
+
+# ---------------------------------------------------------------------------
+# the constructions build no throw-away composite
+
+
+def _counting(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("g", [finset("p"), free_ab(1)])
+def test_constructions_build_no_then_composite(monkeypatch, g):
+    site = converging_sequence_site(6)
+    a = constant_precosheaf(site, g, 3)
+    grown = plus_cosheaf(a).precosheaf  # towers that grow level by level
+    sieve = sieve_levels(site, "X", 3)[2]
+    thens = _counting(monkeypatch, LevelMorphism, "then")
+    again = constant_precosheaf(site, g, 3)
+    PrecosheafMorphism(again, again, identity_morphism(again).components)
+    # a tower colimit and the map out of it: no cocone leg ∘ bond composite
+    composites = _counting(monkeypatch, towers, "compose")
+    assert tensor_with_sieve(grown, sieve).tower.depth == 3
+    assert thens == []
+    assert composites == []
+
+
+# ---------------------------------------------------------------------------
+# the refinement-search memo
+
+
+def _fresh_search(spec, v, sieve, alpha, depth):
+    pulled = pullback_sieve(spec, sieve, alpha).members
+    return next(((lvl, s) for lvl, s in enumerate(sieve_levels(spec, v, depth))
+                 if s.members <= pulled), None)
+
+
+def _search_arguments(spec, depths=(0, 1, 3)):
+    """Every sieve level down to the deepest depth, each searched at every
+    depth: a shallow search may miss what a deeper one finds."""
+    for alpha in spec.category.morphisms:
+        for sieve in dict.fromkeys(sieve_levels(spec, alpha.dst, max(depths))):
+            for depth in depths:
+                yield alpha.src, sieve, alpha.id, depth
+
+
+def test_refinement_memo_equals_a_fresh_search():
+    rng = random.Random(5)
+    specs = [random_site(rng) for _ in range(8)] + [converging_sequence_site(6)]
+    outcomes = set()
+    for spec in specs:
+        args = list(_search_arguments(spec))
+        rng.shuffle(args)
+        for v, sieve, alpha, depth in args + args:
+            hit = refinement_search(spec, v, sieve, alpha, depth)
+            assert hit == _fresh_search(spec, v, sieve, alpha, depth)
+            assert refinement_search(spec, v, sieve, alpha, depth) is hit
+            outcomes.add(None if hit is None else hit[0])
+        assert spec._refinements
+    assert {None, 0, 1, 3} <= outcomes
+
+
+def test_pickled_site_carries_no_filled_refinement_memo():
+    spec = converging_sequence_site(6)
+    args = list(_search_arguments(spec))
+    hits = [refinement_search(spec, *a) for a in args]
+    assert spec._refinements
+    copy = pickle.loads(pickle.dumps(spec))
+    assert copy._refinements == {}
+    assert [refinement_search(copy, *a) for a in args] == hits
+    assert spec._refinements  # pickling leaves the original's memo alone
