@@ -7,8 +7,9 @@ are deterministic.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .errors import InvalidCategory, SiteError
 
@@ -32,16 +33,17 @@ class FiniteCategory:
     identity: Mapping[str, str]
     composition: Mapping[tuple[str, str], str]
     _by_id: Mapping[str, Morphism] = field(init=False, repr=False, compare=False)
-    # morphisms by dst, by src and by (src, dst), each in `morphisms` order
+    # morphisms by dst, by src and (built on first use) by (src, dst), each in
+    # `morphisms` order
     _into: Mapping[str, tuple[Morphism, ...]] = field(init=False, repr=False, compare=False)
     _out_of: Mapping[str, tuple[Morphism, ...]] = field(init=False, repr=False, compare=False)
-    _hom: Mapping[tuple[str, str], tuple[Morphism, ...]] = field(init=False, repr=False,
-                                                                  compare=False)
+    _hom: Mapping[tuple[str, str], tuple[Morphism, ...]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         objects = set(self.objects)
         by_id = {}
-        into, out_of, hom = {}, {}, {}
+        into, out_of = {}, {}
         for m in self.morphisms:
             if m.id in by_id:
                 raise InvalidCategory(f"duplicate morphism id {m.id!r}")
@@ -50,11 +52,9 @@ class FiniteCategory:
             by_id[m.id] = m
             into.setdefault(m.dst, []).append(m)
             out_of.setdefault(m.src, []).append(m)
-            hom.setdefault((m.src, m.dst), []).append(m)
         object.__setattr__(self, "_by_id", by_id)
         object.__setattr__(self, "_into", {u: tuple(ms) for u, ms in into.items()})
         object.__setattr__(self, "_out_of", {u: tuple(ms) for u, ms in out_of.items()})
-        object.__setattr__(self, "_hom", {k: tuple(ms) for k, ms in hom.items()})
         for u in self.objects:
             i = self.identity.get(u)
             if i is None or i not in by_id:
@@ -93,6 +93,11 @@ class FiniteCategory:
 
     def hom(self, src: str, dst: str) -> tuple[Morphism, ...]:
         """The morphisms src -> dst, in `morphisms` order."""
+        if self._hom is None:
+            hom = {}
+            for m in self.morphisms:
+                hom.setdefault((m.src, m.dst), []).append(m)
+            object.__setattr__(self, "_hom", {k: tuple(ms) for k, ms in hom.items()})
         return self._hom.get((src, dst), ())
 
     def check_axioms(self) -> list[str]:
@@ -240,13 +245,15 @@ class SiteSpec:
     coverage: Coverage
     name: str = "site"
     poset: bool = False
-    # sieve_from_cover results by cover key and refinement_search results by
-    # argument; a pickled copy starts with both empty
+    # sieve_from_cover results by cover key, refinement_search results by
+    # argument and comma_of_sieve results by sieve; a pickled copy starts with
+    # all three empty
     _sieves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _refinements: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _commas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __getstate__(self):
-        return {**self.__dict__, "_sieves": {}, "_refinements": {}}
+        return {**self.__dict__, "_sieves": {}, "_refinements": {}, "_commas": {}}
 
     def declared_covers(self, u: str) -> tuple[Cover, ...]:
         return self.coverage.covers.get(u, ())
@@ -283,19 +290,67 @@ def _generated_sieve(cat: FiniteCategory, cover: Cover) -> Sieve:
     return Sieve(cover.target, frozenset(members))
 
 
+class _CommaComposition(Mapping):
+    """The composition table of a comma category, read off the base category.
+
+    A comma morphism `b|m1>m2` names its base morphism b, so g∘f is the comma
+    morphism over b_g∘b_f from src(f) to dst(g): no table is stored.  Keys
+    iterate in the order an eager table would list them: for each comma
+    morphism g, every f into src(g)."""
+
+    def __init__(self, base: FiniteCategory):
+        self._base = base
+
+    def _bind(self, comma: FiniteCategory):
+        """Read the comma's own indexes, once it is built.  They are held,
+        not the comma itself: without a reference cycle a dropped site frees
+        its comma categories at once."""
+        self._by_id, self._into, self._morphisms = comma._by_id, comma._into, comma.morphisms
+        self._len = sum(len(self._into.get(g.src, ())) for g in self._morphisms)
+
+    def __getitem__(self, key):
+        g, f = key
+        mg, mf = self._by_id[g], self._by_id[f]
+        if mf.dst != mg.src:
+            raise KeyError(key)
+        out = f"{self._base.compose(_comma_base(mg), _comma_base(mf))}|{mf.src}>{mg.dst}"
+        if out not in self._by_id:
+            raise KeyError(key)
+        return out
+
+    def __iter__(self):
+        for g in self._morphisms:
+            for f in self._into.get(g.src, ()):
+                yield g.id, f.id
+
+    def __len__(self):
+        return self._len
+
+
+def _comma_base(m: Morphism) -> str:
+    """The base morphism b of a comma morphism `b|m1>m2`."""
+    return m.id[:len(m.id) - len(m.src) - len(m.dst) - 2]
+
+
 def comma_of_sieve(spec: SiteSpec, sieve: Sieve) -> FiniteCategory:
     """The category whose objects are the members of the sieve.
 
     Object ids are the member morphism ids; a morphism `b|m1>m2` is a base
-    morphism b with member2 ∘ b = member1.
+    morphism b with member2 ∘ b = member1.  Memoized on the site by
+    (target, members); composites are read off the site category on demand.
     """
-    cat = spec.category
+    key = (sieve.target, sieve.members)
+    hit = spec._commas.get(key)
+    if hit is None:
+        hit = spec._commas[key] = _comma_category(spec.category, sieve)
+    return hit
+
+
+def _comma_category(cat: FiniteCategory, sieve: Sieve) -> FiniteCategory:
     sieve.validate(cat)
     members = tuple(sorted(sieve.members))
     src_of = {m: cat.morphism(m).src for m in members}
     morphisms = []
-    base = {}      # comma morphism id -> base morphism id
-    into = {}      # comma object -> comma morphisms into it
     identity = {}
     for m1 in members:
         src1 = src_of[m1]
@@ -303,21 +358,19 @@ def comma_of_sieve(spec: SiteSpec, sieve: Sieve) -> FiniteCategory:
             for beta in cat.hom(src1, src_of[m2]):
                 if cat.compose(m2, beta.id) == m1:
                     mid = f"{beta.id}|{m1}>{m2}"
-                    mor = Morphism(mid, m1, m2)
-                    morphisms.append(mor)
-                    base[mid] = beta.id
-                    into.setdefault(m2, []).append(mor)
+                    morphisms.append(Morphism(mid, m1, m2))
                     if m1 == m2 and beta.id == cat.id_of(src1):
                         identity[m1] = mid
-    comp = {}
-    for g in morphisms:
-        bg = base[g.id]
-        for f in into.get(g.src, ()):
-            comp[(g.id, f.id)] = f"{cat.compose(bg, base[f.id])}|{f.src}>{g.dst}"
-    for c in comp.values():
-        if c not in base:
-            raise SiteError(f"comma category not closed: missing {c!r}")
-    return FiniteCategory(members, tuple(morphisms), identity, comp)
+    comp = _CommaComposition(cat)
+    comma = FiniteCategory(members, tuple(morphisms), identity, comp)
+    comp._bind(comma)
+    for g in comma.morphisms:
+        bg = _comma_base(g)
+        for f in comma._into.get(g.src, ()):
+            c = f"{cat.compose(bg, _comma_base(f))}|{f.src}>{g.dst}"
+            if not comma.has_morphism(c):
+                raise SiteError(f"comma category not closed: missing {c!r}")
+    return comma
 
 
 def find_refinement(spec: SiteSpec, fine: Cover, coarse: Cover) -> RefinementAssignment | None:

@@ -14,7 +14,7 @@ from typing import Mapping
 
 from . import intmat, values
 from .category import (Cover, FiniteCategory, Morphism, Sieve, SiteSpec,
-                       comma_of_sieve, distinct_covers, refinement_search,
+                       _comma_base, comma_of_sieve, distinct_covers, refinement_search,
                        sieve_from_cover, sieve_levels)
 from .errors import EngineError, InsufficientDepth, SiteError
 from .report import CheckReport
@@ -72,6 +72,9 @@ class Precosheaf:
     action: Mapping[str, LevelMorphism]
     points: tuple[PointFilter, ...] = ()
     _tensor_cache: dict = field(default_factory=dict, repr=False, compare=False)
+    # level colimits by sieve key, then by level diagram (see tower_colimit);
+    # shared along a plus lineage: plus_cosheaf hands it to what it builds
+    _colimits: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         cat = self.site.category
@@ -217,8 +220,8 @@ def tensor_with_sieve(a: Precosheaf, sieve: Sieve) -> TensorResult:
     comma = comma_of_sieve(a.site, sieve)
     site_cat = a.site.category
     nodes = {m: a.values[site_cat.morphism(m).src] for m in comma.objects}
-    edges = {cm.id: a.action[cm.id.split("|")[0]] for cm in comma.morphisms}
-    col = tower_colimit(comma, nodes, edges, a.depth)
+    edges = {cm.id: a.action[_comma_base(cm)] for cm in comma.morphisms}
+    col = tower_colimit(comma, nodes, edges, a.depth, a._colimits.setdefault(key, {}))
     out = TensorResult(col, _map_out(col, target_tower, {m: (a.action[m],) for m in comma.objects}))
     a._tensor_cache[key] = out
     return out
@@ -433,7 +436,8 @@ def truncate_precosheaf(a: Precosheaf, depth: int) -> Precosheaf:
         m = a.site.category.morphism(mid)
         action[mid] = LevelMorphism.strict(towers[m.src], towers[m.dst],
                                            lm.components[: depth + 1])
-    return Precosheaf(a.site, a.category, depth, towers, action, a.points)
+    return Precosheaf(a.site, a.category, depth, towers, action, a.points,
+                      _colimits=a._colimits)
 
 
 def plus_cosheaf(a: Precosheaf, depth: int | None = None) -> PlusResult:
@@ -494,7 +498,8 @@ def plus_cosheaf(a: Precosheaf, depth: int | None = None) -> PlusResult:
 
     strict = all(lm.is_strict() for lm in plus_action.values())
     if strict:
-        plus = Precosheaf(site, a.category, d, plus_values, plus_action, a.points)
+        plus = Precosheaf(site, a.category, d, plus_values, plus_action, a.points,
+                          _colimits=a._colimits)
         counit_components = {
             u: LevelMorphism.strict(
                 plus.values[u], a.values[u],
@@ -502,7 +507,8 @@ def plus_cosheaf(a: Precosheaf, depth: int | None = None) -> PlusResult:
             for u in site.category.objects
         }
     else:
-        plus, phi = _normalize_with_reindex(site, a.category, d, plus_values, plus_action, a.points)
+        plus, phi = _normalize_with_reindex(site, a.category, d, plus_values, plus_action,
+                                            a.points, a._colimits)
         counit_components = {}
         for u in site.category.objects:
             comps = []
@@ -514,7 +520,7 @@ def plus_cosheaf(a: Precosheaf, depth: int | None = None) -> PlusResult:
     return PlusResult(plus, counit, sieves)
 
 
-def _normalize_with_reindex(site, category, depth, towers, action, points):
+def _normalize_with_reindex(site, category, depth, towers, action, points, colimits):
     """Strictify actions by the iterated-max reindexing of their shifts."""
     try:
         phi = _stable_reindex(action, depth)
@@ -533,7 +539,8 @@ def _normalize_with_reindex(site, category, depth, towers, action, points):
             for j in range(depth + 1)
         )
         new_action[mid] = LevelMorphism.strict(new_towers[m.src], new_towers[m.dst], comps)
-    return Precosheaf(site, category, depth, new_towers, new_action, points), tuple(phi)
+    return (Precosheaf(site, category, depth, new_towers, new_action, points,
+                       _colimits=colimits), tuple(phi))
 
 
 def plus_map(f: PrecosheafMorphism, plus_src: PlusResult, plus_dst: PlusResult) -> PrecosheafMorphism:

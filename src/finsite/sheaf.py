@@ -4,12 +4,12 @@ independent oracle for the cosheaf engine's duality bridge."""
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Mapping
 
 from . import intmat, values
 from .category import (FiniteCategory, Morphism, Sieve, SiteSpec,
-                       comma_of_sieve, common_refinement, distinct_covers,
+                       _comma_base, comma_of_sieve, common_refinement, distinct_covers,
                        sieve_from_cover, sieve_levels)
 from .cosheaf import PointFilter, Precosheaf
 from .errors import EngineError, SiteError
@@ -50,10 +50,27 @@ class Presheaf:
                 raise EngineError(f"contravariant functoriality fails on ({g},{f})")
 
 
+class _OppositeComposition(Mapping):
+    """A composition table read with each pair swapped: (f, g) -> g∘f."""
+
+    def __init__(self, composition: Mapping):
+        self._composition = composition
+
+    def __getitem__(self, key):
+        f, g = key
+        return self._composition[(g, f)]
+
+    def __iter__(self):
+        return ((f, g) for g, f in self._composition)
+
+    def __len__(self):
+        return len(self._composition)
+
+
 def opposite_category(cat: FiniteCategory) -> FiniteCategory:
     morphs = tuple(Morphism(m.id, m.dst, m.src) for m in cat.morphisms)
-    comp = {(f, g): gf for (g, f), gf in cat.composition.items()}
-    return FiniteCategory(cat.objects, morphs, dict(cat.identity), comp)
+    return FiniteCategory(cat.objects, morphs, dict(cat.identity),
+                          _OppositeComposition(cat.composition))
 
 
 @dataclass(frozen=True)
@@ -74,10 +91,7 @@ def hom_with_sieve(a: Presheaf, sieve: Sieve) -> HomResult:
     comma = comma_of_sieve(a.site, sieve)
     shape = opposite_category(comma)
     nodes = {m: a.values[site_cat.morphism(m).src] for m in shape.objects}
-    edges = {}
-    for cm in comma.morphisms:
-        base = cm.id.split("|")[0]
-        edges[cm.id] = a.action[base]
+    edges = {cm.id: a.action[_comma_base(cm)] for cm in comma.morphisms}
     diagram = FiniteDiagram(shape, nodes, edges, trusted=True)
     limit = values.finite_limit(diagram, a.category)
     members = tuple(sorted(sieve.members))

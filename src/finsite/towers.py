@@ -205,34 +205,68 @@ class IsoVerdict:
         return "ISO" if self.iso else "NOT-ISO-AT-DEPTH"
 
 
-def _finset_local_inverse(f: LevelMorphism, j: int, i: int) -> bool:
-    """True when some u: Y_i -> X_j satisfies both bond-inverse triangles."""
-    if f.shift[i] > i or f.shift[j] > j:
-        return False
-    # components realized strictly at levels i and j
-    fi = compose(f.components[i], f.src.bond_composite(i, f.shift[i]))
-    fj = compose(f.components[j], f.src.bond_composite(j, f.shift[j]))
-    bond_x = f.src.bond_composite(i, j)
-    bond_y = f.dst.bond_composite(i, j)
+def _finset_local_inverse(fi, fj, image_j, down_x, down_y) -> bool:
+    """True when some u: Y_i -> X_j satisfies both bond-inverse triangles.
+
+    fi, fj are the components realized strictly at levels i and j, image_j
+    is the image of fj, and down_x, down_y send each element of X_i, Y_i to
+    its image under the bond composite down to level j."""
     # forced part: u(f_i(x)) = bond_x(x) must be consistent
     forced = {}
-    for xx in f.src.levels[i].elements:
+    for xx, v in down_x.items():
         y = fi(xx)
-        v = bond_x(xx)
         if y in forced and forced[y] != v:
             return False
         forced[y] = v
     # free part: bond_y(y) must lie in the image of f_j
-    image_j = {fj(xx) for xx in f.src.levels[j].elements}
-    for y in f.dst.levels[i].elements:
-        if y not in forced and bond_y(y) not in image_j:
+    for y, below in down_y.items():
+        if y not in forced and below not in image_j:
             return False
     # forced part must also satisfy the first triangle (automatic by the squares,
     # but cheap to confirm)
     for y, v in forced.items():
-        if fj(v) != bond_y(y):
+        if fj(v) != down_y[y]:
             return False
     return True
+
+
+def _finset_spans(f: LevelMorphism, d: int, ceiling: int):
+    """The first span (j, i) carrying a local inverse for each level j up to
+    the ceiling, and the first level without one (or None).
+
+    Each level's strict component and image is built once, and the bond
+    composites down to level j are extended one bond at a time as i grows, as
+    element lookups: no composite map is built for a candidate span."""
+    strict = {}
+
+    def strict_at(k):
+        hit = strict.get(k)
+        if hit is None:
+            fk = f.components[k] if f.shift[k] == k else compose(
+                f.components[k], f.src.bond_composite(k, f.shift[k]))
+            hit = strict[k] = fk, {fk(x) for x in f.src.levels[k].elements}
+        return hit
+
+    spans = []
+    for j in range(ceiling + 1):
+        if f.shift[j] > j:
+            return spans, j
+        fj, image_j = strict_at(j)
+        down_x = {x: x for x in f.src.levels[j].elements}
+        down_y = {y: y for y in f.dst.levels[j].elements}
+        for i in range(j, d + 1):
+            if i > j:
+                bx, by = f.src.bonds[i - 1]._lookup, f.dst.bonds[i - 1]._lookup
+                down_x = {x: down_x[bx[x]] for x in f.src.levels[i].elements}
+                down_y = {y: down_y[by[y]] for y in f.dst.levels[i].elements}
+            if f.shift[i] > i:
+                continue
+            if _finset_local_inverse(strict_at(i)[0], fj, image_j, down_x, down_y):
+                spans.append((j, i))
+                break
+        else:
+            return spans, j
+    return spans, None
 
 
 def strictified(f: LevelMorphism) -> LevelMorphism:
@@ -327,18 +361,11 @@ def is_iso_at_depth(f: LevelMorphism, depth: int | None = None, margin: int = 2)
     """
     d = f.dst.depth if depth is None else min(depth, f.dst.depth, f.src.depth)
     if f.src.category() == FINSET:
-        spans = []
         ceiling = max(0, d - margin)
-        for j in range(ceiling + 1):
-            found = None
-            for i in range(j, d + 1):
-                if f.shift[i] <= i and _finset_local_inverse(f, j, i):
-                    found = (j, i)
-                    break
-            if found is None:
-                return IsoVerdict(False, d, margin, tuple(spans), j,
-                                  f"no bond-inverse for level {j} within depth {d}")
-            spans.append(found)
+        spans, j = _finset_spans(f, d, ceiling)
+        if j is not None:
+            return IsoVerdict(False, d, margin, tuple(spans), j,
+                              f"no bond-inverse for level {j} within depth {d}")
         # Margin levels lack headroom for a full bond-inverse, but the image
         # condition needs none: whatever survives the target bonds from the
         # deepest level must already be hit.
@@ -550,32 +577,44 @@ def _stable_reindex(edges: Mapping[str, LevelMorphism], depth: int):
 
 
 def tower_colimit(shape: FiniteCategory, nodes: Mapping[str, Tower],
-                  edges: Mapping[str, LevelMorphism], depth: int | None = None) -> TowerColimit:
+                  edges: Mapping[str, LevelMorphism], depth: int | None = None,
+                  store: dict | None = None) -> TowerColimit:
     """Levelwise finite colimit of a finite diagram of towers.
 
     Edges are reindexed to a common nondecreasing shift first; the result
-    keeps the input depth, with bonds induced on colimit classes.  A level
-    whose node objects and edge maps equal those of the level below is the
-    same diagram and shares its ColimitResult, so a constant diagram of
-    towers costs one colimit, not depth + 1.
+    keeps the input depth, with bonds induced on colimit classes.  Level
+    colimits are kept in `store`, keyed by the level's edge maps in shape
+    order (every object has its identity edge, so these fix the nodes too):
+    a level whose diagram was colimited before, at another level or, when
+    the caller passes one store for one shape, in another call, shares that
+    ColimitResult.  So a constant diagram of towers costs one colimit, not
+    depth + 1.
     """
     if not nodes:
         raise EngineError("empty tower diagram needs a value category; use finite_colimit")
     d = min(t.depth for t in nodes.values()) if depth is None else depth
     phi = _stable_reindex(edges, d)
+    for u in shape.objects:
+        mid = shape.id_of(u)
+        if mid not in edges:
+            raise EngineError(f"diagram misses edge {mid!r}")
+        if edges[mid].src is not nodes[u] and edges[mid].src != nodes[u]:
+            raise EngineError(f"edge {mid!r} has wrong endpoints")
     cat = next(iter(nodes.values())).category()
+    if store is None:
+        store = {}
     results = []
-    prev = None
     for p in phi:
-        diagram = ({u: nodes[u].levels[p] for u in shape.objects},
-                   {mid: e.components[p] if e.shift[p] == p else
-                    compose(e.components[p], e.src.bond_composite(p, e.shift[p]))
-                    for mid, e in edges.items()})
-        if diagram == prev:
-            results.append(results[-1])
-            continue
-        results.append(values.finite_colimit(FiniteDiagram(shape, *diagram, trusted=True), cat))
-        prev = diagram
+        level_edges = {mid: e.components[p] if e.shift[p] == p else
+                       compose(e.components[p], e.src.bond_composite(p, e.shift[p]))
+                       for mid, e in edges.items()}
+        key = tuple(level_edges.get(m.id) for m in shape.morphisms)
+        hit = store.get(key)
+        if hit is None:
+            level_nodes = {u: nodes[u].levels[p] for u in shape.objects}
+            hit = store[key] = values.finite_colimit(
+                FiniteDiagram(shape, level_nodes, level_edges, trusted=True), cat)
+        results.append(hit)
     # class(u, x at phi(j + 1)) goes to class(u, bond(x)) at level j
     bonds = tuple(
         out_map(results[j + 1], {u: (nodes[u].bond_composite(phi[j + 1], phi[j]),
