@@ -19,6 +19,17 @@ from .spaces import builtin_demos, demo_by_name
 from .towers import is_rudimentary_at_depth
 
 
+def _count(text: str) -> int:
+    """The argparse type of --depth and --cases: a non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="finsite",
                                 description="exact (co)sheaf checks on finite sites")
@@ -29,14 +40,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("check-cosheaf", help="classify a precosheaf")
     q.add_argument("precosheaf")
-    q.add_argument("--depth", type=int, default=6)
+    q.add_argument("--depth", type=_count, default=6)
 
     q = sub.add_parser("check-sheaf", help="classify a presheaf")
     q.add_argument("presheaf")
 
     q = sub.add_parser("cosheafify", help="double plus construction")
     q.add_argument("precosheaf")
-    q.add_argument("--depth", type=int, default=6)
+    q.add_argument("--depth", type=_count, default=6)
     q.add_argument("--out")
 
     q = sub.add_parser("sheafify", help="double plus construction, presheaf side")
@@ -46,19 +57,19 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("costalk", help="costalk tower at a declared point")
     q.add_argument("precosheaf")
     q.add_argument("--point", required=True)
-    q.add_argument("--depth", type=int, default=6)
+    q.add_argument("--depth", type=_count, default=6)
 
     q = sub.add_parser("smooth", help="smoothness verdict")
     q.add_argument("precosheaf")
-    q.add_argument("--depth", type=int, default=6)
+    q.add_argument("--depth", type=_count, default=6)
 
     q = sub.add_parser("demo", help="run a named demo bundle")
     q.add_argument("name")
-    q.add_argument("--depth", type=int, default=6)
+    q.add_argument("--depth", type=_count, default=6)
 
     q = sub.add_parser("oracle-suite", help="randomized property suite")
     q.add_argument("--seed", type=int, default=0)
-    q.add_argument("--cases", type=int, default=25)
+    q.add_argument("--cases", type=_count, default=25)
     return p
 
 

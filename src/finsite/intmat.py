@@ -20,7 +20,9 @@ def shape(m: Matrix) -> tuple[int, int]:
     return (len(m), len(m[0]) if m else 0)
 
 
+@lru_cache(maxsize=64)
 def identity(n: int) -> Matrix:
+    """The n x n identity; one shared tuple per rank while it stays cached."""
     return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
@@ -92,14 +94,11 @@ def prune_columns(m: Matrix) -> Matrix:
         return m
     seen = set()
     keep = []
-    ncols = len(m[0])
-    for j in range(ncols):
-        col = tuple(row[j] for row in m)
-        if all(x == 0 for x in col) or col in seen:
-            continue
-        seen.add(col)
-        keep.append(j)
-    return tuple(tuple(row[j] for j in keep) for row in m)
+    for col in zip(*m):
+        if any(col) and col not in seen:
+            seen.add(col)
+            keep.append(col)
+    return tuple(zip(*keep)) if keep else tuple(() for _ in m)
 
 
 def reduce_presentation(n: int, rel: Matrix):

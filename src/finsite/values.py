@@ -265,9 +265,14 @@ def identity_map(obj):
 
 
 def compose(g, f):
-    """g ∘ f (apply f first)."""
+    """g ∘ f (apply f first).  On abelian groups an identity factor returns
+    the other factor itself."""
     if isinstance(f, FinSetMap):
         return FinSetMap(f.src, g.dst, tuple(zip(f.src.elements, _images((f, g)))))
+    if g.src is g.dst and g.matrix == intmat.identity(g.src.rank):
+        return f
+    if f.src is f.dst and f.matrix == intmat.identity(f.src.rank):
+        return g
     return FinAbMap(f.src, g.dst, _chain_matrix((f, g)))
 
 
@@ -282,14 +287,19 @@ def _images(chain) -> list:
 
 def _chain_matrix(chain) -> intmat.Matrix:
     """Matrix of the chain's composite (abelian groups; the chain lists its
-    maps in the order they apply)."""
-    if chain[-1].dst.rank == 0 or any(f.src.rank == 0 for f in chain):
-        # factoring through a trivial group: the zero map of the right shape
-        return intmat.zeros(chain[-1].dst.rank, chain[0].src.rank)
-    m = chain[0].matrix
-    for f in chain[1:]:
-        m = intmat.mul(f.matrix, m)
-    return m
+    maps in the order they apply).  Identity matrices are skipped, so an
+    all-identity chain gives the identity of its source rank."""
+    rows, cols = chain[-1].dst.rank, chain[0].src.rank
+    m = None
+    for f in chain:
+        n = f.src.rank
+        if n == 0 or rows == 0:
+            # factoring through a trivial group: the zero map of the right shape
+            return intmat.zeros(rows, cols)
+        if n == f.dst.rank and f.matrix == intmat.identity(n):
+            continue
+        m = f.matrix if m is None else intmat.mul(f.matrix, m)
+    return intmat.identity(cols) if m is None else m
 
 
 def maps_equal(f, g) -> bool:
@@ -443,10 +453,10 @@ class ColimitResult:
     obj: object
     cocone: Mapping[str, object]
     # FinAb assembly data: colimit presentations are Tietze-reduced, and maps
-    # out of the colimit are assembled blockwise on the unreduced generators
-    # and then pushed through `embed` (kept-generator selection matrix).
+    # out of the colimit are assembled blockwise on the unreduced generators,
+    # of which the columns of the `kept` generators are then selected.
     offsets: Mapping[str, int] | None = None
-    embed: intmat.Matrix | None = None
+    kept: tuple[int, ...] | None = None
     unreduced_rank: int | None = None
 
 
@@ -471,7 +481,8 @@ def out_map(colim: ColimitResult, node_maps: Mapping[str, object], dst):
         matrix = _chain_matrix(chain)
         for i in range(dst.rank):
             blocks[i][off:off + width] = matrix[i]
-    return FinAbMap(colim.obj, dst, intmat.mul(intmat.freeze(blocks), colim.embed))
+    kept = colim.kept
+    return FinAbMap(colim.obj, dst, tuple(tuple(row[k] for k in kept) for row in blocks))
 
 
 @dataclass(frozen=True)
@@ -572,8 +583,6 @@ def finite_colimit(diagram: FiniteDiagram, category: str | None = None) -> Colim
     relations = intmat.prune_columns(relations) if rel_cols else ()
     kept, new_rel, rewrite = intmat.reduce_presentation(total, relations)
     obj = FinAbObj(len(kept), new_rel)
-    embed_rows = [[1 if kept[j] == i else 0 for j in range(len(kept))] for i in range(total)]
-    embed = intmat.freeze(embed_rows) if total else ()
     cocone = {}
     for u in nodes:
         block = tuple(
@@ -581,7 +590,7 @@ def finite_colimit(diagram: FiniteDiagram, category: str | None = None) -> Colim
             for k in range(len(kept))
         )
         cocone[u] = FinAbMap(diagram.nodes[u], obj, block)
-    return ColimitResult(obj, cocone, offsets=offsets, embed=embed, unreduced_rank=total)
+    return ColimitResult(obj, cocone, offsets=offsets, kept=tuple(kept), unreduced_rank=total)
 
 
 def _matching_families(diagram: FiniteDiagram, nodes):

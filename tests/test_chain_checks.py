@@ -9,10 +9,10 @@ import random
 
 import pytest
 
-from finsite import towers
+from finsite import intmat, towers
 from finsite.category import pullback_sieve, refinement_search, sieve_levels
 from finsite.cosheaf import (PrecosheafMorphism, constant_precosheaf, identity_morphism,
-                             plus_cosheaf, tensor_with_sieve)
+                             is_smooth, plus_cosheaf, tensor_with_sieve)
 from finsite.errors import EngineError
 from finsite.randsuite import random_finab_precosheaf, random_finset_precosheaf, random_site
 from finsite.spaces import converging_sequence_site
@@ -232,6 +232,16 @@ def test_constructions_build_no_then_composite(monkeypatch, g):
     assert tensor_with_sieve(grown, sieve).tower.depth == 3
     assert thens == []
     assert composites == []
+
+
+def test_constant_z_smoothness_multiplies_few_matrices(monkeypatch):
+    # constant towers have identity bonds and the constant precosheaf has
+    # identity actions; chains skip those factors (22,149 products without)
+    site = converging_sequence_site(8)
+    a = constant_precosheaf(site, Z, 4)
+    products = _counting(monkeypatch, intmat, "mul")
+    assert is_smooth(a, 4).classification == "NOT-SMOOTH"
+    assert len(products) <= 3000
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,23 @@ def test_cli_oracle_suite_small(capsys):
     assert code == 0, out
 
 
+@pytest.mark.parametrize("argv", [
+    ["oracle-suite", "--cases", "-1"],
+    ["oracle-suite", "--cases", "x"],
+    ["demo", "pt-converging", "--depth", "-1"],
+    ["check-cosheaf", "doc.json", "--depth", "-2"],
+    ["cosheafify", "doc.json", "--depth", "-1"],
+    ["costalk", "doc.json", "--point", "pt:0", "--depth", "-1"],
+    ["smooth", "doc.json", "--depth", "1.5"],
+])
+def test_cli_negative_or_non_integer_count_is_parse_error(capsys, argv):
+    flag = argv[-2]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be a non-negative integer" in captured.err
+
+
 def test_cli_check_sheaf_and_sheafify(tmp_path, capsys):
     from finsite.sheaf import Presheaf
     from finsite.values import finset_map, finset as mkset
