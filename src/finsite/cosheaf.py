@@ -193,11 +193,20 @@ class TensorResult:
 def _map_out(col: TowerColimit, dst: Tower, routes) -> LevelMorphism:
     """Strict tower map out of a tower colimit of strict edges, from one
     chain of level morphisms per node into dst (listed in the order they
-    apply; the composite of each is never built)."""
-    comps = tuple(out_map(colim, {u: chain_components(chain, j)[1]
-                                  for u, chain in routes.items()}, dst.levels[j])
-                  for j, colim in enumerate(col.levels))
-    return LevelMorphism.strict(col.tower, dst, comps)
+    apply; the composite of each is never built).  A level whose colimit,
+    target level and chain components are the objects of the level below
+    reuses that level's component."""
+    comps = []
+    below = None
+    for j, colim in enumerate(col.levels):
+        chains = [chain_components(chain, j)[1] for chain in routes.values()]
+        if (j and colim is col.levels[j - 1] and dst.levels[j] is dst.levels[j - 1]
+                and all(f is g for c, b in zip(chains, below) for f, g in zip(c, b))):
+            comps.append(comps[-1])
+        else:
+            comps.append(out_map(colim, dict(zip(routes, chains)), dst.levels[j]))
+        below = chains
+    return LevelMorphism.strict(col.tower, dst, tuple(comps))
 
 
 def tensor_with_sieve(a: Precosheaf, sieve: Sieve) -> TensorResult:

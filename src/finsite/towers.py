@@ -15,7 +15,7 @@ from .category import FiniteCategory
 from .errors import EngineError, InsufficientDepth
 from .values import (FINSET, FinAbMap, FinAbObj, FinSetObj, FiniteDiagram,
                      category_of, chains_equal, classify_map, commutes, compose,
-                     identity_map, is_zero_map, maps_equal, out_map)
+                     identity_map, is_zero_map, map_key, maps_equal, out_map)
 
 
 @dataclass(frozen=True)
@@ -28,8 +28,11 @@ class Tower:
             raise EngineError("a tower needs at least one level")
         if len(self.bonds) != len(self.levels) - 1:
             raise EngineError("a tower of depth d needs exactly d bonds")
+        levels = self.levels
         for k, b in enumerate(self.bonds):
-            if b.src != self.levels[k + 1] or b.dst != self.levels[k]:
+            # identity first: the generated dataclass __eq__ is a Python-level call
+            if ((b.src is not levels[k + 1] and b.src != levels[k + 1])
+                    or (b.dst is not levels[k] and b.dst != levels[k])):
                 raise EngineError(f"bond {k} has wrong endpoints")
 
     @property
@@ -89,13 +92,20 @@ class LevelMorphism:
         if self.shift[-1] > self.src.depth:
             raise EngineError("shift exceeds the source depth")
         for j, f in enumerate(self.components):
-            if f.src != self.src.levels[self.shift[j]] or f.dst != self.dst.levels[j]:
+            src, dst = self.src.levels[self.shift[j]], self.dst.levels[j]
+            if (f.src is not src and f.src != src) or (f.dst is not dst and f.dst != dst):
                 raise EngineError(f"component {j} has wrong endpoints")
+        # a square whose four maps are the objects of the square just checked
+        # states the same equation, so it is decided once
+        last = (None,) * 4
         for j in range(d):
-            if not commutes(self.components[j],
-                            self.src.bond_composite(self.shift[j + 1], self.shift[j]),
-                            self.dst.bonds[j], self.components[j + 1]):
+            g1, f1 = self.components[j], self.src.bond_composite(self.shift[j + 1], self.shift[j])
+            g2, f2 = self.dst.bonds[j], self.components[j + 1]
+            if g1 is last[0] and f1 is last[1] and g2 is last[2] and f2 is last[3]:
+                continue
+            if not commutes(g1, f1, g2, f2):
                 raise EngineError(f"level morphism squares fail at level {j}")
+            last = (g1, f1, g2, f2)
 
     @staticmethod
     def strict(src: Tower, dst: Tower, components) -> "LevelMorphism":
@@ -583,45 +593,62 @@ def tower_colimit(shape: FiniteCategory, nodes: Mapping[str, Tower],
 
     Edges are reindexed to a common nondecreasing shift first; the result
     keeps the input depth, with bonds induced on colimit classes.  Level
-    colimits are kept in `store`, keyed by the level's edge maps in shape
-    order (every object has its identity edge, so these fix the nodes too):
-    a level whose diagram was colimited before, at another level or, when
-    the caller passes one store for one shape, in another call, shares that
-    ColimitResult.  So a constant diagram of towers costs one colimit, not
-    depth + 1.
+    colimits are kept in `store`, keyed by the `map_key`s of the level's edge
+    maps in shape order (every object has its identity edge, so these fix the
+    nodes too): a level whose diagram was colimited before, at another level
+    or, when the caller passes one store for one shape, in another call,
+    shares that ColimitResult.  So a constant diagram of towers costs one
+    colimit, not depth + 1.  A level whose edge maps are the very objects of
+    the level below shares its colimit without a key being built, and a bond
+    between such levels whose node bonds are the objects of the bond below
+    is that bond.
     """
     if not nodes:
         raise EngineError("empty tower diagram needs a value category; use finite_colimit")
     d = min(t.depth for t in nodes.values()) if depth is None else depth
     phi = _stable_reindex(edges, d)
+    order = tuple(m.id for m in shape.morphisms)
+    for mid in order:
+        if mid not in edges:  # map_key must never see a missing edge
+            raise EngineError(f"diagram misses edge {mid!r}")
     for u in shape.objects:
         mid = shape.id_of(u)
-        if mid not in edges:
-            raise EngineError(f"diagram misses edge {mid!r}")
         if edges[mid].src is not nodes[u] and edges[mid].src != nodes[u]:
             raise EngineError(f"edge {mid!r} has wrong endpoints")
+    shape_edges = tuple(edges[mid] for mid in order)
     cat = next(iter(nodes.values())).category()
     if store is None:
         store = {}
     results = []
+    maps_below = None
     for p in phi:
-        level_edges = {mid: e.components[p] if e.shift[p] == p else
-                       compose(e.components[p], e.src.bond_composite(p, e.shift[p]))
-                       for mid, e in edges.items()}
-        key = tuple(level_edges.get(m.id) for m in shape.morphisms)
-        hit = store.get(key)
-        if hit is None:
-            level_nodes = {u: nodes[u].levels[p] for u in shape.objects}
-            hit = store[key] = values.finite_colimit(
-                FiniteDiagram(shape, level_nodes, level_edges, trusted=True), cat)
+        maps = tuple(e.components[p] if e.shift[p] == p else
+                     compose(e.components[p], e.src.bond_composite(p, e.shift[p]))
+                     for e in shape_edges)
+        if maps_below is None or any(f is not g for f, g in zip(maps, maps_below)):
+            key = tuple(map(map_key, maps))
+            hit = store.get(key)
+            if hit is None:
+                level_nodes = {u: nodes[u].levels[p] for u in shape.objects}
+                hit = store[key] = values.finite_colimit(
+                    FiniteDiagram(shape, level_nodes, dict(zip(order, maps)), trusted=True), cat)
         results.append(hit)
+        maps_below = maps
     # class(u, x at phi(j + 1)) goes to class(u, bond(x)) at level j
-    bonds = tuple(
-        out_map(results[j + 1], {u: (nodes[u].bond_composite(phi[j + 1], phi[j]),
-                                     results[j].cocone[u])
-                                 for u in shape.objects}, results[j].obj)
-        for j in range(d))
-    tower = Tower(tuple(r.obj for r in results), bonds)
+    bonds = []
+    node_bonds_below = None
+    for j in range(d):
+        node_bonds = tuple(nodes[u].bond_composite(phi[j + 1], phi[j]) for u in shape.objects)
+        if (j and results[j + 1] is results[j] and results[j] is results[j - 1]
+                and all(f is g for f, g in zip(node_bonds, node_bonds_below))):
+            bonds.append(bonds[-1])
+        else:
+            bonds.append(out_map(results[j + 1],
+                                 {u: (b, results[j].cocone[u])
+                                  for u, b in zip(shape.objects, node_bonds)},
+                                 results[j].obj))
+        node_bonds_below = node_bonds
+    tower = Tower(tuple(r.obj for r in results), tuple(bonds))
     cocone = {u: LevelMorphism(nodes[u], tower, phi, tuple(r.cocone[u] for r in results))
               for u in shape.objects}
     return TowerColimit(tower, cocone, tuple(results))

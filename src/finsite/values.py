@@ -302,6 +302,15 @@ def _chain_matrix(chain) -> intmat.Matrix:
     return intmat.identity(cols) if m is None else m
 
 
+def map_key(f) -> tuple:
+    """A plain tuple that equals another map's key exactly when the two maps
+    are equal as dataclasses; hashing it runs no generated dataclass code.
+    The FinSet and FinAb keys differ in length, so they never meet."""
+    if isinstance(f, FinSetMap):
+        return (f.src.elements, f.dst.elements, f.table)
+    return (f.src.rank, f.src.relations, f.dst.rank, f.dst.relations, f.matrix)
+
+
 def maps_equal(f, g) -> bool:
     """Equality as morphisms (FinAb: congruence modulo target relations)."""
     if f.src != g.src or f.dst != g.dst:
@@ -425,7 +434,8 @@ class FiniteDiagram:
             e = self.edges.get(m.id)
             if e is None:
                 raise EngineError(f"diagram misses edge {m.id!r}")
-            if e.src != self.nodes[m.src] or e.dst != self.nodes[m.dst]:
+            src, dst = self.nodes[m.src], self.nodes[m.dst]
+            if (e.src is not src and e.src != src) or (e.dst is not dst and e.dst != dst):
                 raise EngineError(f"edge {m.id!r} has wrong endpoints")
         if self.trusted:
             return

@@ -1,0 +1,182 @@
+"""Work done once per repeated tower level.
+
+Constant precosheaves give towers whose levels repeat the level below, as the
+very same objects.  `tower_colimit` keys its level colimits on plain tuples
+(`values.map_key`) and shares a level, or a bond, whose maps are the objects
+of the one below; `_map_out` shares a component the same way; and a level
+morphism decides a square that repeats the one before it once.  Each test
+pins the shared result to what the unshared construction gives, or pins how
+much work is left.
+"""
+
+import random
+
+import pytest
+
+from finsite import cosheaf, towers, values
+from finsite.category import generated_sieves, poset_category
+from finsite.cosheaf import constant_precosheaf, cosheafify, tensor_with_sieve
+from finsite.errors import EngineError
+from finsite.randsuite import (random_finab_precosheaf, random_finset_precosheaf,
+                               random_site)
+from finsite.spaces import converging_sequence_site, site_points
+from finsite.towers import LevelMorphism, Tower, tower_colimit
+from finsite.values import (FinAbMap, FinAbObj, FinSetMap, FinSetObj, finset, finset_map,
+                            free_ab, map_key)
+
+
+def _random_maps():
+    rng = random.Random(3)
+    maps = []
+    for _ in range(6):
+        spec = random_site(rng)
+        for a in (random_finset_precosheaf(spec, rng), random_finab_precosheaf(spec, rng)):
+            maps.extend(a.action[m].components[0] for m in sorted(a.action))
+    return maps
+
+
+def _rebuilt(f):
+    """An equal map made of no object of f."""
+    if isinstance(f, FinSetMap):
+        return FinSetMap(FinSetObj(tuple(f.src.elements)), FinSetObj(tuple(f.dst.elements)),
+                         tuple(f.table))
+    return FinAbMap(FinAbObj(f.src.rank, f.src.relations), FinAbObj(f.dst.rank, f.dst.relations),
+                    tuple(f.matrix))
+
+
+def _near_misses(f):
+    """Maps that share f's table or matrix but differ from f."""
+    if isinstance(f, FinSetMap):
+        wider = FinSetObj(f.dst.elements + ("extra",))
+        return [FinSetMap(f.src, wider, f.table)]
+    out = []
+    if f.dst.rank:
+        other = ((7,),) + tuple((0,) for _ in range(f.dst.rank - 1))
+        out.append(FinAbMap(f.src, FinAbObj(f.dst.rank, other), f.matrix))
+    return out
+
+
+def test_map_key_is_equal_exactly_when_the_maps_are():
+    maps = _random_maps()
+    point, z = finset("*"), free_ab(1)
+    pool = [*maps, *map(_rebuilt, maps), *(g for f in maps for g in _near_misses(f)),
+            values.identity_map(point), values.identity_map(z)]
+    assert any(isinstance(f, FinSetMap) for f in pool) and any(isinstance(f, FinAbMap) for f in pool)
+    assert len(pool) > 100
+    for f in pool:
+        for g in pool:
+            assert (map_key(f) == map_key(g)) == (f == g)
+
+
+def test_map_key_tells_the_near_misses_apart():
+    f = finset_map(finset("a", "b"), finset("0", "1"), {"a": "0", "b": "1"})
+    g = finset_map(finset("a", "b"), finset("0", "1", "2"), {"a": "0", "b": "1"})
+    assert map_key(f) != map_key(g)
+    z2 = FinAbObj(1, ((2,),))
+    h = FinAbMap(free_ab(1), free_ab(1), ((1,),))
+    k = FinAbMap(free_ab(1), z2, ((1,),))
+    assert map_key(h) != map_key(k)
+    assert map_key(values.identity_map(finset("*"))) != map_key(values.identity_map(free_ab(1)))
+
+
+def _wedge(value, depth):
+    """A constant tower on `value` glued along the constant tower on a point."""
+    point = finset("*") if isinstance(value, FinSetObj) else free_ab(1)
+    leg = (finset_map(point, value, {"*": value.elements[0]}) if isinstance(value, FinSetObj)
+           else values.finab_map(point, value, [[1]] + [[0]] * (value.rank - 1)))
+    shape = poset_category(("s", "w"), [("w", "s")])
+    nodes = {"s": Tower.constant(value, depth), "w": Tower.constant(point, depth)}
+    edges = {"s<s": LevelMorphism.identity(nodes["s"]),
+             "w<w": LevelMorphism.identity(nodes["w"]),
+             "w<s": LevelMorphism.strict(nodes["w"], nodes["s"], (leg,) * (depth + 1))}
+    return shape, nodes, edges
+
+
+def test_a_missing_edge_is_an_input_error():
+    shape, nodes, edges = _wedge(finset("0", "1"), 2)
+    del edges["w<s"]
+    with pytest.raises(EngineError, match="diagram misses edge 'w<s'"):
+        tower_colimit(shape, nodes, edges, 2)
+    with pytest.raises(EngineError, match="diagram misses edge 'w<s'"):
+        tower_colimit(shape, nodes, edges, 2, {})
+
+
+def _raise(self):
+    raise AssertionError("a map was hashed")
+
+
+@pytest.mark.parametrize("value", [finset("0", "1"), free_ab(2)], ids=["finset", "finab"])
+def test_tower_colimit_hashes_no_map(monkeypatch, value):
+    shape, nodes, edges = _wedge(value, 3)
+    expected = tower_colimit(shape, nodes, edges, 3)
+    monkeypatch.setattr(FinSetMap, "__hash__", _raise)
+    monkeypatch.setattr(FinAbMap, "__hash__", _raise)
+    res = tower_colimit(shape, nodes, edges, 3)
+    assert res.tower == expected.tower
+    assert res.cocone == expected.cocone
+
+
+def _counting(monkeypatch, name, modules):
+    calls = []
+    original = getattr(values, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("value", [finset("*"), free_ab(1)], ids=["point", "Z"])
+def test_repeated_levels_share_colimit_bond_and_component(monkeypatch, value):
+    spec = converging_sequence_site(6)
+    a = constant_precosheaf(spec, value, 4, site_points(spec))
+    sieve = next(s for s in generated_sieves(spec, "X", 3) if s.members)
+    colimits = _counting(monkeypatch, "finite_colimit", (values,))
+    t = tensor_with_sieve(a, sieve)
+    monkeypatch.undo()
+    assert len(colimits) == 1
+    levels, bonds, comps = t.colimit.levels, t.tower.bonds, t.compare.components
+    assert all(r is levels[0] for r in levels)
+    assert all(b is bonds[0] for b in bonds)
+    assert all(c is comps[0] for c in comps)
+    # the shared bond and component are the ones built without sharing
+    cat = spec.category
+    bond = values.out_map(levels[0], {m: (a.values[cat.morphism(m).src].bonds[0],
+                                          levels[0].cocone[m]) for m in levels[0].cocone},
+                          levels[0].obj)
+    assert bond == bonds[0]
+    comp = values.out_map(levels[0], {m: a.action[m].components[0] for m in levels[0].cocone},
+                          a.values[sieve.target].levels[0])
+    assert comp == comps[0]
+
+
+def test_a_constant_tower_morphism_checks_one_square(monkeypatch):
+    two, three = finset("0", "1"), finset("a", "b", "c")
+    f = finset_map(two, three, {"0": "a", "1": "b"})
+    calls = _counting(monkeypatch, "commutes", (towers,))
+    LevelMorphism.strict(Tower.constant(two, 5), Tower.constant(three, 5), (f,) * 6)
+    assert len(calls) == 1
+
+
+def test_a_distinct_failing_square_after_repeated_ones_is_named(monkeypatch):
+    two, three = finset("0", "1"), finset("a", "b", "c")
+    f = finset_map(two, three, {"0": "a", "1": "b"})
+    g = finset_map(two, three, {"0": "a", "1": "c"})
+    calls = _counting(monkeypatch, "commutes", (towers,))
+    with pytest.raises(EngineError, match="squares fail at level 2"):
+        LevelMorphism.strict(Tower.constant(two, 3), Tower.constant(three, 3), (f, f, f, g))
+    assert len(calls) == 2
+
+
+def test_cosheafify_of_the_point_counts(monkeypatch):
+    modules = (values, towers, cosheaf)
+    squares = _counting(monkeypatch, "commutes", modules)
+    maps_out = _counting(monkeypatch, "out_map", modules)
+    spec = converging_sequence_site(8)
+    result = cosheafify(constant_precosheaf(spec, finset("*"), 4, site_points(spec)), 4)
+    assert result.report.verdict == "PASS"
+    assert len(squares) <= 3000      # 4,396 when every repeated square was decided again
+    assert len(maps_out) <= 1400     # 1,656 when every repeated level built its own
