@@ -12,10 +12,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from . import intmat, values
+from . import values
 from .category import (Cover, FiniteCategory, Morphism, Sieve, SiteSpec,
-                       _comma_base, comma_of_sieve, distinct_covers, refinement_search,
-                       sieve_from_cover, sieve_levels)
+                       _comma_base, comma_of_sieve, distinct_covers, poset_category,
+                       refinement_search, sieve_from_cover, sieve_levels)
 from .errors import EngineError, InsufficientDepth, SiteError
 from .report import CheckReport
 from .towers import (LevelMorphism, Tower, TowerColimit, _stable_reindex, chain_components,
@@ -117,8 +117,7 @@ def _lift_finset_value(raw) -> FinSetObj:
 def _lift_finab_value(raw) -> FinAbObj:
     if isinstance(raw, FinAbObj):
         return raw
-    gens, rels = raw
-    return FinAbObj(gens, intmat.freeze(rels) if rels else ())
+    return FinAbObj(*raw)
 
 
 def precosheaf_from_tables(site: SiteSpec, category: str, value_tables: Mapping,
@@ -822,37 +821,25 @@ def universal_factorization_check(a: Precosheaf, b: Precosheaf, f: PrecosheafMor
 
 
 def coproduct(a: Precosheaf, b: Precosheaf) -> Precosheaf:
-    """Objectwise coproduct with block actions (values must be rudimentary)."""
+    """Objectwise coproduct: at each object the tower colimit of the two
+    values over a discrete shape, with the induced actions."""
     if a.category != b.category:
         raise EngineError("coproduct across value categories")
-    site = a.site
-    d = a.depth
-    if a.category == FINSET:
-        tables = {}
-        for u in site.category.objects:
-            tables[u] = tuple(f"a:{x}" for x in a.values[u].levels[0].elements) + tuple(
-                f"b:{x}" for x in b.values[u].levels[0].elements)
-        action = {}
-        for m in site.category.morphisms:
-            fa = a.action[m.id].components[0]
-            fb = b.action[m.id].components[0]
-            table = {f"a:{x}": f"a:{fa(x)}" for x in fa.src.elements}
-            table.update({f"b:{x}": f"b:{fb(x)}" for x in fb.src.elements})
-            action[m.id] = table
-        return precosheaf_from_tables(site, FINSET, tables, action, d, a.points)
-    tables = {u: values.direct_sum([a.values[u].levels[0], b.values[u].levels[0]])
-              for u in site.category.objects}
-    action = {}
-    for m in site.category.morphisms:
-        fa = a.action[m.id].components[0]
-        fb = b.action[m.id].components[0]
-        rows = []
-        for i in range(fa.dst.rank):
-            rows.append(list(fa.matrix[i]) + [0] * fb.src.rank)
-        for i in range(fb.dst.rank):
-            rows.append([0] * fa.src.rank + list(fb.matrix[i]))
-        action[m.id] = intmat.freeze(rows)
-    return precosheaf_from_tables(site, FINAB, tables, action, d, a.points)
+    if a.depth != b.depth:
+        raise EngineError("coproduct of precosheaves of different depths")
+    pair = poset_category(("a", "b"), ())
+    store = {}
+    sums = {}
+    for u in a.site.category.objects:
+        nodes = {"a": a.values[u], "b": b.values[u]}
+        edges = {pair.id_of(v): LevelMorphism.identity(t) for v, t in nodes.items()}
+        sums[u] = tower_colimit(pair, nodes, edges, a.depth, store)
+    action = {m.id: _map_out(sums[m.src], sums[m.dst].tower,
+                             {"a": (a.action[m.id], sums[m.dst].cocone["a"]),
+                              "b": (b.action[m.id], sums[m.dst].cocone["b"])})
+              for m in a.site.category.morphisms}
+    return Precosheaf(a.site, a.category, a.depth, {u: s.tower for u, s in sums.items()},
+                      action, a.points)
 
 
 def objectwise_kernel(f: PrecosheafMorphism) -> Precosheaf:

@@ -218,12 +218,11 @@ def random_finab_morphism(spec: SiteSpec, rng: random.Random, depth: int = 0
 def oracle_suite(seed: int = 0, cases: int = 25):
     """Randomized cross-validation: fast/slow defect agreement and the plus
     construction laws on both sides, over seeded random open-set sites."""
-    from .cosheaf import (check_cosheaf, cosheaf_defect, defect_agreement,
-                          plus_cosheaf)
+    from .cosheaf import check_cosheaf, defect_agreement, plus_cosheaf
     from .category import distinct_covers, validate_site
     from .report import CheckReport
     from .sheaf import check_sheaf, plus_sheaf
-    from .towers import equal_at_depth, is_iso_at_depth
+    from .towers import is_iso_at_depth
     from .values import classify_map
 
     rng = random.Random(seed)

@@ -7,16 +7,15 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 
-from . import intmat, values
+from . import values
 from .category import (FiniteCategory, Morphism, Sieve, SiteSpec,
                        _comma_base, comma_of_sieve, common_refinement, distinct_covers,
                        sieve_from_cover, sieve_levels)
 from .cosheaf import PointFilter, Precosheaf
 from .errors import EngineError, SiteError
 from .report import CheckReport
-from .values import (FINAB, FINSET, FinAbMap, FinSetMap, FinSetObj, FiniteDiagram,
-                     classify_map, compose, direct_sum, identity_map, into_limit,
-                     maps_equal, unique_map_to_terminal)
+from .values import (FINSET, FinSetMap, FinSetObj, FiniteDiagram, classify_map, compose,
+                     identity_map, into_limit, maps_equal, unique_map_to_terminal)
 
 
 @dataclass(frozen=True)
@@ -250,32 +249,18 @@ def _hom_label(f: FinSetMap) -> str:
 
 
 def presheaf_product(a: Presheaf, b: Presheaf) -> Presheaf:
-    """Objectwise product with componentwise restrictions."""
+    """Objectwise product: at each object the limit of the two values over a
+    discrete shape, with the induced restrictions."""
     if a.category != b.category:
         raise EngineError("product across value categories")
     site = a.site
-    if a.category == FINSET:
-        vals = {}
-        for u in site.category.objects:
-            vals[u] = FinSetObj(tuple(
-                f"<{x}|{y}>" for x in a.values[u].elements for y in b.values[u].elements))
-        action = {}
-        for m in site.category.morphisms:
-            fa, fb = a.action[m.id], b.action[m.id]
-            table = {}
-            for x in fa.src.elements:
-                for y in fb.src.elements:
-                    table[f"<{x}|{y}>"] = f"<{fa(x)}|{fb(y)}>"
-            action[m.id] = FinSetMap(vals[m.dst], vals[m.src], tuple(table.items()))
-        return Presheaf(site, FINSET, vals, action, a.points)
-    vals = {u: direct_sum([a.values[u], b.values[u]]) for u in site.category.objects}
+    prods = {u: values.finite_limit(values._diagram({"a": a.values[u], "b": b.values[u]}))
+             for u in site.category.objects}
     action = {}
     for m in site.category.morphisms:
-        fa, fb = a.action[m.id], b.action[m.id]
-        rows = []
-        for i in range(fa.dst.rank):
-            rows.append(list(fa.matrix[i]) + [0] * fb.src.rank)
-        for i in range(fb.dst.rank):
-            rows.append([0] * fa.src.rank + list(fb.matrix[i]))
-        action[m.id] = FinAbMap(vals[m.dst], vals[m.src], intmat.freeze(rows))
-    return Presheaf(site, FINAB, vals, action, a.points)
+        # restriction along m: U -> V, from the product at V to the one at U
+        src = prods[m.dst]
+        action[m.id] = into_limit(prods[m.src], src.obj,
+                                  {"a": compose(a.action[m.id], src.cone["a"]),
+                                   "b": compose(b.action[m.id], src.cone["b"])})
+    return Presheaf(site, a.category, {u: p.obj for u, p in prods.items()}, action, a.points)

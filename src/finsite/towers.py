@@ -532,20 +532,10 @@ def is_rudimentary_at_depth(x: Tower, depth: int | None = None, window: int = 3)
             if len(set(mapped)) != len(src) or len(src) != len(dst):
                 return RudVerdict(False, d, w, profile)
         return RudVerdict(True, d, w, profile, stable_index=max(0, d - w))
-    # FinAb: image subgroup presented on the deepest level's generators.
-    images = []
+    # FinAb: the image of X_d in X_k, presented on X_d's generators modulo
+    # the kernel of the bond composite
     n = x.levels[d].rank
-    for k in range(d + 1):
-        if x.levels[k].rank == 0:  # an empty matrix has lost its column count
-            images.append(FinAbObj(n, intmat.identity(n)))
-            continue
-        comp = x.bond_composite(d, k)
-        lat = x.levels[k].relation_matrix()
-        # relations of the image: z with comp·z in the relation lattice
-        stacked = intmat.hstack(comp.matrix, intmat.neg(lat)) if intmat.shape(lat)[1] else comp.matrix
-        null = intmat.nullspace(stacked)
-        rel = tuple(row[: intmat.shape(null)[1]] for row in null[:n]) if null else ()
-        images.append(FinAbObj(n, rel if rel and intmat.shape(rel)[1] else ()))
+    images = [FinAbObj(n, values.kernel(x.bond_composite(d, k))[1].matrix) for k in range(d + 1)]
     profile = tuple(img.invariants() for img in images)
     for k in range(d - w, d):
         ident = FinAbMap(images[k + 1], images[k], intmat.identity(images[k + 1].rank))

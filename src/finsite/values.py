@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import intmat
-from .category import FiniteCategory
+from .category import FiniteCategory, Morphism
 from .errors import EngineError, HeterogeneousDiagram
 
 FINSET = "finset"
@@ -146,20 +146,25 @@ class FinAbObj:
 class FinAbMap:
     """Integer matrix between generator spaces.
 
-    Construction checks only the shape; use finab_map() at trust boundaries
-    to verify that the matrix carries source relations into the target
-    relation lattice (compositions and block assemblies of well-defined maps
-    are well defined and skip that solve)."""
+    Construction checks only the shape, and that the matrix is a tuple of
+    row tuples (it is not copied); use finab_map() at trust boundaries to
+    freeze a matrix and verify that it carries source relations into the
+    target relation lattice (compositions and block assemblies of
+    well-defined maps are well defined and skip that solve)."""
 
     src: FinAbObj
     dst: FinAbObj
     matrix: intmat.Matrix
 
     def __post_init__(self):
-        m = intmat.freeze(self.matrix) if self.matrix else tuple(() for _ in range(self.dst.rank))
-        if len(m) != self.dst.rank or (m and any(len(r) != self.src.rank for r in m)):
+        m = self.matrix
+        if m == ():
+            m = tuple(() for _ in range(self.dst.rank))
+            object.__setattr__(self, "matrix", m)
+        n = self.src.rank
+        if type(m) is not tuple or len(m) != self.dst.rank or any(
+                type(r) is not tuple or len(r) != n for r in m):
             raise EngineError("matrix shape does not match generator counts")
-        object.__setattr__(self, "matrix", m)
 
     def is_well_defined(self) -> bool:
         srel = self.src.relation_matrix()
@@ -699,39 +704,28 @@ class SetPairings:
     projections: tuple
 
 
+def _diagram(nodes: Mapping[str, object], arrows=()) -> FiniteDiagram:
+    """A diagram whose non-identity arrows compose with identities only,
+    given as (id, source node, target node, map).  With no arrows, its
+    colimit is the coproduct of the nodes and its limit their product."""
+    identity = {v: f"id:{v}" for v in nodes}
+    morphisms = [Morphism(i, v, v) for v, i in identity.items()]
+    edges = {i: identity_map(nodes[v]) for v, i in identity.items()}
+    for i, src, dst, e in arrows:
+        morphisms.append(Morphism(i, src, dst))
+        edges[i] = e
+    shape = FiniteCategory(tuple(nodes), tuple(morphisms), identity, {})
+    return FiniteDiagram(shape, nodes, edges, trusted=True)
+
+
 def set_pairings(g, z: FinSetObj) -> SetPairings:
-    """Tensor = coproduct of |Z| copies of G; power = product of |Z| copies."""
-    zs = z.elements
-    if isinstance(g, FinSetObj):
-        tensor = FinSetObj(tuple(f"{t}:{x}" for t in zs for x in g.elements))
-        injections = tuple(
-            FinSetMap(g, tensor, tuple((x, f"{t}:{x}") for x in g.elements)) for t in zs
-        )
-        power_elems = []
-        tables = []
-        for combo in itertools.product(g.elements, repeat=len(zs)):
-            power_elems.append("(" + ",".join(f"{t}->{v}" for t, v in zip(zs, combo)) + ")")
-            tables.append(dict(zip(zs, combo)))
-        power = FinSetObj(tuple(power_elems))
-        by_id = dict(zip(power_elems, tables))
-        projections = tuple(
-            FinSetMap(power, g, tuple((e, by_id[e][t]) for e in power.elements)) for t in zs
-        )
-        return SetPairings(tensor, injections, power, projections)
-    n = g.rank
-    count = len(zs)
-    big = direct_sum([g] * count)
-    injections = []
-    projections = []
-    for b in range(count):
-        inj = [[0] * n for _ in range(n * count)]
-        proj = [[0] * (n * count) for _ in range(n)]
-        for i in range(n):
-            inj[b * n + i][i] = 1
-            proj[i][b * n + i] = 1
-        injections.append(FinAbMap(g, big, intmat.freeze(inj)))
-        projections.append(FinAbMap(big, g, intmat.freeze(proj)))
-    return SetPairings(big, tuple(injections), big, tuple(projections))
+    """Tensor = coproduct of |Z| copies of G; power = product of |Z| copies.
+    Injections and projections are listed in Z order."""
+    diagram = _diagram({t: g for t in z.elements})
+    tensor = finite_colimit(diagram, category_of(g))
+    power = finite_limit(diagram, category_of(g))
+    return SetPairings(tensor.obj, tuple(tensor.cocone[t] for t in z.elements),
+                       power.obj, tuple(power.cone[t] for t in z.elements))
 
 
 @dataclass(frozen=True)
@@ -746,90 +740,45 @@ def functor_pairings(a: FiniteDiagram, b: FiniteDiagram, f: FiniteDiagram) -> Fu
     `a` is a covariant diagram in either value category, `b` a covariant
     FinSet diagram on the same shape, `f` a FinSet diagram on the opposite
     shape (edge for morphism m goes from the node at dst(m) to src(m)).
+
+    Both are finite (co)limits (Mac Lane, CWM IX.5-6).  The end is the limit
+    of A(U)^{B(U)} at node "0:U" per object U and A(dst m)^{B(src m)} at node
+    "1:m" per non-identity morphism m, with an arrow into "1:m" from each
+    end of m (composing with A(m) and with B(m)); the coend is the colimit
+    of A(U) ⊗ F(U) and A(src m) ⊗ F(dst m) over the same arrows reversed
+    (composing with F(m) and with A(m)).  Object nodes sort first, so a
+    finite-set end branches on them and the morphism nodes are forced.
     """
     shape = a.shape
     if b.shape.objects != shape.objects or f.shape.objects != shape.objects:
         raise EngineError("pairing diagrams must share the shape's objects")
     cat = a.category() or FINSET
-    nodes = sorted(shape.objects)
-    if cat == FINSET:
-        # end: families phi_U in A(U)^{B(U)} natural in U
-        all_tables = []
-        for u in nodes:
-            all_tables.append(hom_set(b.nodes[u], a.nodes[u]))
-        end_elems = []
-        for combo in itertools.product(*all_tables) if nodes else [()]:
-            phi = dict(zip(nodes, combo))
-            ok = True
-            for m in shape.morphisms:
-                au, bu = a.edges[m.id], b.edges[m.id]
-                if not commutes(au, phi[m.src], phi[m.dst], bu):
-                    ok = False
-                    break
-            if ok:
-                end_elems.append(
-                    "(" + ";".join(
-                        u + ":" + ",".join(f"{x}->{phi[u](x)}" for x in b.nodes[u].elements)
-                        for u in nodes) + ")")
-        end = FinSetObj(tuple(end_elems))
-        # coend: quotient of ∐_U A(U) x F(U)
-        items = [(u, x, y) for u in nodes for x in a.nodes[u].elements for y in f.nodes[u].elements]
-        pairs = []
-        for m in shape.morphisms:
-            # element (x in A(src), y in F(dst)): identify (src, x, F(m)(y)) with (dst, A(m)(x), y)
-            am, fm = a.edges[m.id], f.edges[m.id]
-            for x in a.nodes[m.src].elements:
-                for y in f.nodes[m.dst].elements:
-                    pairs.append(((m.src, x, fm(y)), (m.dst, am(x), y)))
-        groups = _union_find_classes(items, pairs)
-        coend = FinSetObj(tuple(f"q{i}" for i in range(len(groups))))
-        return FunctorPairings(end, coend)
-    # FinAb values in `a`
-    powers = {u: set_pairings(a.nodes[u], b.nodes[u]) for u in nodes}
-    starts, total, prod_rels = block_relations([powers[u].power for u in nodes])
-    offsets = dict(zip(nodes, starts))
-    rows = []
-    tgt_blocks = []
+    powers = {f"0:{u}": finite_limit(_diagram({x: a.nodes[u] for x in b.nodes[u].elements}), cat)
+              for u in shape.objects}
+    tensors = {f"0:{u}": finite_colimit(_diagram({y: a.nodes[u] for y in f.nodes[u].elements}), cat)
+               for u in shape.objects}
+    end_arrows, coend_arrows = [], []
     for m in shape.morphisms:
-        am, bm = a.edges[m.id], b.edges[m.id]
-        for bi, belem in enumerate(b.nodes[m.src].elements):
-            tgt_blocks.append(a.nodes[m.dst])
-            for i in range(a.nodes[m.dst].rank):
-                row = [0] * total
-                # postcompose A(m) with phi_src at belem ...
-                src_proj = powers[m.src].projections[bi]
-                comp = compose(am, src_proj)
-                for jj in range(powers[m.src].power.rank):
-                    row[offsets[m.src] + jj] += comp.matrix[i][jj]
-                # ... minus phi_dst at B(m)(belem)
-                target_index = b.nodes[m.dst].elements.index(bm(belem))
-                dst_proj = powers[m.dst].projections[target_index]
-                for jj in range(powers[m.dst].power.rank):
-                    row[offsets[m.dst] + jj] -= dst_proj.matrix[i][jj]
-                rows.append(row)
-    prod = _from_columns(total, prod_rels)
-    delta = FinAbMap(prod, direct_sum(tgt_blocks), intmat.freeze(rows))
-    end_obj, _ = kernel(delta)
-    # coend: quotient of ∐_U A(U) ⊗ F(U)
-    tensors = {u: set_pairings(a.nodes[u], f.nodes[u]) for u in nodes}
-    starts, ctotal, rel_cols = block_relations([tensors[u].tensor for u in nodes])
-    coffsets = dict(zip(nodes, starts))
-    for m in shape.morphisms:
-        am, fm = a.edges[m.id], f.edges[m.id]
-        for y in f.nodes[m.dst].elements:
-            yi_src = f.nodes[m.src].elements.index(fm(y))
-            yi_dst = f.nodes[m.dst].elements.index(y)
-            for g in range(a.nodes[m.src].rank):
-                col = [0] * ctotal
-                inj_src = tensors[m.src].injections[yi_src]
-                for i in range(tensors[m.src].tensor.rank):
-                    col[coffsets[m.src] + i] += inj_src.matrix[i][g]
-                inj_dst = tensors[m.dst].injections[yi_dst]
-                pushed = compose(inj_dst, am)
-                for i in range(tensors[m.dst].tensor.rank):
-                    col[coffsets[m.dst] + i] -= pushed.matrix[i][g]
-                rel_cols.append(col)
-    return FunctorPairings(end_obj, _from_columns(ctotal, rel_cols))
+        if m.id == shape.id_of(m.src):
+            continue
+        node, s, t = f"1:{m.id}", f"0:{m.src}", f"0:{m.dst}"
+        am, bm, fm = a.edges[m.id], b.edges[m.id], f.edges[m.id]
+        bs, ft = b.nodes[m.src].elements, f.nodes[m.dst].elements
+        power = powers[node] = finite_limit(_diagram({x: a.nodes[m.dst] for x in bs}), cat)
+        end_arrows += [
+            (f"s:{m.id}", s, node,
+             into_limit(power, powers[s].obj, {x: compose(am, powers[s].cone[x]) for x in bs})),
+            (f"t:{m.id}", t, node,
+             into_limit(power, powers[t].obj, {x: powers[t].cone[bm(x)] for x in bs}))]
+        tensor = tensors[node] = finite_colimit(_diagram({y: a.nodes[m.src] for y in ft}), cat)
+        coend_arrows += [
+            (f"s:{m.id}", node, s,
+             out_map(tensor, {y: tensors[s].cocone[fm(y)] for y in ft}, tensors[s].obj)),
+            (f"t:{m.id}", node, t,
+             out_map(tensor, {y: (am, tensors[t].cocone[y]) for y in ft}, tensors[t].obj))]
+    end = finite_limit(_diagram({v: p.obj for v, p in powers.items()}, end_arrows), cat)
+    coend = finite_colimit(_diagram({v: c.obj for v, c in tensors.items()}, coend_arrows), cat)
+    return FunctorPairings(end.obj, coend.obj)
 
 
 def smith_normal_form(m) -> tuple[intmat.Matrix, intmat.Matrix, intmat.Matrix]:
