@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import values
-from .category import (Cover, FiniteCategory, Morphism, Sieve, SiteSpec,
+from .category import (Cover, FiniteCategory, Sieve, SiteSpec,
                        _comma_base, comma_of_sieve, distinct_covers, poset_category,
                        refinement_search, sieve_from_cover, sieve_levels)
 from .errors import EngineError, InsufficientDepth, SiteError
@@ -23,8 +23,8 @@ from .towers import (LevelMorphism, Tower, TowerColimit, _stable_reindex, chain_
                      is_iso_at_depth, is_rudimentary_at_depth, tower_colimit,
                      tower_pro_zero)
 from .values import (FINAB, FINSET, FinAbMap, FinAbObj, FinSetMap, FinSetObj,
-                     category_of, chains_equal, commutes, compose, identity_map,
-                     initial_object, out_map, unique_map_from_initial)
+                     _shape, category_of, chains_equal, commutes, compose, identity_map,
+                     out_map)
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,8 @@ class Precosheaf:
             t = self.values.get(u)
             if t is None or t.depth != self.depth:
                 raise EngineError(f"value at {u!r} missing or at the wrong depth")
+            if t.category() != self.category:
+                raise EngineError(f"value at {u!r} is not in {self.category!r}")
         for m in cat.morphisms:
             a = self.action.get(m.id)
             if a is None:
@@ -215,22 +217,13 @@ def tensor_with_sieve(a: Precosheaf, sieve: Sieve) -> TensorResult:
     hit = a._tensor_cache.get(key)
     if hit is not None:
         return hit
-    target_tower = a.values[sieve.target]
-    if not sieve.members:
-        obj = initial_object(a.category)
-        tower = Tower.constant(obj, a.depth)
-        comps = tuple(unique_map_from_initial(a.category, target_tower.levels[j])
-                      for j in range(a.depth + 1))
-        out = TensorResult(TowerColimit(tower, {}),
-                           LevelMorphism.strict(tower, target_tower, comps))
-        a._tensor_cache[key] = out
-        return out
     comma = comma_of_sieve(a.site, sieve)
     site_cat = a.site.category
     nodes = {m: a.values[site_cat.morphism(m).src] for m in comma.objects}
     edges = {cm.id: a.action[_comma_base(cm)] for cm in comma.morphisms}
-    col = tower_colimit(comma, nodes, edges, a.depth, a._colimits.setdefault(key, {}))
-    out = TensorResult(col, _map_out(col, target_tower, {m: (a.action[m],) for m in comma.objects}))
+    col = tower_colimit(comma, nodes, edges, a.depth, a._colimits.setdefault(key, {}), a.category)
+    out = TensorResult(col, _map_out(col, a.values[sieve.target],
+                                     {m: (a.action[m],) for m in comma.objects}))
     a._tensor_cache[key] = out
     return out
 
@@ -241,8 +234,6 @@ def _pushforward(a: Precosheaf, src_tensor: TensorResult, src_sieve: Sieve,
 
     Requires alpha ∘ S ⊆ R, which the refinement search guarantees."""
     cat = a.site.category
-    if not src_sieve.members:
-        return unique_map_from_initial(a.category, dst_tensor.tower.levels[j])
     return out_map(src_tensor.colimit.levels[j],
                    {g: dst_tensor.colimit.cocone[cat.compose(alpha, g)].components[j]
                     for g in sorted(src_sieve.members)},
@@ -261,18 +252,12 @@ class FastDefect:
     pair_routes: tuple = ()
 
 
-@dataclass(frozen=True)
-class DefectResult:
-    compare: LevelMorphism
-
-
-def cosheaf_defect(a: Precosheaf, cover: Cover) -> DefectResult:
+def cosheaf_defect(a: Precosheaf, cover: Cover) -> TensorResult:
     """Canonical map from the cover colimit into the value at the target,
     computed by tensoring with the generated sieve.  The cokernel fast path
     over declared intersections is the oracle that `defect_agreement` checks
     this against."""
-    sieve = sieve_from_cover(a.site, cover)
-    return DefectResult(tensor_with_sieve(a, sieve).compare)
+    return tensor_with_sieve(a, sieve_from_cover(a.site, cover))
 
 
 def _fast_legs(cat: FiniteCategory, w: str, piece_i: str, piece_j: str):
@@ -291,47 +276,25 @@ def _fast_defect(a: Precosheaf, cover: Cover) -> FastDefect:
     """Cokernel of the parallel pair over declared intersections, computed as
     the colimit of a pieces-and-pairs span diagram."""
     cat = a.site.category
-    inter = cover.intersection_map()
-    piece_src = [cat.morphism(p).src for p in cover.pieces]
-    objects = [f"p{i}" for i in range(len(cover.pieces))]
-    morphs = []
-    identity = {}
-    for i, _ in enumerate(cover.pieces):
-        identity[f"p{i}"] = f"id:p{i}"
-        morphs.append(Morphism(f"id:p{i}", f"p{i}", f"p{i}"))
-    pair_nodes = []
-    for (i, j), w in sorted(inter.items()):
+    nodes = {f"p{i}": a.values[cat.morphism(p).src] for i, p in enumerate(cover.pieces)}
+    routes = {f"p{i}": (a.action[p],) for i, p in enumerate(cover.pieces)}
+    arrows, edges, pair_routes = [], {}, []
+    for (i, j), w in sorted(cover.intersection_map().items()):
         node = f"w{i},{j}"
         legs = _fast_legs(cat, w, cover.pieces[i], cover.pieces[j])
         if legs is None:
             raise SiteError(f"declared intersection {w!r} has no commuting legs")
-        objects.append(node)
-        identity[node] = f"id:{node}"
-        morphs.append(Morphism(f"id:{node}", node, node))
-        morphs.append(Morphism(f"l:{node}>p{i}", node, f"p{i}"))
-        morphs.append(Morphism(f"l:{node}>p{j}", node, f"p{j}"))
-        pair_nodes.append((node, i, j, legs[0], legs[1], w))
-    comp = {}
-    for m in morphs:
-        comp[(identity[m.dst], m.id)] = m.id
-        comp[(m.id, identity[m.src])] = m.id
-    shape = FiniteCategory(tuple(objects), tuple(morphs), identity, comp)
-    node_towers = {f"p{i}": a.values[piece_src[i]] for i in range(len(cover.pieces))}
-    edge_lm = {}
-    for i, p in enumerate(cover.pieces):
-        edge_lm[f"id:p{i}"] = LevelMorphism.identity(node_towers[f"p{i}"])
-    for node, i, j, li, lj, w in pair_nodes:
-        node_towers[node] = a.values[w]
-        edge_lm[f"id:{node}"] = LevelMorphism.identity(node_towers[node])
-        edge_lm[f"l:{node}>p{i}"] = a.action[li]
-        edge_lm[f"l:{node}>p{j}"] = a.action[lj]
-    col = tower_colimit(shape, node_towers, edge_lm, a.depth)
-    pair_routes = tuple((node, cat.compose(cover.pieces[i], li))
-                        for node, i, j, li, lj, w in pair_nodes)
-    routes = {f"p{i}": (a.action[p],) for i, p in enumerate(cover.pieces)}
-    routes.update({node: (a.action[member],) for node, member in pair_routes})
-    compare = _map_out(col, a.values[cover.target], routes)
-    return FastDefect(col, compare, pair_routes)
+        nodes[node] = a.values[w]
+        for k, leg in zip((i, j), legs):
+            arrows.append((f"l:{node}>p{k}", node, f"p{k}"))
+            edges[f"l:{node}>p{k}"] = a.action[leg]
+        member = cat.compose(cover.pieces[i], legs[0])
+        pair_routes.append((node, member))
+        routes[node] = (a.action[member],)
+    shape = _shape(nodes, arrows)
+    edges.update({shape.id_of(v): LevelMorphism.identity(t) for v, t in nodes.items()})
+    col = tower_colimit(shape, nodes, edges, a.depth, category=a.category)
+    return FastDefect(col, _map_out(col, a.values[cover.target], routes), tuple(pair_routes))
 
 
 def defect_agreement(a: Precosheaf, cover: Cover) -> bool:
@@ -345,10 +308,6 @@ def defect_agreement(a: Precosheaf, cover: Cover) -> bool:
         raise EngineError("fast path needs declared intersections")
     sieve = sieve_from_cover(a.site, cover)
     slow = tensor_with_sieve(a, sieve)
-    if not cover.pieces:
-        # both paths colimit an empty diagram: the initial object
-        empty = initial_object(a.category)
-        return all(level == empty for level in slow.tower.levels)
     fast = _fast_defect(a, cover)
     cat = a.site.category
     # phi: fast -> slow via pieces-as-members
@@ -564,10 +523,6 @@ def plus_map(f: PrecosheafMorphism, plus_src: PlusResult, plus_dst: PlusResult) 
             s = sieves_u[k]
             src_t = tensor_with_sieve(plus_src.counit.dst, s)
             dst_t = tensor_with_sieve(plus_dst.counit.dst, s)
-            if not s.members:
-                per_level.append(unique_map_from_initial(a.category,
-                                                         dst_t.tower.levels[k]))
-                continue
             node_maps = {
                 g: (f.components[site.category.morphism(g).src].components[k],
                     dst_t.colimit.cocone[g].components[k])

@@ -35,6 +35,8 @@ class Presheaf:
         for u in cat.objects:
             if u not in self.values:
                 raise EngineError(f"presheaf misses a value at {u!r}")
+            if values.category_of(self.values[u]) != self.category:
+                raise EngineError(f"value at {u!r} is not in {self.category!r}")
         for m in cat.morphisms:
             f = self.action.get(m.id)
             if f is None or f.src != self.values[m.dst] or f.dst != self.values[m.src]:

@@ -578,7 +578,7 @@ def _stable_reindex(edges: Mapping[str, LevelMorphism], depth: int):
 
 def tower_colimit(shape: FiniteCategory, nodes: Mapping[str, Tower],
                   edges: Mapping[str, LevelMorphism], depth: int | None = None,
-                  store: dict | None = None) -> TowerColimit:
+                  store: dict | None = None, category: str | None = None) -> TowerColimit:
     """Levelwise finite colimit of a finite diagram of towers.
 
     Edges are reindexed to a common nondecreasing shift first; the result
@@ -591,10 +591,13 @@ def tower_colimit(shape: FiniteCategory, nodes: Mapping[str, Tower],
     colimit, not depth + 1.  A level whose edge maps are the very objects of
     the level below shares its colimit without a key being built, and a bond
     between such levels whose node bonds are the objects of the bond below
-    is that bond.
+    is that bond.  An empty diagram, given its `depth` and value `category`,
+    has the constant initial tower as its colimit.
     """
-    if not nodes:
-        raise EngineError("empty tower diagram needs a value category; use finite_colimit")
+    if nodes:
+        category = next(iter(nodes.values())).category()
+    elif depth is None or category is None:
+        raise EngineError("empty tower diagram needs a depth and a value category")
     d = min(t.depth for t in nodes.values()) if depth is None else depth
     phi = _stable_reindex(edges, d)
     order = tuple(m.id for m in shape.morphisms)
@@ -606,7 +609,6 @@ def tower_colimit(shape: FiniteCategory, nodes: Mapping[str, Tower],
         if edges[mid].src is not nodes[u] and edges[mid].src != nodes[u]:
             raise EngineError(f"edge {mid!r} has wrong endpoints")
     shape_edges = tuple(edges[mid] for mid in order)
-    cat = next(iter(nodes.values())).category()
     if store is None:
         store = {}
     results = []
@@ -621,7 +623,8 @@ def tower_colimit(shape: FiniteCategory, nodes: Mapping[str, Tower],
             if hit is None:
                 level_nodes = {u: nodes[u].levels[p] for u in shape.objects}
                 hit = store[key] = values.finite_colimit(
-                    FiniteDiagram(shape, level_nodes, dict(zip(order, maps)), trusted=True), cat)
+                    FiniteDiagram(shape, level_nodes, dict(zip(order, maps)), trusted=True),
+                    category)
         results.append(hit)
         maps_below = maps
     # class(u, x at phi(j + 1)) goes to class(u, bond(x)) at level j

@@ -372,10 +372,6 @@ def is_zero_map(f: FinAbMap) -> bool:
     return all(f.dst.lattice_contains(intmat.column(f.matrix, j)) for j in range(f.src.rank))
 
 
-def initial_object(category: str):
-    return finset() if category == FINSET else FinAbObj(0)
-
-
 def terminal_object(category: str):
     return finset("*") if category == FINSET else FinAbObj(0)
 
@@ -704,17 +700,22 @@ class SetPairings:
     projections: tuple
 
 
-def _diagram(nodes: Mapping[str, object], arrows=()) -> FiniteDiagram:
-    """A diagram whose non-identity arrows compose with identities only,
-    given as (id, source node, target node, map).  With no arrows, its
-    colimit is the coproduct of the nodes and its limit their product."""
-    identity = {v: f"id:{v}" for v in nodes}
+def _shape(objects, arrows=()) -> FiniteCategory:
+    """A category whose non-identity arrows, given as (id, source, target),
+    compose with identities only; the identity of v is "id:v"."""
+    identity = {v: f"id:{v}" for v in objects}
     morphisms = [Morphism(i, v, v) for v, i in identity.items()]
-    edges = {i: identity_map(nodes[v]) for v, i in identity.items()}
-    for i, src, dst, e in arrows:
-        morphisms.append(Morphism(i, src, dst))
-        edges[i] = e
-    shape = FiniteCategory(tuple(nodes), tuple(morphisms), identity, {})
+    morphisms.extend(Morphism(*arrow) for arrow in arrows)
+    return FiniteCategory(tuple(objects), tuple(morphisms), identity, {})
+
+
+def _diagram(nodes: Mapping[str, object], arrows=()) -> FiniteDiagram:
+    """A diagram on `_shape`, its arrows given as (id, source node, target
+    node, map).  With no arrows, its colimit is the coproduct of the nodes
+    and its limit their product."""
+    shape = _shape(nodes, [arrow[:3] for arrow in arrows])
+    edges = {shape.id_of(v): identity_map(nodes[v]) for v in nodes}
+    edges.update({i: e for i, _, _, e in arrows})
     return FiniteDiagram(shape, nodes, edges, trusted=True)
 
 

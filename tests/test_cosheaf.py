@@ -8,7 +8,7 @@ import pytest
 from finsite import cosheaf, io
 from finsite.category import (Cover, CoverChain, Coverage, Sieve, SiteSpec, distinct_covers,
                               poset_category, sieve_from_cover)
-from finsite.cosheaf import (PointFilter, PrecosheafMorphism, check_cosheaf,
+from finsite.cosheaf import (PointFilter, Precosheaf, PrecosheafMorphism, check_cosheaf,
                              constant_precosheaf, coproduct, cosheaf_defect,
                              cosheafify, costalk, defect_agreement,
                              enumerate_natural_transformations, is_locally_zero,
@@ -57,6 +57,11 @@ def conv_pt(conv):
     return constant_precosheaf(conv, finset("*"), 6, site_points(conv))
 
 
+def test_precosheaf_rejects_values_outside_its_category(circle_pt):
+    with pytest.raises(EngineError):
+        Precosheaf(circle_pt.site, "finab", circle_pt.depth, circle_pt.values, circle_pt.action)
+
+
 # ---------------------------------------------------------------------------
 # tensor_with_sieve
 
@@ -90,6 +95,12 @@ def test_tensor_disjoint_cover_counts_components(conv, conv_pt):
 def test_tensor_empty_sieve_is_initial(circle_pi0):
     res = tensor_with_sieve(circle_pi0, Sieve("{}", frozenset()))
     assert len(res.tower.levels[0]) == 0
+
+
+def test_tensor_empty_sieve_colimit_lands_in_the_store(circle_pi0):
+    res = tensor_with_sieve(circle_pi0, Sieve("{}", frozenset()))
+    (stored,) = circle_pi0._colimits[("{}", frozenset())].values()
+    assert stored is res.colimit.levels[0]
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,16 @@ ones only for a deliberate change of output, and say so in the change log.
 """
 
 import hashlib
+import random
 
 import pytest
 
 from finsite import io
 from finsite.cli import main
 from finsite.cosheaf import constant_precosheaf, cosheafify
-from finsite.spaces import (converging_sequence_site, h0_precosheaf, open_site,
-                            pi0_precosheaf, pseudocircle, site_points)
+from finsite.randsuite import random_presheaf, random_site
+from finsite.spaces import (converging_sequence_site, demo_by_name, h0_precosheaf,
+                            open_site, pi0_precosheaf, pseudocircle, site_points)
 from finsite.values import finset, free_ab
 
 DEPTH = 4
@@ -62,3 +64,28 @@ def test_cosheafify_document_bytes_pinned(tmp_path, name):
 def test_oracle_suite_report_bytes_pinned(capsys):
     assert main(["oracle-suite", "--seed", "0"]) == 0
     assert _sha256(capsys.readouterr().out.encode()) == ORACLE_SUITE_SEED0
+
+
+def _random_presheaf():
+    rng = random.Random(1)
+    spec = random_site(rng)  # an open-set site, {} among its objects
+    return random_presheaf(spec, rng)
+
+
+# The sheafified documents label the element of the terminal value at {} "*".
+SHEAFIFY_DIGESTS = {
+    "constant-presheaf-sheafify": (lambda: demo_by_name("constant-presheaf-sheafify").make(None)[1],
+                                   "eec71aac6d34436dc4a8dc4fd5b1943a0344da09242f9affc7fc04ffe119a8a1"),
+    "random-presheaf-seed1": (_random_presheaf,
+                              "36af35a36abd58db26b6645f834866c9d60d2b8e49f184680700dfabb096da4d"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHEAFIFY_DIGESTS))
+def test_sheafify_out_document_bytes_pinned(tmp_path, capsys, name):
+    make, digest = SHEAFIFY_DIGESTS[name]
+    src, out = tmp_path / "presheaf.json", tmp_path / "sheafified.json"
+    io.save(make(), src)
+    assert main(["sheafify", str(src), "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert _sha256(out.read_bytes()) == digest

@@ -4,6 +4,7 @@ import pytest
 
 from finsite.category import (Cover, Coverage, SiteSpec, distinct_covers,
                               poset_category, sieve_from_cover)
+from finsite.errors import EngineError
 from finsite.sheaf import (Presheaf, check_sheaf, hom_with_sieve, plus_sheaf,
                            presheaf_product, sheafify, stalk)
 from finsite.spaces import (open_site, pi0_precosheaf, pseudocircle,
@@ -19,6 +20,13 @@ def constant_presheaf(spec, g):
     action = {m.id: finset_map(g, g, {x: x for x in g.elements})
               for m in spec.category.morphisms}
     return Presheaf(spec, "finset", vals, action, site_points(spec))
+
+
+def test_presheaf_rejects_values_outside_its_category():
+    spec = open_site(pseudocircle())
+    p = constant_presheaf(spec, finset("*"))
+    with pytest.raises(EngineError):
+        Presheaf(spec, "finab", p.values, p.action)
 
 
 def functions_presheaf(spec, space, g):

@@ -426,6 +426,31 @@ def test_tower_colimit_sharing_matches_the_unshared_levelwise_colimit(monkeypatc
         assert res.cocone[u].components == tuple(r.cocone[u] for r in oracle)
 
 
+@pytest.mark.parametrize("category", [FINSET, FINAB])
+def test_tower_colimit_of_the_empty_diagram_is_the_constant_initial_tower(monkeypatch, category):
+    from finsite.cosheaf import _map_out
+    from finsite.values import maps_equal, unique_map_from_initial
+    empty = poset_category((), ())
+    target = two_point_rudimentary(3) if category == FINSET else Tower.constant(cyclic(4), 3)
+    calls = _counting_colimits(monkeypatch)
+    store = {}
+    res = tower_colimit(empty, {}, {}, 3, store, category)
+    assert len(calls) == 1
+    (stored,) = store.values()
+    assert all(level is stored for level in res.levels) and len(res.levels) == 4
+    assert res.cocone == {}
+    initial = unique_map_from_initial(category, target.levels[0])
+    assert res.tower.levels == (initial.src,) * 4
+    assert all(maps_equal(b, identity_map(initial.src)) for b in res.tower.bonds)
+    out = _map_out(res, target, {})
+    assert all(maps_equal(f, unique_map_from_initial(category, target.levels[j]))
+               for j, f in enumerate(out.components))
+    with pytest.raises(EngineError):
+        tower_colimit(empty, {}, {}, None, None, category)
+    with pytest.raises(EngineError):
+        tower_colimit(empty, {}, {}, 3)
+
+
 def test_rudimentary_finab_sees_a_zero_level():
     from finsite.values import FinAbMap, FinAbObj
     z, zero = free_ab(1), FinAbObj(0)
