@@ -407,7 +407,7 @@ def pullback_sieve(spec: SiteSpec, sieve: Sieve, alpha: str) -> Sieve:
     if a.dst != sieve.target:
         raise SiteError("pullback along a morphism not into the sieve target")
     members = frozenset(
-        g.id for g in cat.morphisms if g.dst == a.src and cat.compose(alpha, g.id) in sieve.members
+        g.id for g in cat.into(a.src) if cat.compose(alpha, g.id) in sieve.members
     )
     return Sieve(a.src, members)
 

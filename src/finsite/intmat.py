@@ -1,7 +1,8 @@
 """Exact integer matrix arithmetic: products, Smith normal form, lattice solving.
 
-Matrices are tuples of tuples of Python ints (arbitrary precision).  All
-routines are deterministic; the Smith pivot rule is "smallest absolute
+Matrices are tuples of tuples of Python ints (arbitrary precision);
+`reduce_presentation` alone takes sparse relation columns.  All routines
+are deterministic; the Smith pivot rule is "smallest absolute
 nonzero entry, row-major tie break".
 """
 
@@ -101,56 +102,93 @@ def prune_columns(m: Matrix) -> Matrix:
     return tuple(zip(*keep)) if keep else tuple(() for _ in m)
 
 
-def reduce_presentation(n: int, rel: Matrix):
+def _add_scaled(target: dict, q: int, source: dict) -> None:
+    """target += q * source on sparse {index: coefficient} vectors."""
+    for k, x in source.items():
+        v = target.get(k, 0) + q * x
+        if v:
+            target[k] = v
+        else:
+            del target[k]
+
+
+def reduce_presentation(n: int, columns):
     """Tietze reduction: eliminate generators pinned by a ±1 relation entry.
 
-    Returns (kept, new_rel, T) where `kept` lists the surviving original
-    generator indices, new_rel presents the same group on them, and T
-    (len(kept) x n) rewrites the original generators in the survivors, so a
-    quotient map on the originals factors through T."""
-    if n == 0 or not rel or not rel[0]:
-        return list(range(n)), rel if rel and rel[0] else (), identity(n)
-    r = [list(row) for row in rel]
-    t = [list(row) for row in identity(n)]
-    kept = list(range(n))
+    `columns` holds one sparse relation column per relation, in order, as a
+    {generator: coefficient} dict over generators 0..n-1.  The dicts are
+    consumed: the reduction works on them in place.  Returns
+    (kept, new_rel, T) where `kept` lists the surviving original generator
+    indices, new_rel (len(kept) rows, or () without relations) presents the
+    same group on them, and T (len(kept) x n) rewrites the original
+    generators in the survivors, so a quotient map on the originals factors
+    through T.
+
+    Each step pivots on the lowest-index surviving column holding a ±1
+    entry, at the lowest-index generator where it does; the pivot column
+    clears that generator from every other column.  Zero columns and
+    repeats of an earlier column are dropped on entry and whenever a step
+    makes one, keeping first occurrences.  That never changes a pivot: a
+    zero column has no ±1 entry and stays zero, and two equal columns
+    receive the same column operations, so they stay equal until the earlier
+    one becomes the pivot, which zeroes the later one.  So `kept` and T
+    equal those of the same reduction on the full dense matrix, and new_rel
+    is that matrix's result with zero and duplicate columns pruned, as
+    FinAbObj prunes its relations anyway."""
+    cols: dict[int, dict[int, int]] = {}   # surviving columns by position
+    key_of: dict[int, frozenset] = {}
+    first: dict[frozenset, int] = {}       # column contents -> its position
+    for c, col in enumerate(columns):
+        if 0 in col.values():
+            col = {k: x for k, x in col.items() if x}
+        key = frozenset(col.items())
+        if col and key not in first:
+            cols[c], key_of[c], first[key] = col, key, c
+    if not cols:
+        return list(range(n)), (), identity(n)
+    t = {k: {k: 1} for k in range(n)}     # rewrite rows of the survivors
     while True:
-        pivot = None
-        for c in range(len(r[0]) if r and r[0] else 0):
-            for i in range(len(r)):
-                if r[i][c] in (1, -1):
-                    pivot = (i, c)
-                    break
-            if pivot:
+        for c, col in cols.items():
+            if 1 in col.values() or -1 in col.values():
                 break
-        if pivot is None:
+        else:
             break
-        i, c = pivot
-        s = r[i][c]
-        # clear row i from the other relation columns
-        ncols = len(r[0])
-        for c2 in range(ncols):
-            if c2 == c or r[i][c2] == 0:
+        i = min(k for k, x in col.items() if x == 1 or x == -1)
+        s = col[i]
+        del cols[c]
+        del first[key_of.pop(c)]
+        touched = []
+        for c2, col2 in cols.items():
+            x = col2.get(i)
+            if x:
+                _add_scaled(col2, -x * s, col)
+                touched.append(c2)
+        # substitute generator i into the rewriting rows
+        ti = t.pop(i)
+        for k, x in col.items():
+            if k != i:
+                _add_scaled(t[k], -s * x, ti)
+        # drop the columns this step zeroed or made repeats
+        for c2 in touched:
+            del first[key_of.pop(c2)]
+        for c2 in touched:
+            col2 = cols[c2]
+            if not col2:
+                del cols[c2]
                 continue
-            q = r[i][c2] * s
-            for k in range(len(r)):
-                r[k][c2] -= q * r[k][c]
-        # substitute generator i into the rewriting matrix
-        for k in range(len(r)):
-            if k == i:
+            key = frozenset(col2.items())
+            other = first.get(key)
+            if other is not None and other < c2:
+                del cols[c2]
                 continue
-            coeff = -s * r[k][c]
-            if coeff:
-                for j in range(n):
-                    t[k][j] += coeff * t[i][j]
-        del t[i]
-        del kept[i]
-        r = [row[:c] + row[c + 1:] for row in r]
-        del r[i]
-        if not r or not r[0]:
-            r = [[] for _ in kept]
-            break
-    new_rel = tuple(tuple(row) for row in r) if r and r[0] else ()
-    return kept, new_rel, tuple(tuple(row) for row in t)
+            if other is not None:
+                del cols[other], key_of[other]
+            first[key], key_of[c2] = c2, key
+    kept = sorted(t)
+    rel = list(cols.values())
+    new_rel = tuple(tuple(col.get(k, 0) for col in rel) for k in kept) if rel else ()
+    rewrite = tuple(tuple(t[k].get(j, 0) for j in range(n)) for k in kept)
+    return kept, new_rel, rewrite
 
 
 def column_lattice_basis(m: Matrix) -> Matrix:

@@ -576,23 +576,32 @@ def finite_colimit(diagram: FiniteDiagram, category: str | None = None) -> Colim
         return ColimitResult(obj, cocone)
     # FinAb: cokernel of the difference map into the node direct sum, with the
     # presentation Tietze-reduced before anything downstream sees it.  The
-    # column order (node relations, then edges) fixes the reduced result.
-    starts, total, rel_cols = block_relations([diagram.nodes[u] for u in nodes])
-    offsets = dict(zip(nodes, starts))
+    # sparse relation columns come in a fixed order (node relations in node
+    # order, then one column per source generator of each edge by id), which
+    # fixes the reduced result.
+    offsets = {}
+    total = 0
+    columns = []
+    for u in nodes:
+        rel = diagram.nodes[u].relations
+        if rel:
+            columns.extend({total + i: row[j] for i, row in enumerate(rel) if row[j]}
+                           for j in range(len(rel[0])))
+        offsets[u] = total
+        total += diagram.nodes[u].rank
     for m in sorted(diagram.edges):
         mor = diagram.shape.morphism(m)
         e = diagram.edges[m]
         if mor.src == mor.dst and m == diagram.shape.id_of(mor.src):
             continue  # identity edges contribute zero columns
+        src_off, dst_off = offsets[mor.src], offsets[mor.dst]
         for g in range(e.src.rank):
-            col = [0] * total
-            col[offsets[mor.src] + g] -= 1
-            for i in range(e.dst.rank):
-                col[offsets[mor.dst] + i] += e.matrix[i][g]
-            rel_cols.append(col)
-    relations = tuple(tuple(c[i] for c in rel_cols) for i in range(total)) if rel_cols else ()
-    relations = intmat.prune_columns(relations) if rel_cols else ()
-    kept, new_rel, rewrite = intmat.reduce_presentation(total, relations)
+            col = {src_off + g: -1}
+            for i, row in enumerate(e.matrix):
+                if row[g]:
+                    col[dst_off + i] = col.get(dst_off + i, 0) + row[g]
+            columns.append(col)
+    kept, new_rel, rewrite = intmat.reduce_presentation(total, columns)
     obj = FinAbObj(len(kept), new_rel)
     cocone = {}
     for u in nodes:

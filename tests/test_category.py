@@ -1,5 +1,7 @@
 """Sites, sieves, covers, comma categories, refinements."""
 
+import random
+
 import pytest
 
 from finsite.category import (Cover, FiniteCategory, Morphism, Sieve,
@@ -8,6 +10,7 @@ from finsite.category import (Cover, FiniteCategory, Morphism, Sieve,
                               poset_category, pullback_sieve, sieve_from_cover,
                               sieve_levels, validate_site)
 from finsite.errors import InvalidCategory
+from finsite.randsuite import random_site
 from finsite.spaces import (converging_sequence_site, open_site, pseudocircle,
                             FiniteSpace)
 
@@ -205,3 +208,27 @@ def test_every_generated_sieve_comma_is_a_valid_category():
         for cover in spec.declared_covers(u):
             comma = comma_of_sieve(spec, sieve_from_cover(spec, cover))
             assert comma.check_axioms() == [], (u, cover.pieces)
+
+
+def _scanned_pullback(spec, sieve, alpha):
+    """The reference: every site morphism scanned for the ones into src(alpha)."""
+    cat = spec.category
+    a = cat.morphism(alpha)
+    return frozenset(g.id for g in cat.morphisms
+                     if g.dst == a.src and cat.compose(alpha, g.id) in sieve.members)
+
+
+def test_pullback_sieve_equals_the_scan_of_all_morphisms():
+    rng = random.Random(3)
+    sites = [random_site(rng) for _ in range(8)] + [converging_sequence_site(6)]
+    checked = 0
+    for spec in sites:
+        cat = spec.category
+        for u in cat.objects:
+            for sieve in sieve_levels(spec, u, 2):
+                for a in cat.into(u):
+                    pulled = pullback_sieve(spec, sieve, a.id)
+                    assert pulled.target == a.src
+                    assert pulled.members == _scanned_pullback(spec, sieve, a.id)
+                    checked += 1
+    assert checked > 100
