@@ -171,17 +171,6 @@ class Sieve:
     target: str
     members: frozenset[str]
 
-    def validate(self, cat: FiniteCategory):
-        for mid in self.members:
-            m = cat.morphism(mid)
-            if m.dst != self.target:
-                raise SiteError(f"sieve member {mid!r} does not land in {self.target!r}")
-        for mid in self.members:
-            m = cat.morphism(mid)
-            for g in cat.into(m.src):
-                if cat.compose(mid, g.id) not in self.members:
-                    raise SiteError(f"sieve not closed under precomposition at {mid!r}")
-
 
 @dataclass(frozen=True)
 class Cover:
@@ -347,29 +336,40 @@ def comma_of_sieve(spec: SiteSpec, sieve: Sieve) -> FiniteCategory:
 
 
 def _comma_category(cat: FiniteCategory, sieve: Sieve) -> FiniteCategory:
-    sieve.validate(cat)
+    """One pass: for each member m2 and each b into src(m2), m1 = m2∘b is both
+    the sieve's closure-under-precomposition check and the comma morphism
+    `b|m1>m2`.  Members are checked in sorted order, every target first."""
     members = tuple(sorted(sieve.members))
+    for m in members:
+        if cat.morphism(m).dst != sieve.target:
+            raise SiteError(f"sieve member {m!r} does not land in {sieve.target!r}")
     src_of = {m: cat.morphism(m).src for m in members}
-    morphisms = []
-    identity = {}
-    for m1 in members:
-        src1 = src_of[m1]
-        for m2 in members:
-            for beta in cat.hom(src1, src_of[m2]):
-                if cat.compose(m2, beta.id) == m1:
-                    mid = f"{beta.id}|{m1}>{m2}"
-                    morphisms.append(Morphism(mid, m1, m2))
-                    if m1 == m2 and beta.id == cat.id_of(src1):
-                        identity[m1] = mid
+    identity = {m: f"{cat.identity[src_of[m]]}|{m}>{m}" for m in members}
+    morphisms, base = [], {}
+    for m2 in members:
+        for beta in cat._into.get(src_of[m2], ()):
+            m1 = cat.compose(m2, beta.id)
+            if m1 not in src_of:
+                raise SiteError(f"sieve not closed under precomposition at {m2!r}")
+            if src_of[m1] == beta.src:   # else a malformed table: no comma morphism
+                mid = f"{beta.id}|{m1}>{m2}"
+                morphisms.append(Morphism(mid, m1, m2))
+                base[mid] = beta.id
+    morphisms.sort(key=lambda m: m.src)   # stable: by m1, then m2, then b
     comp = _CommaComposition(cat)
     comma = FiniteCategory(members, tuple(morphisms), identity, comp)
     comp._bind(comma)
+    # a pair with an identity factor composes by FiniteCategory.compose's
+    # identity rule, never through the table, so only the others are checked
     for g in comma.morphisms:
-        bg = _comma_base(g)
-        for f in comma._into.get(g.src, ()):
-            c = f"{cat.compose(bg, _comma_base(f))}|{f.src}>{g.dst}"
-            if not comma.has_morphism(c):
-                raise SiteError(f"comma category not closed: missing {c!r}")
+        id_g = identity[g.src]
+        if g.id != id_g:
+            bg = base[g.id]
+            for f in comma._into.get(g.src, ()):
+                if f.id != id_g:
+                    c = f"{cat.compose(bg, base[f.id])}|{f.src}>{g.dst}"
+                    if not comma.has_morphism(c):
+                        raise SiteError(f"comma category not closed: missing {c!r}")
     return comma
 
 

@@ -7,11 +7,17 @@ plus keep one store of them.  Each test pins the shared result to what the
 unshared construction gives, or pins who may share with whom.
 """
 
+import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import finsite
 from finsite import towers, values
 from finsite.category import (Cover, Coverage, FiniteCategory, Morphism, Sieve, SiteSpec,
                               comma_of_sieve, generated_sieves, poset_category)
@@ -20,7 +26,7 @@ from finsite.cosheaf import (constant_precosheaf, cosheafify, plus_cosheaf,
 from finsite.errors import EngineError, SiteError
 from finsite.randsuite import random_site
 from finsite.sheaf import Presheaf, hom_with_sieve, opposite_category
-from finsite.spaces import converging_sequence_site, site_points
+from finsite.spaces import FiniteSpace, converging_sequence_site, open_site, site_points
 from finsite.towers import LevelMorphism, Tower, is_iso_at_depth, tower_colimit
 from finsite.values import FINSET, finset, finset_map, free_ab, hom_set
 
@@ -115,6 +121,148 @@ def test_pickled_site_carries_an_empty_comma_memo():
     again = [comma_of_sieve(copy, s) for s in sieves]
     assert [(c.objects, c.morphisms) for c in again] == [(c.objects, c.morphisms) for c in commas]
     assert len(spec._commas) == len(copy._commas)   # the original keeps its memo
+
+
+def _assert_eager(spec, sieve):
+    comma = comma_of_sieve(spec, sieve)
+    objects, morphisms, identity, comp = _eager_comma(spec.category, sieve)
+    assert comma.objects == objects
+    assert comma.morphisms == morphisms
+    assert dict(comma.identity) == identity
+    assert list(comma.composition) == list(comp)
+    assert dict(comma.composition) == comp
+    assert comma.check_axioms() == []
+    return comma
+
+
+def _all_sieves(cat, u):
+    """Every nonempty member set over u that is closed under precomposition."""
+    into = [m.id for m in cat.into(u)]
+    out = []
+    for mask in range(1, 2 ** len(into)):
+        members = frozenset(m for i, m in enumerate(into) if mask >> i & 1)
+        if all(cat.compose(m, g.id) in members
+               for m in members for g in cat.into(cat.morphism(m).src)):
+            out.append(Sieve(u, members))
+    return out
+
+
+def _idempotent_monoid():
+    # one object, morphisms {1, e} with e∘e = e: a non-identity idempotent
+    return FiniteCategory(("*",), (Morphism("1", "*", "*"), Morphism("e", "*", "*")),
+                          {"*": "1"}, {("e", "e"): "e"})
+
+
+def _parallel_pair():
+    # f, g: a ⇉ b (its sieves over b are those of the two-object a ⇉ b), and
+    # h: b -> c with h∘f = h∘g = k, so a comma over c has parallel morphisms
+    return FiniteCategory(
+        ("a", "b", "c"),
+        (Morphism("1a", "a", "a"), Morphism("1b", "b", "b"), Morphism("1c", "c", "c"),
+         Morphism("f", "a", "b"), Morphism("g", "a", "b"), Morphism("h", "b", "c"),
+         Morphism("k", "a", "c")),
+        {"a": "1a", "b": "1b", "c": "1c"},
+        {("h", "f"): "k", ("h", "g"): "k"})
+
+
+@pytest.mark.parametrize("build", [_idempotent_monoid, _parallel_pair])
+def test_comma_of_sieve_equals_the_eager_table_off_posets(build):
+    cat = build()
+    assert cat.check_axioms() == []
+    spec = SiteSpec(cat, Coverage({}))
+    checked = 0
+    for u in cat.objects:
+        for sieve in _all_sieves(cat, u):
+            _assert_eager(spec, sieve)
+            checked += 1
+    assert checked >= 2
+
+
+def test_comma_keeps_parallel_morphisms_and_idempotents():
+    monoid = SiteSpec(_idempotent_monoid(), Coverage({}))
+    comma = comma_of_sieve(monoid, Sieve("*", frozenset({"e"})))
+    assert [m.id for m in comma.morphisms] == ["1|e>e", "e|e>e"]
+    assert comma.identity == {"e": "1|e>e"}
+    assert comma.compose("e|e>e", "e|e>e") == "e|e>e"
+    pair = SiteSpec(_parallel_pair(), Coverage({}))
+    comma = comma_of_sieve(pair, Sieve("c", frozenset({"1c", "h", "k"})))
+    assert [m.id for m in comma.hom("k", "h")] == ["f|k>h", "g|k>h"]
+
+
+def test_comma_skips_a_composite_with_the_wrong_source():
+    # p∘r is declared to be p, whose source is x, not src(r) = y
+    cat = FiniteCategory(("t", "x", "y"),
+                         (Morphism("1t", "t", "t"), Morphism("1x", "x", "x"),
+                          Morphism("1y", "y", "y"), Morphism("p", "x", "t"),
+                          Morphism("q", "y", "t"), Morphism("r", "y", "x")),
+                         {"t": "1t", "x": "1x", "y": "1y"}, {("p", "r"): "p"})
+    comma = _assert_eager(SiteSpec(cat, Coverage({})), Sieve("t", frozenset({"p", "q"})))
+    assert [m.id for m in comma.morphisms] == ["1x|p>p", "1y|q>q"]
+
+
+def _spaces():
+    fence = FiniteSpace(tuple("abcdef"), frozenset({("a", "b"), ("c", "b"), ("c", "d"),
+                                                    ("e", "d"), ("e", "f")}))
+    sphere = FiniteSpace(tuple("abcdef"), frozenset((lo, hi) for lo, hi in
+                                                    itertools.product("ab", "cdef"))
+                         | frozenset(itertools.product("cd", "ef")))
+    antichain = FiniteSpace(tuple("abcd"), frozenset())
+    return fence, sphere, antichain
+
+
+@pytest.mark.parametrize("policy", ["generated", "all-irredundant"])
+def test_comma_of_sieve_equals_the_eager_table_on_open_sites(policy):
+    checked = 0
+    for space in _spaces():
+        spec = open_site(space, policy)
+        for sieve in _nonempty_sieves(spec, 0):
+            _assert_eager(spec, sieve)
+            checked += 1
+    assert checked > 40
+
+
+def _sieve_site():
+    # the poset t > x > y, plus z > y off to the side
+    return SiteSpec(poset_category("txyz", [("x", "t"), ("y", "x"), ("y", "z")]),
+                    Coverage({}))
+
+
+def test_sieve_checks_still_run_at_comma_construction():
+    spec = _sieve_site()
+    with pytest.raises(SiteError, match="sieve member 'y<z' does not land in 't'"):
+        comma_of_sieve(spec, Sieve("t", frozenset({"x<t", "y<t", "y<z"})))
+    with pytest.raises(SiteError, match="sieve not closed under precomposition at 'x<t'"):
+        comma_of_sieve(spec, Sieve("t", frozenset({"x<t"})))
+    # every target is checked before the first closure check
+    with pytest.raises(SiteError, match="does not land in"):
+        comma_of_sieve(spec, Sieve("t", frozenset({"x<t", "y<z"})))
+
+
+_TWO_BAD = """
+from finsite.category import Coverage, Sieve, SiteSpec, comma_of_sieve, poset_category
+from finsite.errors import SiteError
+# x < a, ..., g < t
+spec = SiteSpec(poset_category("abcdefgtx", [(u, "t") for u in "abcdefg"]
+                               + [("x", u) for u in "abcdefg"]), Coverage({}))
+for members in ({"a<t", "b<b", "c<c", "d<d", "e<e"}, {"a<t", "c<t", "e<t", "g<t"}):
+    try:
+        comma_of_sieve(spec, Sieve("t", frozenset(members)))
+    except SiteError as exc:
+        print(exc)
+"""
+
+
+def test_sieve_errors_name_the_first_bad_member_under_any_hash_seed():
+    src = str(Path(finsite.__file__).resolve().parents[1])
+    out = []
+    for seed in ("0", "4242"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        run = subprocess.run([sys.executable, "-c", _TWO_BAD], env=env, capture_output=True,
+                             text=True, timeout=60, check=True)
+        out.append(run.stdout)
+    assert out[0] == out[1] == ("sieve member 'b<b' does not land in 't'\n"
+                                "sieve not closed under precomposition at 'a<t'\n")
 
 
 # ---------------------------------------------------------------------------
