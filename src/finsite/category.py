@@ -85,11 +85,11 @@ class FiniteCategory:
     def id_of(self, u: str) -> str:
         return self.identity[u]
 
-    def into(self, u: str) -> list[Morphism]:
-        return list(self._into.get(u, ()))
+    def into(self, u: str) -> tuple[Morphism, ...]:
+        return self._into.get(u, ())
 
-    def out_of(self, u: str) -> list[Morphism]:
-        return list(self._out_of.get(u, ()))
+    def out_of(self, u: str) -> tuple[Morphism, ...]:
+        return self._out_of.get(u, ())
 
     def hom(self, src: str, dst: str) -> tuple[Morphism, ...]:
         """The morphisms src -> dst, in `morphisms` order."""
@@ -295,7 +295,6 @@ class _CommaComposition(Mapping):
         not the comma itself: without a reference cycle a dropped site frees
         its comma categories at once."""
         self._by_id, self._into, self._morphisms = comma._by_id, comma._into, comma.morphisms
-        self._len = sum(len(self._into.get(g.src, ())) for g in self._morphisms)
 
     def __getitem__(self, key):
         g, f = key
@@ -313,7 +312,7 @@ class _CommaComposition(Mapping):
                 yield g.id, f.id
 
     def __len__(self):
-        return self._len
+        return sum(len(self._into.get(g.src, ())) for g in self._morphisms)
 
 
 def _comma_base(m: Morphism) -> str:

@@ -15,7 +15,7 @@ from .cosheaf import PointFilter, Precosheaf
 from .errors import EngineError, SiteError
 from .report import CheckReport
 from .values import (FINSET, FinSetMap, FinSetObj, FiniteDiagram, classify_map, compose,
-                     identity_map, into_limit, maps_equal, unique_map_to_terminal)
+                     identity_map, into_limit, maps_equal)
 
 
 @dataclass(frozen=True)
@@ -79,25 +79,21 @@ class HomResult:
     obj: object
     restriction: object          # canonical map value(target) -> limit
     limit: values.LimitResult
-    members: tuple[str, ...]
 
 
 def hom_with_sieve(a: Presheaf, sieve: Sieve) -> HomResult:
     """Limit of the presheaf over the sieve's comma category, with the
-    canonical restriction map from the value at the target."""
+    canonical restriction map from the value at the target.  Over the empty
+    sieve the limit is the terminal value."""
     site_cat = a.site.category
-    if not sieve.members:
-        restriction = unique_map_to_terminal(a.category, a.values[sieve.target])
-        return HomResult(restriction.dst, restriction, values.LimitResult(restriction.dst, {}), ())
     comma = comma_of_sieve(a.site, sieve)
     shape = opposite_category(comma)
     nodes = {m: a.values[site_cat.morphism(m).src] for m in shape.objects}
     edges = {cm.id: a.action[_comma_base(cm)] for cm in comma.morphisms}
     diagram = FiniteDiagram(shape, nodes, edges, trusted=True)
     limit = values.finite_limit(diagram, a.category)
-    members = tuple(sorted(sieve.members))
-    restriction = into_limit(limit, a.values[sieve.target], {m: a.action[m] for m in members})
-    return HomResult(limit.obj, restriction, limit, members)
+    restriction = into_limit(limit, a.values[sieve.target], {m: a.action[m] for m in sieve.members})
+    return HomResult(limit.obj, restriction, limit)
 
 
 def check_sheaf(a: Presheaf, depth: int = 6) -> CheckReport:
@@ -161,21 +157,11 @@ def plus_sheaf(a: Presheaf, depth: int = 6) -> SheafPlusResult:
             if composite not in sieves[u].members:
                 raise SiteError(
                     f"stability breach: {composite!r} escapes the sieve of {u!r}")
-            member_maps[g] = _family_component(homs[u], composite)
-        if sieves[v].members:
-            new_action[m.id] = into_limit(homs[v].limit, homs[u].obj, member_maps)
-        else:
-            new_action[m.id] = unique_map_to_terminal(a.category, homs[u].obj)
+            member_maps[g] = homs[u].limit.cone[composite]
+        new_action[m.id] = into_limit(homs[v].limit, homs[u].obj, member_maps)
     plus = Presheaf(site, a.category, new_values, new_action, a.points)
     unit = {u: homs[u].restriction for u in site.category.objects}
     return SheafPlusResult(plus, unit, truncated)
-
-
-def _family_component(hom: HomResult, member: str):
-    """Projection of the section object onto the family value at one member."""
-    if not hom.members:
-        raise SiteError("projection out of an empty-sieve section object")
-    return hom.limit.cone[member]
 
 
 @dataclass

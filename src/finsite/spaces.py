@@ -54,10 +54,8 @@ class FiniteSpace:
         for r in range(len(pts) + 1):
             for combo in itertools.combinations(pts, r):
                 s = frozenset(combo)
-                if all(self.leq(q, p) <= (q in s) or q in s
-                       for p in s for q in pts if self.leq(q, p)):
-                    if all((q in s) for p in s for q in pts if self.leq(q, p)):
-                        out.append(s)
+                if all(q in s for p in s for q in pts if self.leq(q, p)):
+                    out.append(s)
         return out
 
     def comparability_components(self, subset: frozenset[str]) -> list[frozenset[str]]:
@@ -287,7 +285,7 @@ def _record_refinement(cat, fine: Cover, coarse: Cover, k: int, coarse_stage: in
         placed = False
         for j, q in enumerate(coarse.pieces):
             qsrc = cat.morphism(q).src
-            for beta in sorted(mm.id for mm in cat.morphisms if mm.src == src and mm.dst == qsrc):
+            for beta in sorted(mm.id for mm in cat.hom(src, qsrc)):
                 if cat.compose(q, beta) == p:
                     out.append((j, beta))
                     placed = True

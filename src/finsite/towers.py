@@ -13,7 +13,7 @@ from typing import Mapping
 from . import intmat, values
 from .category import FiniteCategory
 from .errors import EngineError, InsufficientDepth
-from .values import (FINSET, FinAbMap, FinAbObj, FinSetObj, FiniteDiagram,
+from .values import (FINSET, FinAbMap, FinAbObj, FiniteDiagram,
                      category_of, chains_equal, classify_map, commutes, compose,
                      identity_map, is_zero_map, map_key, maps_equal, out_map)
 
@@ -420,72 +420,41 @@ class EpiVerdict:
         return "EPI" if self.epi else "NOT-EPI"
 
 
-def default_epi_family(x: Tower, y: Tower, extra=None):
-    """Rudimentary test objects per the value category.
-
-    Finite sets: all sizes up to max level size + 1.  Abelian groups: Z and
-    Z/p for every prime dividing an invariant factor at any level of either
-    tower or of the canonical depth cokernel (the extra argument).
-    """
-    if x.category() == FINSET:
-        biggest = max(len(lv) for lv in x.levels + y.levels)
-        return [FinSetObj(tuple(f"g{i}" for i in range(n))) for n in range(1, biggest + 2)]
-    primes = set()
-    def absorb(obj):
-        torsion, _ = obj.invariants()
-        for t in torsion:
-            m = t
-            p = 2
-            while p * p <= m:
-                if m % p == 0:
-                    primes.add(p)
-                    while m % p == 0:
-                        m //= p
-                p += 1
-            if m > 1:
-                primes.add(m)
-    for lv in x.levels + y.levels:
-        absorb(lv)
-    if extra is not None:
-        absorb(extra)
-    return [values.free_ab(1)] + [values.cyclic(p) for p in sorted(primes)]
+def _primes_dividing(n: int) -> list[int]:
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return primes + [n] if n > 1 else primes
 
 
-def is_epi_at_depth(f: LevelMorphism, depth: int | None = None, test_family=None) -> EpiVerdict:
-    """Epimorphy via Hom(-, G)-injectivity against a family of rudimentary G.
+def is_epi_at_depth(f: LevelMorphism, depth: int | None = None) -> EpiVerdict:
+    """Epimorphy via Hom(-, G)-injectivity against the rudimentary G.
 
     At the truncation the pro-hom sets collapse onto the deepest level, so
-    Hom(Y, G) -> Hom(X, G) is injective for every G in the finite-set family
-    exactly when the canonical depth component is surjective; on the abelian
-    side injectivity for G says Hom(coker, G) = 0.
+    Hom(Y, G) -> Hom(X, G) is injective for every finite set G exactly when
+    the canonical depth component is surjective; a set of size 2 detects any
+    failure.  On the abelian side injectivity for G says Hom(coker, G) = 0:
+    Z detects free rank in the cokernel and Z/p a prime p dividing its
+    torsion.  `failing` names the test objects that detect the failure.
     """
     d = f.dst.depth if depth is None else min(depth, f.dst.depth, f.src.depth)
     fdep = compose(f.components[d], f.src.bond_composite(d, f.shift[d]))
     if f.src.category() == FINSET:
-        family = test_family or default_epi_family(f.src, f.dst)
         image = {fdep(x) for x in f.src.levels[d].elements}
         surj = image == set(f.dst.levels[d].elements)
-        failing = tuple(
-            f"set of size {len(g)}" for g in family if len(g) >= 2 and not surj
-        )
-        return EpiVerdict(surj, d, failing,
+        return EpiVerdict(surj, d, () if surj else ("set of size 2",),
                           "precomposition injective for every test object" if surj
                           else "maps separating the image from its complement collapse")
     coker, _ = values.cokernel(fdep)
-    family = test_family or default_epi_family(f.src, f.dst, coker)
     torsion, free = coker.invariants()
-    failing = []
-    for g in family:
-        g_torsion, g_free = g.invariants()
-        if g_free:  # G = Z detects free rank
-            if free:
-                failing.append("Z")
-        else:
-            p = g_torsion[0]
-            if free or any(t % p == 0 for t in torsion):
-                failing.append(f"Z/{p}")
+    failing = (("Z",) if free else ()) + tuple(
+        f"Z/{p}" for p in _primes_dividing(torsion[-1] if torsion else 1))
     ok = not failing
-    return EpiVerdict(ok, d, tuple(failing),
+    return EpiVerdict(ok, d, failing,
                       "cokernel of the depth component is trivial for the family" if ok
                       else f"cokernel invariants {torsion} free rank {free}")
 

@@ -372,21 +372,15 @@ def is_zero_map(f: FinAbMap) -> bool:
     return all(f.dst.lattice_contains(intmat.column(f.matrix, j)) for j in range(f.src.rank))
 
 
-def terminal_object(category: str):
-    return finset("*") if category == FINSET else FinAbObj(0)
-
-
 def unique_map_from_initial(category: str, dst):
-    if category == FINSET:
-        return FinSetMap(finset(), dst, ())
-    return FinAbMap(FinAbObj(0), dst, tuple(() for _ in range(dst.rank)))
+    """The map out of the colimit of the empty diagram."""
+    return out_map(finite_colimit(_diagram({}), category), {}, dst)
 
 
 def unique_map_to_terminal(category: str, src):
-    dst = terminal_object(category)
-    if category == FINSET:
-        return FinSetMap(src, dst, tuple((x, dst.elements[0]) for x in src.elements))
-    return FinAbMap(src, dst, ())
+    """The map into the limit of the empty diagram, whose one element (in
+    finite sets) is labelled "*"."""
+    return into_limit(finite_limit(_diagram({}), category), src, {})
 
 
 @dataclass(frozen=True)
@@ -507,6 +501,10 @@ class LimitResult:
 
 
 def _family_label(family: Mapping[str, str], nodes) -> str:
+    """The element id of a compatible family; the one family of the empty
+    diagram is "*"."""
+    if not nodes:
+        return "*"
     return "(" + ",".join(f"{u}={family[u]}" for u in nodes) + ")"
 
 

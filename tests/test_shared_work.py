@@ -116,8 +116,8 @@ def test_category_indexes_match_linear_scans():
     for _ in range(30):
         cat = random_site(rng).category
         for u in cat.objects:
-            assert cat.into(u) == [m for m in cat.morphisms if m.dst == u]
-            assert cat.out_of(u) == [m for m in cat.morphisms if m.src == u]
+            assert list(cat.into(u)) == [m for m in cat.morphisms if m.dst == u]
+            assert list(cat.out_of(u)) == [m for m in cat.morphisms if m.src == u]
             for v in cat.objects:
                 assert list(cat.hom(u, v)) == [m for m in cat.morphisms
                                                if m.src == u and m.dst == v]

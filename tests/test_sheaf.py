@@ -9,8 +9,9 @@ from finsite.sheaf import (Presheaf, check_sheaf, hom_with_sieve, plus_sheaf,
                            presheaf_product, sheafify, stalk)
 from finsite.spaces import (open_site, pi0_precosheaf, pseudocircle,
                             site_points)
-from finsite.values import (classify_map, compose, finab_map, finset,
-                            finset_map, free_ab, identity_map, maps_equal)
+from finsite.values import (FINAB, FINSET, category_of, classify_map, compose,
+                            finab_map, finset, finset_map, free_ab, identity_map,
+                            is_zero_map, maps_equal, unique_map_to_terminal)
 
 X = "{a,b,c,d}"
 
@@ -103,6 +104,25 @@ def test_sections_over_empty_sieve_terminal(circle):
     empty = [c for c in spec.declared_covers("{}") if not c.pieces][0]
     res = hom_with_sieve(pre, sieve_from_cover(spec, empty))
     assert len(res.obj) == 1
+
+
+@pytest.mark.parametrize("g", [finset("g0", "g1"), free_ab(2)], ids=[FINSET, FINAB])
+def test_empty_sieve_is_limited_to_the_terminal_value(circle, g):
+    """Over the empty sieve the hom is the limit of the empty diagram: the
+    one-point set {*} or the zero group, and plus_sheaf puts it at {}."""
+    _, spec = circle
+    cat = category_of(g)
+    pre = Presheaf(spec, cat, {u: g for u in spec.category.objects},
+                   {m.id: identity_map(g) for m in spec.category.morphisms}, site_points(spec))
+    empty = [c for c in spec.declared_covers("{}") if not c.pieces][0]
+    res = hom_with_sieve(pre, sieve_from_cover(spec, empty))
+    if cat == FINSET:
+        assert res.obj.elements == ("*",)
+        assert res.restriction == unique_map_to_terminal(FINSET, g)
+    else:
+        assert res.obj.rank == 0
+        assert res.restriction.dst == res.obj and is_zero_map(res.restriction)
+    assert plus_sheaf(pre).presheaf.values["{}"] == res.obj
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ from finsite.towers import (LevelMorphism, Tower, equal_at_depth,
                             is_epi_at_depth, is_iso_at_depth,
                             is_rudimentary_at_depth, pro_hom_at_depth,
                             tower_colimit)
-from finsite.values import (FINAB, FINSET, classify_map, cyclic, finab_map, finset,
-                            finset_map, free_ab, hom_set, identity_map)
+from finsite.values import (FINAB, FINSET, classify_map, cokernel, cyclic, direct_sum,
+                            finab_map, finset, finset_map, free_ab, hom_set,
+                            identity_map)
 
 
 def merge_tower(depth):
@@ -317,13 +318,23 @@ def test_finab_epi_and_iso_agree_with_classify_on_rudimentary():
         finab_map(z, z2, ((1,),)),
         finab_map(z2, z2, ((0,),)),
         finab_map(free_ab(2), z, ((1, 0),)),
+        finab_map(z, free_ab(2), ((1,), (0,))),
+        finab_map(z, free_ab(2), ((6,), (0,))),
+        finab_map(z, z, ((12,),)),
+        finab_map(z2, direct_sum([z2, z]), ((1,), (0,))),
     ]
     for f in cases:
         lm = LevelMorphism.strict(Tower.constant(f.src, 2), Tower.constant(f.dst, 2),
                                   (f,) * 3)
         flags = classify_map(f)
-        assert is_epi_at_depth(lm, 2).epi == flags.epi, f
+        verdict = is_epi_at_depth(lm, 2)
+        assert verdict.epi == flags.epi, f
         assert is_iso_at_depth(lm, 2).iso == flags.iso, f
+        # Z detects free rank in the cokernel, Z/p a prime p dividing its torsion
+        torsion, free = cokernel(f)[0].invariants()
+        primes = [p for p in range(2, max(torsion, default=1) + 1)
+                  if all(p % q for q in range(2, p)) and any(t % p == 0 for t in torsion)]
+        assert verdict.failing == ("Z",) * (free > 0) + tuple(f"Z/{p}" for p in primes), f
 
 
 def test_tower_colimit_insufficient_depth():
