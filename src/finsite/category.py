@@ -380,19 +380,17 @@ def find_refinement(spec: SiteSpec, fine: Cover, coarse: Cover) -> RefinementAss
     """
     if fine.target != coarse.target:
         raise SiteError("refinement requires a shared target")
-    cat = spec.category
+    return _refinement(spec.category, fine, coarse)
+
+
+def _refinement(cat: FiniteCategory, fine: Cover, coarse: Cover) -> RefinementAssignment | None:
+    """find_refinement without the shared-target check."""
     out = []
     for p in fine.pieces:
-        mp = cat.morphism(p)
-        found = None
-        for j, q in enumerate(coarse.pieces):
-            mq = cat.morphism(q)
-            for beta in sorted(cat.hom(mp.src, mq.src)):
-                if cat.compose(q, beta.id) == p:
-                    found = (j, beta.id)
-                    break
-            if found:
-                break
+        src = cat.morphism(p).src
+        found = next(((j, beta) for j, q in enumerate(coarse.pieces)
+                      for beta in sorted(m.id for m in cat.hom(src, cat.morphism(q).src))
+                      if cat.compose(q, beta) == p), None)
         if found is None:
             return None
         out.append(found)

@@ -12,7 +12,7 @@ import sys
 from . import io, randsuite
 from .cosheaf import (Precosheaf, check_cosheaf, cosheafify, costalk,
                       is_smooth)
-from .errors import EngineError, InvalidDocument
+from .errors import EngineError
 from .report import CheckReport
 from .sheaf import Presheaf, check_sheaf, sheafify
 from .spaces import builtin_demos, demo_by_name
@@ -94,6 +94,15 @@ def _fail_internal(exc: Exception) -> int:
     return 3
 
 
+def _load(path: str, kind: type, depth: int = 6):
+    """The document at path, which must hold a `kind` (a Precosheaf or a
+    Presheaf); precosheaves are read at `depth`."""
+    value = io.load(path, depth=depth)
+    if not isinstance(value, kind):
+        raise EngineError(f"document is not a {kind.__name__.lower()}")
+    return value
+
+
 def _tower_profile(t) -> list[str]:
     out = []
     for lv in t.levels:
@@ -122,39 +131,26 @@ def main(argv=None) -> int:
             return _emit(validate_site(spec))
 
         if args.command == "check-cosheaf":
-            a = io.load(args.precosheaf, depth=args.depth)
-            if not isinstance(a, Precosheaf):
-                return _fail_input("document is not a precosheaf")
+            a = _load(args.precosheaf, Precosheaf, args.depth)
             return _emit(check_cosheaf(a, args.depth))
 
         if args.command == "check-sheaf":
-            a = io.load(args.presheaf)
-            if not isinstance(a, Presheaf):
-                return _fail_input("document is not a presheaf")
-            return _emit(check_sheaf(a))
+            return _emit(check_sheaf(_load(args.presheaf, Presheaf)))
 
         if args.command == "cosheafify":
-            a = io.load(args.precosheaf, depth=args.depth)
-            if not isinstance(a, Precosheaf):
-                return _fail_input("document is not a precosheaf")
-            result = cosheafify(a, args.depth)
+            result = cosheafify(_load(args.precosheaf, Precosheaf, args.depth), args.depth)
             if args.out:
                 io.save(result.precosheaf, args.out)
             return _emit(result.report)
 
         if args.command == "sheafify":
-            a = io.load(args.presheaf)
-            if not isinstance(a, Presheaf):
-                return _fail_input("document is not a presheaf")
-            result = sheafify(a)
+            result = sheafify(_load(args.presheaf, Presheaf))
             if args.out:
                 io.save(result.presheaf, args.out)
             return _emit(result.report)
 
         if args.command == "costalk":
-            a = io.load(args.precosheaf, depth=args.depth)
-            if not isinstance(a, Precosheaf):
-                return _fail_input("document is not a precosheaf")
+            a = _load(args.precosheaf, Precosheaf, args.depth)
             p = a.point_filter(args.point)
             tower = costalk(a, p, args.depth)
             rv = is_rudimentary_at_depth(tower, args.depth)
@@ -168,10 +164,7 @@ def main(argv=None) -> int:
             return _emit(report)
 
         if args.command == "smooth":
-            a = io.load(args.precosheaf, depth=args.depth)
-            if not isinstance(a, Precosheaf):
-                return _fail_input("document is not a precosheaf")
-            return _emit(is_smooth(a, args.depth))
+            return _emit(is_smooth(_load(args.precosheaf, Precosheaf, args.depth), args.depth))
 
         if args.command == "demo":
             try:
@@ -209,8 +202,6 @@ def main(argv=None) -> int:
         if args.command == "oracle-suite":
             report = randsuite.oracle_suite(args.seed, args.cases)
             return _emit(report)
-    except InvalidDocument as exc:
-        return _fail_input(str(exc))
     except EngineError as exc:
         return _fail_input(str(exc))
     except Exception as exc:

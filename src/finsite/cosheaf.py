@@ -18,7 +18,7 @@ from .category import (Cover, FiniteCategory, Sieve, SiteSpec,
                        refinement_search, sieve_from_cover, sieve_levels)
 from .errors import EngineError, InsufficientDepth, SiteError
 from .report import CheckReport
-from .towers import (LevelMorphism, Tower, TowerColimit, _stable_reindex, chain_components,
+from .towers import (LevelMorphism, Tower, TowerColimit, chain_components,
                      chains_equal_at_depth, is_epi_at_depth,
                      is_iso_at_depth, is_rudimentary_at_depth, tower_colimit,
                      tower_pro_zero)
@@ -438,76 +438,72 @@ def plus_cosheaf(a: Precosheaf, depth: int | None = None) -> PlusResult:
             bonds.append(compose(lo.tower.bonds[k], hi_to_lo_at))
         plus_values[u] = Tower(tuple(levels), tuple(bonds))
 
-    plus_action = {}
+    # the plus action on m at level k reads level shift[k] >= k of its source
+    action = {}
     for m in site.category.morphisms:
-        alpha = m
         comps = []
         prev_phi = 0
         shift = []
         for k in range(d + 1):
-            hit = refinement_search(site, alpha.src, sieves[alpha.dst][k], alpha.id, d)
+            hit = refinement_search(site, m.src, sieves[m.dst][k], m.id, d)
             if hit is None:
                 raise SiteError(
-                    f"no declared cover of {alpha.src!r} refines the pullback of "
-                    f"level {k} of {alpha.dst!r} along {alpha.id!r}")
+                    f"no declared cover of {m.src!r} refines the pullback of "
+                    f"level {k} of {m.dst!r} along {m.id!r}")
             lvl = max(k, hit[0], prev_phi)
             if lvl > d:
                 raise InsufficientDepth("insufficient depth for the plus action")
             prev_phi = lvl
             shift.append(lvl)
-            src_tensor = tensors[alpha.src][lvl]
-            dst_tensor = tensors[alpha.dst][k]
-            push = _pushforward(a, src_tensor, sieves[alpha.src][lvl], dst_tensor, alpha.id, lvl)
+            src_tensor = tensors[m.src][lvl]
+            dst_tensor = tensors[m.dst][k]
+            push = _pushforward(a, src_tensor, sieves[m.src][lvl], dst_tensor, m.id, lvl)
             comps.append(compose(dst_tensor.tower.bond_composite(lvl, k), push))
-        lm = LevelMorphism(plus_values[alpha.src], plus_values[alpha.dst],
-                           tuple(shift), tuple(comps))
-        plus_action[m.id] = lm
+        action[m.id] = tuple(shift), tuple(comps)
 
-    strict = all(lm.is_strict() for lm in plus_action.values())
-    if strict:
-        plus = Precosheaf(site, a.category, d, plus_values, plus_action, a.points,
-                          _colimits=a._colimits)
-        counit_components = {
-            u: LevelMorphism.strict(
-                plus.values[u], a.values[u],
-                tuple(tensors[u][k].compare.components[k] for k in range(d + 1)))
-            for u in site.category.objects
-        }
-    else:
-        plus, phi = _normalize_with_reindex(site, a.category, d, plus_values, plus_action,
-                                            a.points, a._colimits)
-        counit_components = {}
-        for u in site.category.objects:
-            comps = []
-            for k in range(d + 1):
-                c = tensors[u][phi[k]].compare.components[phi[k]]
-                comps.append(compose(a.values[u].bond_composite(phi[k], k), c))
-            counit_components[u] = LevelMorphism.strict(plus.values[u], a.values[u], tuple(comps))
+    plus, phi = _normalize_with_reindex(site, a.category, d, plus_values, action, a.points,
+                                        a._colimits)
+    counit_components = {}
+    for u in site.category.objects:
+        t = a.values[u]
+        comps = tuple(tensors[u][p].compare.components[p] if p == k else
+                      compose(t.bond_composite(p, k), tensors[u][p].compare.components[p])
+                      for k, p in enumerate(phi))
+        counit_components[u] = LevelMorphism.strict(plus.values[u], t, comps)
     counit = PrecosheafMorphism(plus, a, counit_components)
     return PlusResult(plus, counit, sieves)
 
 
+def _stable_reindex(shifts, depth: int) -> tuple[int, ...]:
+    """The least nondecreasing phi with phi(j) >= j and shift[phi(j)] <= phi(j)
+    for every shift: phi(j) is reached from j by following the shifts, which
+    never exceed depth, until none moves it."""
+    phi, p = [], 0
+    for j in range(depth + 1):
+        p = max(p, j)
+        while (q := max((shift[p] for shift in shifts), default=p)) > p:
+            p = q
+        phi.append(p)
+    return tuple(phi)
+
+
 def _normalize_with_reindex(site, category, depth, towers, action, points, colimits):
-    """Strictify actions by the iterated-max reindexing of their shifts."""
-    try:
-        phi = _stable_reindex(action, depth)
-    except InsufficientDepth:
-        raise InsufficientDepth("insufficient depth to normalize the precosheaf") from None
-    new_towers = {}
-    for u, t in towers.items():
-        levels = tuple(t.levels[phi[j]] for j in range(depth + 1))
-        bonds = tuple(t.bond_composite(phi[j + 1], phi[j]) for j in range(depth))
-        new_towers[u] = Tower(levels, bonds)
+    """Strictify shifted actions, given as (shift, components) pairs, by
+    reindexing every tower along phi; a level, bond or action component that
+    needs no reindexing keeps its object."""
+    phi = _stable_reindex([shift for shift, _ in action.values()], depth)
+    new_towers = {u: Tower(tuple(t.levels[p] for p in phi),
+                           tuple(t.bond_composite(phi[j + 1], phi[j]) for j in range(depth)))
+                  for u, t in towers.items()}
     new_action = {}
-    for mid, lm in action.items():
+    for mid, (shift, comps) in action.items():
         m = site.category.morphism(mid)
-        comps = tuple(
-            compose(lm.components[phi[j]], lm.src.bond_composite(phi[j], lm.shift[phi[j]]))
-            for j in range(depth + 1)
-        )
-        new_action[mid] = LevelMorphism.strict(new_towers[m.src], new_towers[m.dst], comps)
+        new_action[mid] = LevelMorphism.strict(
+            new_towers[m.src], new_towers[m.dst],
+            tuple(comps[p] if shift[p] == p else
+                  compose(comps[p], towers[m.src].bond_composite(p, shift[p])) for p in phi))
     return (Precosheaf(site, category, depth, new_towers, new_action, points,
-                       _colimits=colimits), tuple(phi))
+                       _colimits=colimits), phi)
 
 
 def plus_map(f: PrecosheafMorphism, plus_src: PlusResult, plus_dst: PlusResult) -> PrecosheafMorphism:
@@ -677,16 +673,11 @@ def is_smooth(a: Precosheaf, depth: int | None = None) -> CheckReport:
 # universal property of the coreflection
 
 
-def _invert_level_morphism(lm: LevelMorphism) -> LevelMorphism:
-    """Exact inverse of a levelwise isomorphism (strict towers)."""
-    comps = tuple(values.inverse(compose(lm.components[j], lm.src.bond_composite(j, lm.shift[j])))
-                  for j in range(lm.dst.depth + 1))
-    return LevelMorphism.strict(lm.dst, lm.src, comps)
-
-
 def invert_counit(result: PlusResult | CosheafifyResult) -> PrecosheafMorphism:
+    """Exact inverse of a levelwise isomorphic counit (counits are strict)."""
     counit = result.counit
-    comps = {u: _invert_level_morphism(counit.components[u]) for u in counit.components}
+    comps = {u: LevelMorphism.strict(lm.dst, lm.src, tuple(map(values.inverse, lm.components)))
+             for u, lm in counit.components.items()}
     return PrecosheafMorphism(counit.dst, counit.src, comps)
 
 

@@ -66,12 +66,8 @@ def _random_blocks(spec: SiteSpec, rng: random.Random, max_size: int, finab: boo
     return blocks
 
 
-def _reaches(spec: SiteSpec, anchor: str, u: str) -> bool:
-    return any(m.src == anchor and m.dst == u for m in spec.category.morphisms)
-
-
-def _reaches_op(spec: SiteSpec, anchor: str, u: str) -> bool:
-    return any(m.src == u and m.dst == anchor for m in spec.category.morphisms)
+def _reaches(spec: SiteSpec, src: str, dst: str) -> bool:
+    return bool(spec.category.hom(src, dst))
 
 
 def random_finset_precosheaf(spec: SiteSpec, rng: random.Random, depth: int = 0,
@@ -139,7 +135,7 @@ def random_presheaf(spec: SiteSpec, rng: random.Random, max_size: int = 4) -> Pr
         blocks.append(Block(rng.choice(objs), rng.randint(1, 2), 0))
     while blocks:
         worst = max(
-            sum(b.grains for b in blocks if _reaches_op(spec, b.anchor, u)) for u in objs
+            sum(b.grains for b in blocks if _reaches(spec, u, b.anchor)) for u in objs
         )
         if worst <= max_size:
             break
@@ -150,7 +146,7 @@ def random_presheaf(spec: SiteSpec, rng: random.Random, max_size: int = 4) -> Pr
     for u in objs:
         elems = []
         for bi, b in enumerate(blocks):
-            if _reaches_op(spec, b.anchor, u):
+            if _reaches(spec, u, b.anchor):
                 elems.extend(f"b{bi}e{g}" for g in range(b.grains))
         vals[u] = values.FinSetObj(tuple(elems))
     action = {}
@@ -166,36 +162,16 @@ def random_presheaf(spec: SiteSpec, rng: random.Random, max_size: int = 4) -> Pr
     return Presheaf(spec, FINSET, vals, action, site_points(spec))
 
 
-def _scaled_identity(a: Precosheaf, n: int, depth: int) -> PrecosheafMorphism:
+def _diagonal(src: Precosheaf, dst: Precosheaf, n: int, depth: int) -> PrecosheafMorphism:
+    """n on the diagonal at every object and level: a scaled identity when
+    src is dst, else (n = 1) a summand inclusion or projection."""
     comps = {}
-    for u in a.site.category.objects:
-        g = a.values[u].levels[0]
-        mtx = [[n if i == j else 0 for j in range(g.rank)] for i in range(g.rank)]
-        f = values.finab_map(g, g, mtx)
-        comps[u] = LevelMorphism.strict(a.values[u], a.values[u], (f,) * (depth + 1))
-    return PrecosheafMorphism(a, a, comps)
-
-
-def _block_injection(a: Precosheaf, summed: Precosheaf, depth: int) -> PrecosheafMorphism:
-    comps = {}
-    for u in a.site.category.objects:
-        ga = a.values[u].levels[0]
-        gs = summed.values[u].levels[0]
-        mtx = [[1 if i == j else 0 for j in range(ga.rank)] for i in range(gs.rank)]
-        f = values.finab_map(ga, gs, mtx)
-        comps[u] = LevelMorphism.strict(a.values[u], summed.values[u], (f,) * (depth + 1))
-    return PrecosheafMorphism(a, summed, comps)
-
-
-def _block_projection(summed: Precosheaf, a: Precosheaf, depth: int) -> PrecosheafMorphism:
-    comps = {}
-    for u in a.site.category.objects:
-        ga = a.values[u].levels[0]
-        gs = summed.values[u].levels[0]
-        mtx = [[1 if i == j else 0 for j in range(gs.rank)] for i in range(ga.rank)]
-        f = values.finab_map(gs, ga, mtx)
-        comps[u] = LevelMorphism.strict(summed.values[u], a.values[u], (f,) * (depth + 1))
-    return PrecosheafMorphism(summed, a, comps)
+    for u in src.site.category.objects:
+        gs, gd = src.values[u].levels[0], dst.values[u].levels[0]
+        mtx = [[n if i == j else 0 for j in range(gs.rank)] for i in range(gd.rank)]
+        f = values.finab_map(gs, gd, mtx)
+        comps[u] = LevelMorphism.strict(src.values[u], dst.values[u], (f,) * (depth + 1))
+    return PrecosheafMorphism(src, dst, comps)
 
 
 def random_finab_morphism(spec: SiteSpec, rng: random.Random, depth: int = 0
@@ -207,12 +183,12 @@ def random_finab_morphism(spec: SiteSpec, rng: random.Random, depth: int = 0
     a = random_finab_precosheaf(spec, rng, depth)
     kind = rng.choice(["scale", "scale", "inject", "project"])
     if kind == "scale":
-        return _scaled_identity(a, rng.choice([0, 1, 2, 3, -1]), depth)
+        return _diagonal(a, a, rng.choice([0, 1, 2, 3, -1]), depth)
     b = random_finab_precosheaf(spec, rng, depth)
     summed = coproduct(a, b)
     if kind == "inject":
-        return _block_injection(a, summed, depth)
-    return _block_projection(summed, a, depth)
+        return _diagonal(a, summed, 1, depth)
+    return _diagonal(summed, a, 1, depth)
 
 
 def oracle_suite(seed: int = 0, cases: int = 25):

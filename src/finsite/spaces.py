@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import values
-from .category import (Cover, CoverChain, Coverage, SiteSpec, poset_category)
+from .category import Cover, CoverChain, Coverage, SiteSpec, _refinement, poset_category
 from .cosheaf import (PointFilter, Precosheaf, constant_precosheaf,
                       precosheaf_from_tables)
 from .errors import EngineError, SiteError
@@ -261,7 +261,7 @@ def converging_sequence_site(n: int) -> SiteSpec:
         for level in range(n - 2):
             coarse = chain_covers[level]
             fine = chain_covers[level + 1]
-            refinements.append(_record_refinement(cat, fine, coarse, k, level + 2, level + 3))
+            refinements.append(_record_refinement(cat, fine, coarse, level + 2, level + 3))
         chains[target] = CoverChain(target, tuple(chain_covers), tuple(refinements))
     for i in range(1, n + 1):
         covers[f"S{i}"] = (Cover(f"S{i}", (cat.id_of(f"S{i}"),), ()),)
@@ -275,26 +275,14 @@ def converging_sequence_site(n: int) -> SiteSpec:
     return spec
 
 
-def _record_refinement(cat, fine: Cover, coarse: Cover, k: int, coarse_stage: int, fine_stage: int):
+def _record_refinement(cat, fine: Cover, coarse: Cover, coarse_stage: int, fine_stage: int):
     """Assignment for one chain step of the converging model."""
-    out = []
     if coarse.pieces == fine.pieces:
         return tuple((i, None) for i in range(len(fine.pieces)))
-    for i, p in enumerate(fine.pieces):
-        src = cat.morphism(p).src
-        placed = False
-        for j, q in enumerate(coarse.pieces):
-            qsrc = cat.morphism(q).src
-            for beta in sorted(mm.id for mm in cat.hom(src, qsrc)):
-                if cat.compose(q, beta) == p:
-                    out.append((j, beta))
-                    placed = True
-                    break
-            if placed:
-                break
-        if not placed:
-            raise SiteError(f"chain step {fine_stage}->{coarse_stage} does not refine")
-    return tuple(out)
+    out = _refinement(cat, fine, coarse)
+    if out is None:
+        raise SiteError(f"chain step {fine_stage}->{coarse_stage} does not refine")
+    return out
 
 
 # ---------------------------------------------------------------------------

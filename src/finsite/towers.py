@@ -8,6 +8,7 @@ here is relative to the truncation at the working depth, and says so.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 from . import intmat, values
@@ -71,6 +72,13 @@ class Tower:
         return Tower((obj,) * (depth + 1), (identity_map(obj),) * depth)
 
 
+@lru_cache(maxsize=64)
+def _strict_shift(length: int) -> tuple[int, ...]:
+    """The shift of every strict level morphism into a tower of depth
+    length - 1, as one shared tuple."""
+    return tuple(range(length))
+
+
 @dataclass(frozen=True)
 class LevelMorphism:
     """A morphism of towers: components f_j : X_{shift[j]} -> Y_j with
@@ -109,7 +117,7 @@ class LevelMorphism:
 
     @staticmethod
     def strict(src: Tower, dst: Tower, components) -> "LevelMorphism":
-        return LevelMorphism(src, dst, tuple(range(dst.depth + 1)), tuple(components))
+        return LevelMorphism(src, dst, _strict_shift(dst.depth + 1), tuple(components))
 
     @staticmethod
     def identity(t: Tower) -> "LevelMorphism":
@@ -293,6 +301,16 @@ def strictified(f: LevelMorphism) -> LevelMorphism:
     return LevelMorphism.strict(f.src, f.dst, comps)
 
 
+def _first_unkilled(d: int, margin: int, kills):
+    """(True, None) when every level j up to d - margin is killed by some
+    level i in j..d, that is kills(i, j) holds; else (False, the first level
+    that none kills)."""
+    for j in range(max(0, d - margin) + 1):
+        if not any(kills(i, j) for i in range(j, d + 1)):
+            return False, j
+    return True, None
+
+
 def _finab_kernel_pro_zero(f: LevelMorphism, d: int, margin: int):
     """Pro-zero test for the kernel tower, without presenting its bonds.
 
@@ -303,43 +321,31 @@ def _finab_kernel_pro_zero(f: LevelMorphism, d: int, margin: int):
     for j in range(d + 1):
         k, incl = values.kernel(f.components[j])
         gens.append(incl.matrix if k.rank else None)
-    ceiling = max(0, d - margin)
-    for j in range(ceiling + 1):
-        hit = False
-        for i in range(j, d + 1):
-            if gens[i] is None:
-                hit = True
-                break
-            carried = intmat.mul(f.src.bond_composite(i, j).matrix, gens[i])
-            lvl = f.src.levels[j]
-            if all(lvl.lattice_contains(intmat.column(carried, c))
-                   for c in range(intmat.shape(carried)[1])):
-                hit = True
-                break
-        if not hit:
-            return False, j
-    return True, None
+
+    def kills(i, j):
+        if gens[i] is None:
+            return True
+        carried = intmat.mul(f.src.bond_composite(i, j).matrix, gens[i])
+        lvl = f.src.levels[j]
+        return all(lvl.lattice_contains(intmat.column(carried, c))
+                   for c in range(intmat.shape(carried)[1]))
+
+    return _first_unkilled(d, margin, kills)
 
 
 def _finab_cokernel_pro_zero(f: LevelMorphism, d: int, margin: int):
     """Pro-zero test for the cokernel tower: the target bond composite must
     land in the cokernel's relation lattice."""
     cokers = [values.cokernel(f.components[j])[0] for j in range(d + 1)]
-    ceiling = max(0, d - margin)
-    for j in range(ceiling + 1):
-        hit = False
-        for i in range(j, d + 1):
-            if cokers[i].is_trivial() or cokers[j].is_trivial():
-                hit = True
-                break
-            bond = f.dst.bond_composite(i, j).matrix
-            if all(cokers[j].lattice_contains(intmat.column(bond, c))
-                   for c in range(intmat.shape(bond)[1])):
-                hit = True
-                break
-        if not hit:
-            return False, j
-    return True, None
+
+    def kills(i, j):
+        if cokers[i].is_trivial() or cokers[j].is_trivial():
+            return True
+        bond = f.dst.bond_composite(i, j).matrix
+        return all(cokers[j].lattice_contains(intmat.column(bond, c))
+                   for c in range(intmat.shape(bond)[1]))
+
+    return _first_unkilled(d, margin, kills)
 
 
 def tower_pro_zero(t: Tower, depth: int | None = None, margin: int = 3):
@@ -348,17 +354,7 @@ def tower_pro_zero(t: Tower, depth: int | None = None, margin: int = 3):
     Pro-zero: for every level k up to depth - margin some deeper bond
     composite into level k is the zero map."""
     d = t.depth if depth is None else min(depth, t.depth)
-    ceiling = max(0, d - margin)
-    for k in range(ceiling + 1):
-        hit = False
-        for m in range(k, d + 1):
-            comp = t.bond_composite(m, k)
-            if is_zero_map(comp):
-                hit = True
-                break
-        if not hit:
-            return False, k
-    return True, None
+    return _first_unkilled(d, margin, lambda m, k: is_zero_map(t.bond_composite(m, k)))
 
 
 def is_iso_at_depth(f: LevelMorphism, depth: int | None = None, margin: int = 2) -> IsoVerdict:
@@ -521,44 +517,22 @@ class TowerColimit:
     levels: tuple = ()   # per-level ColimitResult
 
 
-def _stable_reindex(edges: Mapping[str, LevelMorphism], depth: int):
-    """Nondecreasing phi with phi(j) >= shift_e(phi(j)) for every edge."""
-    phi = list(range(depth + 1))
-    for _ in range(depth + 2):
-        changed = False
-        for e in edges.values():
-            shift = e.shift   # one entry per level of e.dst
-            for j, p in enumerate(phi):
-                if p >= len(shift):
-                    raise InsufficientDepth("insufficient depth")
-                if shift[p] > p:
-                    phi[j] = shift[p]
-                    changed = True
-        for j in range(depth):
-            if phi[j] > phi[j + 1]:
-                phi[j + 1] = phi[j]
-                changed = True
-        if max(phi) > depth:
-            raise InsufficientDepth("insufficient depth")
-        if not changed:
-            return tuple(phi)
-    raise InsufficientDepth("insufficient depth")
-
-
 def tower_colimit(shape: FiniteCategory, nodes: Mapping[str, Tower],
                   edges: Mapping[str, LevelMorphism], depth: int | None = None,
                   store: dict | None = None, category: str | None = None) -> TowerColimit:
-    """Levelwise finite colimit of a finite diagram of towers.
+    """Levelwise finite colimit of a finite diagram of towers with strict
+    edges.
 
-    Edges are reindexed to a common nondecreasing shift first; the result
-    keeps the input depth, with bonds induced on colimit classes.  Level
-    colimits are kept in `store`, keyed by the `map_key`s of the level's edge
-    maps in shape order (every object has its identity edge, so these fix the
-    nodes too): a level whose diagram was colimited before, at another level
-    or, when the caller passes one store for one shape, in another call,
-    shares that ColimitResult.  So a constant diagram of towers costs one
-    colimit, not depth + 1.  A level whose edge maps are the very objects of
-    the level below shares its colimit without a key being built, and a bond
+    The result keeps the input depth, with bonds induced on colimit classes.
+    A shifted edge is refused: shifts arise only in the plus construction,
+    which strictifies them before it builds a precosheaf.  Level colimits
+    are kept in `store`, keyed by the `map_key`s of the level's edge maps in
+    shape order (every object has its identity edge, so these fix the nodes
+    too): a level whose diagram was colimited before, at another level or,
+    when the caller passes one store for one shape, in another call, shares
+    that ColimitResult.  So a constant diagram of towers costs one colimit,
+    not depth + 1.  A level whose edge maps are the very objects of the
+    level below shares its colimit without a key being built, and a bond
     between such levels whose node bonds are the objects of the bond below
     is that bond.  An empty diagram, given its `depth` and value `category`,
     has the constant initial tower as its colimit.
@@ -568,11 +542,14 @@ def tower_colimit(shape: FiniteCategory, nodes: Mapping[str, Tower],
     elif depth is None or category is None:
         raise EngineError("empty tower diagram needs a depth and a value category")
     d = min(t.depth for t in nodes.values()) if depth is None else depth
-    phi = _stable_reindex(edges, d)
+    if any(t.depth < d for t in nodes.values()):
+        raise InsufficientDepth("insufficient depth")
     order = tuple(m.id for m in shape.morphisms)
     for mid in order:
         if mid not in edges:  # map_key must never see a missing edge
             raise EngineError(f"diagram misses edge {mid!r}")
+        if not edges[mid].is_strict():
+            raise EngineError(f"edge {mid!r} is not strict")
     for u in shape.objects:
         mid = shape.id_of(u)
         if edges[mid].src is not nodes[u] and edges[mid].src != nodes[u]:
@@ -582,10 +559,8 @@ def tower_colimit(shape: FiniteCategory, nodes: Mapping[str, Tower],
         store = {}
     results = []
     maps_below = None
-    for p in phi:
-        maps = tuple(e.components[p] if e.shift[p] == p else
-                     compose(e.components[p], e.src.bond_composite(p, e.shift[p]))
-                     for e in shape_edges)
+    for p in range(d + 1):
+        maps = tuple(e.components[p] for e in shape_edges)
         if maps_below is None or any(f is not g for f, g in zip(maps, maps_below)):
             key = tuple(map(map_key, maps))
             hit = store.get(key)
@@ -596,11 +571,11 @@ def tower_colimit(shape: FiniteCategory, nodes: Mapping[str, Tower],
                     category)
         results.append(hit)
         maps_below = maps
-    # class(u, x at phi(j + 1)) goes to class(u, bond(x)) at level j
+    # class(u, x at j + 1) goes to class(u, bond(x)) at level j
     bonds = []
     node_bonds_below = None
     for j in range(d):
-        node_bonds = tuple(nodes[u].bond_composite(phi[j + 1], phi[j]) for u in shape.objects)
+        node_bonds = tuple(nodes[u].bonds[j] for u in shape.objects)
         if (j and results[j + 1] is results[j] and results[j] is results[j - 1]
                 and all(f is g for f, g in zip(node_bonds, node_bonds_below))):
             bonds.append(bonds[-1])
@@ -611,6 +586,6 @@ def tower_colimit(shape: FiniteCategory, nodes: Mapping[str, Tower],
                                  results[j].obj))
         node_bonds_below = node_bonds
     tower = Tower(tuple(r.obj for r in results), tuple(bonds))
-    cocone = {u: LevelMorphism(nodes[u], tower, phi, tuple(r.cocone[u] for r in results))
+    cocone = {u: LevelMorphism.strict(nodes[u], tower, tuple(r.cocone[u] for r in results))
               for u in shape.objects}
     return TowerColimit(tower, cocone, tuple(results))

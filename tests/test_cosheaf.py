@@ -568,3 +568,28 @@ def test_plus_on_lagging_chain_reindexes_shifts(tmp_path, monkeypatch, name):
                    for u, lm in sorted(plus.counit.components.items())])
     assert hashlib.sha256(path.read_bytes() + counit.encode()).hexdigest() == digest
     assert cosheafify(a).report.verdict == "PASS"
+
+
+@pytest.mark.parametrize("g", [finset("*"), cyclic(2)], ids=["pt", "Z/2"])
+def test_plus_on_strict_site_reindexes_by_the_identity(monkeypatch, g):
+    """Plus normalization runs on every site; where no action is shifted, phi
+    is the identity and the plus levels and counit components are the tensor
+    objects themselves."""
+    phis = []
+    normalize = cosheaf._normalize_with_reindex
+
+    def recording(*args):
+        out = normalize(*args)
+        phis.append(out[1])
+        return out
+
+    monkeypatch.setattr(cosheaf, "_normalize_with_reindex", recording)
+    a = constant_precosheaf(converging_sequence_site(4), g, 3)
+    plus = plus_cosheaf(a)
+    assert phis == [(0, 1, 2, 3)]
+    for u in a.site.category.objects:
+        tensors = [tensor_with_sieve(a, s) for s in plus.sieves[u]]
+        assert all(plus.precosheaf.values[u].levels[k] is tensors[k].tower.levels[k]
+                   for k in range(4))
+        assert all(plus.counit.components[u].components[k] is tensors[k].compare.components[k]
+                   for k in range(4))

@@ -10,10 +10,10 @@ from finsite.errors import EngineError
 from finsite.towers import (LevelMorphism, Tower, equal_at_depth,
                             is_epi_at_depth, is_iso_at_depth,
                             is_rudimentary_at_depth, pro_hom_at_depth,
-                            tower_colimit)
-from finsite.values import (FINAB, FINSET, classify_map, cokernel, cyclic, direct_sum,
-                            finab_map, finset, finset_map, free_ab, hom_set,
-                            identity_map)
+                            tower_colimit, tower_pro_zero)
+from finsite.values import (FINAB, FINSET, FinAbMap, classify_map, cokernel, compose, cyclic,
+                            direct_sum, express_through, finab_map, finset, finset_map,
+                            free_ab, hom_set, identity_map, is_zero_map, kernel, maps_equal)
 
 
 def merge_tower(depth):
@@ -338,13 +338,15 @@ def test_finab_epi_and_iso_agree_with_classify_on_rudimentary():
 
 
 def test_tower_colimit_insufficient_depth():
-    from finsite.category import poset_category
-    from finsite.errors import InsufficientDepth
-    t = Tower.constant(finset("a"), 3)
-    shifted = LevelMorphism(t, t, (3, 3, 3, 3), tuple(identity_map(t.levels[0]) for _ in range(4)))
+    """Tower colimits take strict edges only, whether a shift would exceed
+    the working depth or stay within it: the plus construction strictifies
+    its shifted actions before anything is colimited."""
     shape = poset_category(["u"], [])
-    with pytest.raises(InsufficientDepth):
-        tower_colimit(shape, {"u": t}, {"u<u": shifted}, 2)
+    for depth, shift in ((3, (3, 3, 3, 3)), (2, (0, 1, 1))):
+        t = Tower.constant(finset("a"), depth)
+        shifted = LevelMorphism(t, t, shift, (identity_map(t.levels[0]),) * (depth + 1))
+        with pytest.raises(EngineError, match="not strict"):
+            tower_colimit(shape, {"u": t}, {"u<u": shifted}, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -474,3 +476,104 @@ def test_rudimentary_finab_sees_a_zero_level():
     t = Tower((z, z, z, zero), (identity_map(z), identity_map(z), FinAbMap(zero, z, ((),))))
     v = is_rudimentary_at_depth(t, 3, 3)
     assert v.rudimentary and v.profile == (((), 0),) * 4
+
+
+# ---------------------------------------------------------------------------
+# abelian iso verdicts against explicit kernel and cokernel towers
+
+
+def _scalar_map(src, dst, rng, ok=lambda f: True):
+    """A random well-defined multiplication-by-s map with ok(map), or None."""
+    for s in rng.sample(range(6), 6):
+        try:
+            f = finab_map(src, dst, ((s,),))
+        except EngineError:
+            continue
+        if ok(f):
+            return f
+    return None
+
+
+def _random_cyclic_tower(rng, depth):
+    levels = tuple(free_ab(1) if m == 0 else cyclic(m)
+                   for m in (rng.choice([0, 0, 2, 3, 4, 6]) for _ in range(depth + 1)))
+    return Tower(levels, tuple(_scalar_map(levels[j + 1], levels[j], rng) for j in range(depth)))
+
+
+def _random_cyclic_level_morphism(rng, depth):
+    """A strict morphism of towers of cyclic groups, chosen top level first
+    so that every square commutes."""
+    while True:
+        x, y = _random_cyclic_tower(rng, depth), _random_cyclic_tower(rng, depth)
+        comps = [None] * depth + [_scalar_map(x.levels[depth], y.levels[depth], rng)]
+        for j in range(depth - 1, -1, -1):
+            below = compose(y.bonds[j], comps[j + 1])
+            comps[j] = _scalar_map(x.levels[j], y.levels[j], rng,
+                                   lambda f: maps_equal(compose(f, x.bonds[j]), below))
+            if comps[j] is None:
+                break
+        else:
+            return LevelMorphism.strict(x, y, tuple(comps))
+
+
+def _oracle_pro_zero(t, depth, margin):
+    """The first level k up to depth - margin into which no composite of
+    bonds, built one bond at a time, is the zero map."""
+    for k in range(max(0, depth - margin) + 1):
+        comp = identity_map(t.levels[k])
+        hit = is_zero_map(comp)
+        for m in range(k + 1, depth + 1):
+            comp = compose(comp, t.bonds[m - 1])
+            hit = hit or is_zero_map(comp)
+        if not hit:
+            return False, k
+    return True, None
+
+
+def _kernel_tower(f, depth):
+    incl = [kernel(f.components[j])[1] for j in range(depth + 1)]
+    bonds = tuple(FinAbMap(incl[j + 1].src, incl[j].src,
+                           express_through(incl[j], compose(f.src.bonds[j], incl[j + 1])))
+                  for j in range(depth))
+    return Tower(tuple(i.src for i in incl), bonds)
+
+
+def _cokernel_tower(f, depth):
+    proj = [cokernel(f.components[j])[1] for j in range(depth + 1)]
+    bonds = tuple(finab_map(proj[j + 1].dst, proj[j].dst, f.dst.bonds[j].matrix)
+                  for j in range(depth))
+    return Tower(tuple(p.dst for p in proj), bonds)
+
+
+def _oracle_iso(f, depth, margin):
+    ok, j = _oracle_pro_zero(_kernel_tower(f, depth), depth, margin)
+    if not ok:
+        return False, j, f"kernel tower not pro-zero at level {j}"
+    ok, j = _oracle_pro_zero(_cokernel_tower(f, depth), depth, margin)
+    if not ok:
+        return False, j, f"cokernel tower not pro-zero at level {j}"
+    for j in range(max(0, depth - margin) + 1, depth + 1):
+        # the deepest target level must land in the image of the deepest source level
+        _, proj = cokernel(compose(f.components[j], f.src.bond_composite(depth, j)))
+        if not is_zero_map(compose(proj, f.dst.bond_composite(depth, j))):
+            return False, j, f"stable target image escapes level {j}"
+    return True, None, ""
+
+
+def test_finab_iso_and_pro_zero_match_explicit_kernel_and_cokernel_towers():
+    rng = random.Random(5)
+    seen = set()
+    for _ in range(120):
+        depth = rng.randint(1, 4)
+        f = _random_cyclic_level_morphism(rng, depth)
+        kernels, cokernels = _kernel_tower(f, depth), _cokernel_tower(f, depth)
+        for margin in range(4):
+            v = is_iso_at_depth(f, depth, margin)
+            assert (v.iso, v.obstruction, v.detail) == _oracle_iso(f, depth, margin)
+            seen.add((v.detail.split(" at level")[0].split(" escapes")[0], v.obstruction))
+            for t in (f.src, kernels, cokernels):
+                assert tower_pro_zero(t, depth, margin) == _oracle_pro_zero(t, depth, margin)
+    kinds = {kind for kind, _ in seen}
+    assert kinds == {"", "kernel tower not pro-zero", "cokernel tower not pro-zero",
+                     "stable target image"}
+    assert {level for _, level in seen} > {None, 0, 1, 2}

@@ -1,4 +1,5 @@
-"""Every name a finsite module imports is used in that module.
+"""Every name a finsite module imports is used in that module, and every
+private module-level function or class is used somewhere in the package.
 
 `__init__.py` imports only to re-export, so it is skipped, and so is the
 `from __future__ import annotations` switch.  A name counts as used when it
@@ -54,3 +55,39 @@ def test_check_reports_an_unused_import():
               "def f(s: 'Sieve'):\n"
               "    return itertools.chain(s)\n")
     assert _unused_imports(source) == ["Morphism (line 3)"]
+
+
+def _orphaned_private_definitions(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions and classes that no module reads,
+    imports or reaches as an attribute, outside their own definition."""
+    defined, used = {}, set()
+    for module, source in sources.items():
+        for node in ast.parse(source).body:
+            owner = getattr(node, "name", None)
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and owner.startswith("_") and not owner.startswith("__")):
+                defined[owner] = f"{module}:{node.lineno}"
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name):
+                    names = {n.id}
+                elif isinstance(n, ast.Attribute):
+                    names = {n.attr}
+                elif isinstance(n, ast.ImportFrom):
+                    names = {alias.name for alias in n.names}
+                else:
+                    continue
+                used.update(names - {owner})
+    return sorted(f"{name} ({where})" for name, where in defined.items() if name not in used)
+
+
+def test_every_private_definition_is_used():
+    sources = {p.name: p.read_text() for p in sorted(SRC.glob("*.py"))}
+    assert _orphaned_private_definitions(sources) == []
+
+
+def test_check_reports_an_orphaned_private_definition():
+    sources = {"a.py": ("def _used():\n    return 1\n"
+                        "def _recursive(n):\n    return _recursive(n - 1)\n"
+                        "class _Orphan:\n    pass\n"),
+               "b.py": "from .a import _used\n"}
+    assert _orphaned_private_definitions(sources) == ["_Orphan (a.py:5)", "_recursive (a.py:3)"]
