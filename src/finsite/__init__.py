@@ -2,9 +2,9 @@
 Grothendieck sites, with pro-valued (tower) cosheafification."""
 
 from .category import (Cover, CoverChain, Coverage, FiniteCategory, Morphism,
-                       Sieve, SiteSpec, comma_of_sieve, find_refinement,
+                       PointFilter, Sieve, SiteSpec, comma_of_sieve, find_refinement,
                        poset_category, sieve_from_cover, validate_site)
-from .cosheaf import (CheckReport, PointFilter, Precosheaf,
+from .cosheaf import (CheckReport, Precosheaf,
                       PrecosheafMorphism, check_cosheaf, cosheaf_defect,
                       cosheafify, constant_precosheaf, costalk,
                       is_locally_zero, is_smooth, plus_cosheaf,

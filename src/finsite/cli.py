@@ -182,8 +182,6 @@ def main(argv=None) -> int:
             actual = inner.classification
             if demo.expected == "NOT-SHEAF":
                 matched = actual in ("SEPARATED", "NOT-SEPARATED")
-            elif demo.expected == "NOT-COSHEAF":
-                matched = actual in ("COSEPARATED", "NOT-COSEPARATED")
             else:
                 matched = actual == demo.expected
             witnesses = ()

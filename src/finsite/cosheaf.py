@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import values
-from .category import (Cover, FiniteCategory, Sieve, SiteSpec,
+from .category import (Cover, FiniteCategory, PointFilter, Sieve, SiteSpec,
                        _comma_base, comma_of_sieve, distinct_covers, poset_category,
                        refinement_search, sieve_from_cover, sieve_levels)
 from .errors import EngineError, InsufficientDepth, SiteError
@@ -25,20 +25,6 @@ from .towers import (LevelMorphism, Tower, TowerColimit, chain_components,
 from .values import (FINAB, FINSET, FinAbMap, FinAbObj, FinSetMap, FinSetObj,
                      _shape, category_of, chains_equal, commutes, compose, identity_map,
                      out_map)
-
-
-@dataclass(frozen=True)
-class PointFilter:
-    """A declared down-directed neighborhood chain for one point."""
-
-    label: str
-    chain: tuple[str, ...]
-
-    def extended(self, depth: int) -> tuple[str, ...]:
-        out = list(self.chain[: depth + 1])
-        while len(out) < depth + 1:
-            out.append(self.chain[-1])
-        return tuple(out)
 
 
 def _generating_pairs(site: SiteSpec):
@@ -90,8 +76,6 @@ class Precosheaf:
                 raise EngineError(f"action missing on {m.id!r}")
             if a.src != self.values[m.src] or a.dst != self.values[m.dst]:
                 raise EngineError(f"action on {m.id!r} has wrong endpoints")
-            if not a.is_strict():
-                raise EngineError("precosheaf actions must be normalized to strict form")
         for u in cat.objects:
             if not chains_equal_at_depth((self.action[cat.id_of(u)],), ()):
                 raise EngineError(f"identity action at {u!r} is not the identity")
@@ -644,18 +628,20 @@ def is_locally_zero(a: Precosheaf, points, depth: int | None = None, margin: int
 
 def is_smooth(a: Precosheaf, depth: int | None = None) -> CheckReport:
     """A plain-valued precosheaf is smooth iff its coreflection stays
-    plain-valued: every double-plus value must be rudimentary at depth."""
+    plain-valued: every double-plus value must be rudimentary at depth.
+    Only those values are read, so neither the counit nor the postcondition
+    reports of `cosheafify` are built."""
     d = a.depth if depth is None else min(depth, a.depth)
     if not a.is_rudimentary_valued():
         return CheckReport(
             verdict="PASS", depth=d if a.site.has_chains() else None,
             classification="SMOOTH",
             trace=("tower-valued input: smooth by construction (trivial pass)",))
-    result = cosheafify(a, d)
+    top = plus_cosheaf(plus_cosheaf(a, d).precosheaf, d).precosheaf
     witnesses = []
     trace = []
     for u in sorted(a.site.category.objects):
-        rv = is_rudimentary_at_depth(result.precosheaf.values[u], d)
+        rv = is_rudimentary_at_depth(top.values[u], d)
         trace.append(f"{u}: {rv.verdict} profile {list(rv.profile)}")
         if not rv.rudimentary:
             witnesses.append({"object": u, "growth_profile": list(map(str, rv.profile))})

@@ -11,8 +11,8 @@ from pathlib import Path
 
 from . import intmat, values
 from .category import (Cover, CoverChain, Coverage, FiniteCategory, Morphism,
-                       SiteSpec, poset_category)
-from .cosheaf import PointFilter, Precosheaf, precosheaf_from_tables
+                       PointFilter, SiteSpec, poset_category)
+from .cosheaf import Precosheaf, precosheaf_from_tables
 from .errors import InvalidDocument
 from .report import CheckReport
 from .sheaf import Presheaf
@@ -104,9 +104,8 @@ def _site_doc(spec: SiteSpec) -> dict:
             for u, chain in sorted(spec.coverage.chains.items())
         ],
     }
-    points = getattr(spec, "_point_filters", ())
-    if points:
-        doc["points"] = [{"label": p.label, "chain": list(p.chain)} for p in points]
+    if spec.points:
+        doc["points"] = [{"label": p.label, "chain": list(p.chain)} for p in spec.points]
     if spec.poset:
         doc["leq"] = sorted(
             [m.src, m.dst] for m in cat.morphisms if m.src != m.dst
@@ -230,15 +229,12 @@ def _site_from(doc: dict) -> SiteSpec:
                 _array(raw.get("refinements", []), ptr + "/refinements", "refinements"))
         )
         chains[target] = CoverChain(target, chain_covers, refinements)
-    spec = SiteSpec(cat, Coverage({u: tuple(cs) for u, cs in covers.items()}, chains),
-                    name=doc.get("name", "site"), poset=poset)
     raw_points = doc.get("points", [])
     if not isinstance(raw_points, list):
         raise InvalidDocument("/points", "points must be an array")
-    pts = tuple(_point_from(p, f"/points/{i}") for i, p in enumerate(raw_points))
-    if pts:
-        object.__setattr__(spec, "_point_filters", pts)
-    return spec
+    return SiteSpec(cat, Coverage({u: tuple(cs) for u, cs in covers.items()}, chains),
+                    name=doc.get("name", "site"), poset=poset,
+                    points=tuple(_point_from(p, f"/points/{i}") for i, p in enumerate(raw_points)))
 
 
 def _refinement_from(raw, ptr) -> tuple:
@@ -377,35 +373,45 @@ def _site_ref(doc, base: Path | None):
     raise InvalidDocument("/site", "site must be inline or a reference path")
 
 
-def _tables(doc):
-    """The values and action objects of a (pre)(co)sheaf document."""
-    for key in ("values", "action"):
-        if not isinstance(doc.get(key, {}), dict):
-            raise InvalidDocument(f"/{key}", f"{key} must be an object")
-    return doc.get("values", {}), doc.get("action", {})
-
-
-def _precosheaf_from(doc, depth, base) -> Precosheaf:
+def _header(doc, base):
+    """The parts every (pre)(co)sheaf document shares: its site, its category,
+    and its values and action objects, with a value for every object and an
+    action for every morphism."""
     site = _site_ref(doc, base)
     category = doc.get("category")
     if category not in (FINSET, FINAB):
         raise InvalidDocument("/category", f"unknown category {category!r}")
-    vals_raw, action_raw = _tables(doc)
+    for key in ("values", "action"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise InvalidDocument(f"/{key}", f"{key} must be an object")
+    vals_raw, action_raw = doc.get("values", {}), doc.get("action", {})
     for u in site.category.objects:
         if u not in vals_raw:
             raise InvalidDocument(f"/values/{u}", "missing value")
-    if any(isinstance(v, dict) and "tower" in v for v in vals_raw.values()):
-        return _tower_precosheaf_from(site, category, vals_raw, action_raw, doc)
-    objs = {u: _value_from(vals_raw[u], category, f"/values/{u}") for u in site.category.objects}
-    action = {}
     for m in site.category.morphisms:
         if m.id not in action_raw:
             raise InvalidDocument(f"/action/{m.id}", "missing action")
-        action[m.id] = _map_from(action_raw[m.id], objs[m.src], objs[m.dst],
-                                 category, f"/action/{m.id}")
+    return site, category, vals_raw, action_raw
+
+
+def _plain_tables(site, category, vals_raw, action_raw, reverse: bool):
+    """Plain values and one map per morphism; presheaf actions (`reverse`)
+    run from the value at the target to the value at the source."""
+    objs = {u: _value_from(vals_raw[u], category, f"/values/{u}") for u in site.category.objects}
+    action = {}
+    for m in site.category.morphisms:
+        src, dst = (objs[m.dst], objs[m.src]) if reverse else (objs[m.src], objs[m.dst])
+        action[m.id] = _map_from(action_raw[m.id], src, dst, category, f"/action/{m.id}")
+    return objs, action
+
+
+def _precosheaf_from(doc, depth, base) -> Precosheaf:
+    site, category, vals_raw, action_raw = _header(doc, base)
+    if any(isinstance(v, dict) and "tower" in v for v in vals_raw.values()):
+        return _tower_precosheaf_from(site, category, vals_raw, action_raw, doc)
+    objs, action = _plain_tables(site, category, vals_raw, action_raw, reverse=False)
     return precosheaf_from_tables(site, category, objs, action,
-                                  _natural(doc.get("depth", depth), "/depth", "depth"),
-                                  getattr(site, "_point_filters", ()))
+                                  _natural(doc.get("depth", depth), "/depth", "depth"), site.points)
 
 
 def _tower_precosheaf_from(site, category, vals_raw, action_raw, doc) -> Precosheaf:
@@ -424,46 +430,30 @@ def _tower_precosheaf_from(site, category, vals_raw, action_raw, doc) -> Precosh
             for k, b in enumerate(raw["bonds"])
         )
         towers[u] = Tower(levels, bonds)
+    depth = _natural(doc.get("depth", next(iter(towers.values())).depth), "/depth", "depth")
+    for u, t in towers.items():
+        if t.depth != depth:
+            raise InvalidDocument(f"/values/{u}/tower", f"tower needs {depth + 1} levels")
+    strict = list(range(depth + 1))
     action = {}
     for m in site.category.morphisms:
-        raw = action_raw.get(m.id)
-        ptr = f"/action/{m.id}"
-        if raw is None:
-            raise InvalidDocument(ptr, "missing action")
-        if not (isinstance(raw, dict) and isinstance(raw.get("shift"), list)
-                and isinstance(raw.get("components"), list)
-                and len(raw["shift"]) == len(raw["components"]) == towers[m.dst].depth + 1):
-            raise InvalidDocument(ptr, "level morphism needs one shift and one component "
-                                       "per target level")
-        shift = tuple(_natural(s, f"{ptr}/shift/{j}", "shift") for j, s in enumerate(raw["shift"]))
-        if any(s > towers[m.src].depth for s in shift):
-            raise InvalidDocument(ptr + "/shift", "shift exceeds the source depth")
+        raw, ptr = action_raw[m.id], f"/action/{m.id}"
+        if not (isinstance(raw, dict) and isinstance(raw.get("components"), list)
+                and len(raw["components"]) == depth + 1):
+            raise InvalidDocument(ptr, "level morphism needs one component per target level")
+        # precosheaf actions are strict: the shift is written, but only as the identity
+        if raw.get("shift") != strict or any(type(s) is not int for s in raw["shift"]):
+            raise InvalidDocument(ptr + "/shift", f"shift must be the identity {strict}")
         comps = tuple(
-            _map_from(c, towers[m.src].levels[shift[j]], towers[m.dst].levels[j],
+            _map_from(c, towers[m.src].levels[j], towers[m.dst].levels[j],
                       category, f"{ptr}/components/{j}")
             for j, c in enumerate(raw["components"])
         )
-        action[m.id] = LevelMorphism(towers[m.src], towers[m.dst], shift, comps)
-    depth = _natural(doc.get("depth", next(iter(towers.values())).depth), "/depth", "depth")
-    return Precosheaf(site, category, depth, towers, action,
-                      getattr(site, "_point_filters", ()))
+        action[m.id] = LevelMorphism.strict(towers[m.src], towers[m.dst], comps)
+    return Precosheaf(site, category, depth, towers, action, site.points)
 
 
 def _presheaf_from(doc, base) -> Presheaf:
-    site = _site_ref(doc, base)
-    category = doc.get("category")
-    if category not in (FINSET, FINAB):
-        raise InvalidDocument("/category", f"unknown category {category!r}")
-    vals_raw, action_raw = _tables(doc)
-    objs = {}
-    for u in site.category.objects:
-        if u not in vals_raw:
-            raise InvalidDocument(f"/values/{u}", "missing value")
-        objs[u] = _value_from(vals_raw[u], category, f"/values/{u}")
-    action = {}
-    for m in site.category.morphisms:
-        if m.id not in action_raw:
-            raise InvalidDocument(f"/action/{m.id}", "missing action")
-        action[m.id] = _map_from(action_raw[m.id], objs[m.dst], objs[m.src],
-                                 category, f"/action/{m.id}")
-    return Presheaf(site, category, objs, action, getattr(site, "_point_filters", ()))
+    site, category, vals_raw, action_raw = _header(doc, base)
+    objs, action = _plain_tables(site, category, vals_raw, action_raw, reverse=True)
+    return Presheaf(site, category, objs, action, site.points)

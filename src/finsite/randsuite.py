@@ -44,7 +44,12 @@ class Block:
     torsion: int       # 0 for free / a modulus for cyclic summands (FinAb)
 
 
-def _random_blocks(spec: SiteSpec, rng: random.Random, max_size: int, finab: bool) -> list[Block]:
+def _random_blocks(spec: SiteSpec, rng: random.Random, max_size: int, finab: bool,
+                   reaches, fallback: int) -> list[Block]:
+    """One to three random blocks, trimmed from the end until no object holds
+    more than `max_size` grains; `reaches(spec, anchor, u)` says whether a
+    block anchored at `anchor` is present at u.  When no block survives, one
+    grain is anchored at the object of index `fallback` in sorted order."""
     objs = sorted(spec.category.objects)
     blocks = []
     for _ in range(rng.randint(1, 3)):
@@ -52,103 +57,63 @@ def _random_blocks(spec: SiteSpec, rng: random.Random, max_size: int, finab: boo
         grains = rng.randint(1, 2)
         torsion = rng.choice([0, 0, 2, 3]) if finab else 0
         blocks.append(Block(anchor, grains, torsion))
-    # trim so every value stays within the size bound
-    while blocks:
-        worst = 0
-        for u in objs:
-            size = sum(b.grains for b in blocks if _reaches(spec, b.anchor, u))
-            worst = max(worst, size)
-        if worst <= max_size:
-            break
+    while blocks and max(sum(b.grains for _, b in _present(spec, blocks, u, reaches))
+                         for u in objs) > max_size:
         blocks.pop()
-    if not blocks:
-        blocks = [Block(objs[0], 1, 0)]
-    return blocks
+    return blocks or [Block(objs[fallback], 1, 0)]
 
 
 def _reaches(spec: SiteSpec, src: str, dst: str) -> bool:
     return bool(spec.category.hom(src, dst))
 
 
+def _reached_by(spec: SiteSpec, src: str, dst: str) -> bool:
+    return _reaches(spec, dst, src)
+
+
+def _present(spec: SiteSpec, blocks, u: str, reaches) -> list[tuple[int, Block]]:
+    """The (index, block) pairs present at u, in block order."""
+    return [(bi, b) for bi, b in enumerate(blocks) if reaches(spec, b.anchor, u)]
+
+
+def _labels(present) -> tuple[str, ...]:
+    """Element labels of the blocks present at an object: `b<index>e<grain>`."""
+    return tuple(f"b{bi}e{g}" for bi, b in present for g in range(b.grains))
+
+
 def random_finset_precosheaf(spec: SiteSpec, rng: random.Random, depth: int = 0,
                              max_size: int = 4) -> Precosheaf:
-    blocks = _random_blocks(spec, rng, max_size, finab=False)
-    tables = {}
-    for u in spec.category.objects:
-        elems = []
-        for bi, b in enumerate(blocks):
-            if _reaches(spec, b.anchor, u):
-                elems.extend(f"b{bi}e{g}" for g in range(b.grains))
-        tables[u] = tuple(elems)
-    action = {}
-    for m in spec.category.morphisms:
-        action[m.id] = {x: x for x in tables[m.src]}
+    blocks = _random_blocks(spec, rng, max_size, False, _reaches, 0)
+    tables = {u: _labels(_present(spec, blocks, u, _reaches)) for u in spec.category.objects}
+    action = {m.id: {x: x for x in tables[m.src]} for m in spec.category.morphisms}
     return precosheaf_from_tables(spec, FINSET, tables, action, depth, site_points(spec))
 
 
 def random_finab_precosheaf(spec: SiteSpec, rng: random.Random, depth: int = 0,
                             max_rank: int = 3) -> Precosheaf:
-    blocks = _random_blocks(spec, rng, max_rank, finab=True)
-    layout = {}
-    tables = {}
+    blocks = _random_blocks(spec, rng, max_rank, True, _reaches, 0)
+    labels, tables = {}, {}
     for u in spec.category.objects:
-        active = [(bi, b) for bi, b in enumerate(blocks) if _reaches(spec, b.anchor, u)]
-        layout[u] = active
-        rank = sum(b.grains for _, b in active)
-        cols = []
-        off = 0
-        for _, b in active:
-            if b.torsion:
-                for g in range(b.grains):
-                    col = [0] * rank
-                    col[off + g] = b.torsion
-                    cols.append(col)
-            off += b.grains
-        rel = tuple(tuple(c[i] for c in cols) for i in range(rank)) if cols else ()
-        tables[u] = FinAbObj(rank, rel)
-    action = {}
-    for m in spec.category.morphisms:
-        src_active = layout[m.src]
-        dst_active = layout[m.dst]
-        src_rank = tables[m.src].rank
-        dst_rank = tables[m.dst].rank
-        rows = [[0] * src_rank for _ in range(dst_rank)]
-        src_off = 0
-        for bi, b in src_active:
-            dst_off = 0
-            for bj, c in dst_active:
-                if bj == bi:
-                    for g in range(b.grains):
-                        rows[dst_off + g][src_off + g] = 1
-                dst_off += c.grains
-            src_off += b.grains
-        action[m.id] = tuple(tuple(r) for r in rows)
+        present = _present(spec, blocks, u, _reaches)
+        labels[u] = _labels(present)
+        # one generator per grain; a torsion block gives each of its grains a relation
+        torsion = [b.torsion for _, b in present for _ in range(b.grains)]
+        pinned = [k for k, t in enumerate(torsion) if t]
+        rel = tuple(tuple(torsion[i] if i == k else 0 for k in pinned)
+                    for i in range(len(torsion))) if pinned else ()
+        tables[u] = FinAbObj(len(torsion), rel)
+    # a generator goes to the generator of the same label
+    action = {m.id: tuple(tuple(int(x == y) for x in labels[m.src]) for y in labels[m.dst])
+              for m in spec.category.morphisms}
     return precosheaf_from_tables(spec, FINAB, tables, action, depth, site_points(spec))
 
 
 def random_presheaf(spec: SiteSpec, rng: random.Random, max_size: int = 4) -> Presheaf:
     """Sums of co-representable blocks: a block anchored at W is present at
     every object mapping into W; restrictions keep labels."""
-    objs = sorted(spec.category.objects)
-    blocks = []
-    for _ in range(rng.randint(1, 3)):
-        blocks.append(Block(rng.choice(objs), rng.randint(1, 2), 0))
-    while blocks:
-        worst = max(
-            sum(b.grains for b in blocks if _reaches(spec, u, b.anchor)) for u in objs
-        )
-        if worst <= max_size:
-            break
-        blocks.pop()
-    if not blocks:
-        blocks = [Block(objs[-1], 1, 0)]
-    vals = {}
-    for u in objs:
-        elems = []
-        for bi, b in enumerate(blocks):
-            if _reaches(spec, u, b.anchor):
-                elems.extend(f"b{bi}e{g}" for g in range(b.grains))
-        vals[u] = values.FinSetObj(tuple(elems))
+    blocks = _random_blocks(spec, rng, max_size, False, _reached_by, -1)
+    vals = {u: values.FinSetObj(_labels(_present(spec, blocks, u, _reached_by)))
+            for u in spec.category.objects}
     action = {}
     for m in spec.category.morphisms:
         # restriction from value(dst) to value(src): defined on shared blocks

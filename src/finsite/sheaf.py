@@ -8,10 +8,10 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 
 from . import values
-from .category import (FiniteCategory, Morphism, Sieve, SiteSpec,
+from .category import (FiniteCategory, Morphism, PointFilter, Sieve, SiteSpec,
                        _comma_base, comma_of_sieve, common_refinement, distinct_covers,
                        sieve_from_cover, sieve_levels)
-from .cosheaf import PointFilter, Precosheaf
+from .cosheaf import Precosheaf
 from .errors import EngineError, SiteError
 from .report import CheckReport
 from .values import (FINSET, FinSetMap, FinSetObj, FiniteDiagram, classify_map, compose,

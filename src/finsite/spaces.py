@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import values
-from .category import Cover, CoverChain, Coverage, SiteSpec, _refinement, poset_category
-from .cosheaf import (PointFilter, Precosheaf, constant_precosheaf,
-                      precosheaf_from_tables)
+from .category import (Cover, CoverChain, Coverage, PointFilter, SiteSpec, _refinement,
+                       order_closure, poset_category)
+from .cosheaf import Precosheaf, constant_precosheaf, precosheaf_from_tables
 from .errors import EngineError, SiteError
 from .values import FINAB, FINSET, FinAbObj, finset
 
@@ -25,18 +25,8 @@ class FiniteSpace:
     order: frozenset[tuple[str, str]]  # (a, b) means a <= b; reflexive-transitive
 
     def __post_init__(self):
-        rel = set(self.order)
-        for p in self.points:
-            rel.add((p, p))
-        changed = True
-        while changed:
-            changed = False
-            for a, b in list(rel):
-                for c, d in list(rel):
-                    if b == c and (a, d) not in rel:
-                        rel.add((a, d))
-                        changed = True
-        for a, b in rel:
+        rel = order_closure(self.points, self.order)
+        for a, b in sorted(rel):
             if a != b and (b, a) in rel:
                 raise EngineError(f"specialization order not antisymmetric on {a!r},{b!r}")
         object.__setattr__(self, "order", frozenset(rel))
@@ -120,14 +110,13 @@ def open_site(space: FiniteSpace, cover_policy: str = "all-irredundant",
     points = tuple(
         PointFilter(f"pt:{x}", (labels[space.down_set(x)],)) for x in sorted(space.points)
     )
-    spec = SiteSpec(cat, Coverage({u: tuple(cs) for u, cs in covers.items()}, {}),
-                    name=f"open-site({len(space.points)}pts,{cover_policy})", poset=True)
-    object.__setattr__(spec, "_point_filters", points)  # carried for builders
-    return spec
+    return SiteSpec(cat, Coverage({u: tuple(cs) for u, cs in covers.items()}, {}),
+                    name=f"open-site({len(space.points)}pts,{cover_policy})", poset=True,
+                    points=points)
 
 
 def site_points(spec: SiteSpec) -> tuple[PointFilter, ...]:
-    return getattr(spec, "_point_filters", ())
+    return spec.points
 
 
 def _covering_families(space, opens, u, policy):
@@ -270,9 +259,8 @@ def converging_sequence_site(n: int) -> SiteSpec:
     for i in range(1, n + 1):
         chain = [_vlabel(k) for k in range(1, i + 1)] + [f"S{i}"]
         filters.append(PointFilter(f"pt:1/{i}", tuple(chain)))
-    spec = SiteSpec(cat, Coverage(covers, chains), name=f"converging({n})", poset=True)
-    object.__setattr__(spec, "_point_filters", tuple(filters))
-    return spec
+    return SiteSpec(cat, Coverage(covers, chains), name=f"converging({n})", poset=True,
+                    points=tuple(filters))
 
 
 def _record_refinement(cat, fine: Cover, coarse: Cover, coarse_stage: int, fine_stage: int):

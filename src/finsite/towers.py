@@ -339,7 +339,7 @@ def _finab_cokernel_pro_zero(f: LevelMorphism, d: int, margin: int):
     cokers = [values.cokernel(f.components[j])[0] for j in range(d + 1)]
 
     def kills(i, j):
-        if cokers[i].is_trivial() or cokers[j].is_trivial():
+        if cokers[i].is_trivial():   # i = j comes first, so this covers cokers[j]
             return True
         bond = f.dst.bond_composite(i, j).matrix
         return all(cokers[j].lattice_contains(intmat.column(bond, c))

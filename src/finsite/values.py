@@ -318,11 +318,7 @@ def map_key(f) -> tuple:
 
 def maps_equal(f, g) -> bool:
     """Equality as morphisms (FinAb: congruence modulo target relations)."""
-    if f.src != g.src or f.dst != g.dst:
-        return False
-    if isinstance(f, FinSetMap):
-        return f.table == g.table
-    return _congruent(f.matrix, g.matrix, f.dst, f.src.rank)
+    return chains_equal((f,), (g,))
 
 
 def _congruent(a: intmat.Matrix, b: intmat.Matrix, dst: FinAbObj, ncols: int) -> bool:
