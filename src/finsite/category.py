@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import InvalidCategory, SiteError
+from .report import CheckReport
 
 
 class Morphism(NamedTuple):
@@ -515,6 +516,28 @@ def sieve_levels(spec: SiteSpec, u: str, depth: int) -> list[Sieve]:
     return out
 
 
+def _generating_pairs(site: SiteSpec):
+    """Composable pairs whose functoriality implies it for every pair.
+
+    On a poset site it is enough to precompose with covering relations
+    (Hasse edges): every inclusion factors into covering steps and the
+    general square follows by induction on the factorization length.  On
+    arbitrary sites all composable pairs are checked."""
+    cat = site.category
+    nonid = [m for m in cat.morphisms if m.id != cat.id_of(m.src)]
+    if not site.poset:
+        return [(g.id, f.id) for g in nonid for f in nonid if f.dst == g.src]
+    strictly_below = {}
+    for m in nonid:
+        strictly_below.setdefault(m.dst, set()).add(m.src)
+    hasse = []
+    for m in nonid:
+        between = strictly_below.get(m.dst, set())
+        if not any(m.src in strictly_below.get(w, ()) for w in between):
+            hasse.append(m)
+    return [(g.id, f.id) for f in hasse for g in nonid if g.src == f.dst]
+
+
 def validate_site(spec: SiteSpec, depth: int = 4):
     """Exhaustive category axioms plus the finitely checkable coverage axioms.
 
@@ -524,10 +547,8 @@ def validate_site(spec: SiteSpec, depth: int = 4):
       (b) stability under pullback along every morphism,
       (c) local character: composing a cover with the finest covers of its
           pieces again dominates a declared sieve.
-    Returns a CheckReport (imported lazily to avoid a cycle).
+    Returns a CheckReport.
     """
-    from .report import CheckReport
-
     trace = []
     witnesses = []
     ok = True
@@ -627,7 +648,6 @@ def validate_site(spec: SiteSpec, depth: int = 4):
     trace.append("axiom (c) local character: " + ("pass" if local else "fail"))
 
     return CheckReport(
-        verdict="PASS" if ok else "FAIL",
         depth=depth if spec.has_chains() else None,
         classification="valid site" if ok else "invalid site",
         witnesses=tuple(witnesses),

@@ -10,6 +10,7 @@ import argparse
 import sys
 
 from . import io, randsuite
+from .category import validate_site
 from .cosheaf import (Precosheaf, check_cosheaf, cosheafify, costalk,
                       is_smooth)
 from .errors import EngineError
@@ -127,7 +128,6 @@ def main(argv=None) -> int:
     try:
         if args.command == "validate":
             spec = io.load(args.site)
-            from .category import validate_site
             return _emit(validate_site(spec))
 
         if args.command == "check-cosheaf":
@@ -155,10 +155,8 @@ def main(argv=None) -> int:
             tower = costalk(a, p, args.depth)
             rv = is_rudimentary_at_depth(tower, args.depth)
             report = CheckReport(
-                verdict="PASS",
                 depth=args.depth if a.site.has_chains() else None,
                 classification=rv.verdict,
-                witnesses=(),
                 trace=tuple(f"level {k}: {line}" for k, line in enumerate(_tower_profile(tower))),
             )
             return _emit(report)
@@ -189,7 +187,6 @@ def main(argv=None) -> int:
                 witnesses = inner.witnesses or (
                     f"verdict mismatch: expected {demo.expected}, got {actual}",)
             report = CheckReport(
-                verdict="PASS" if matched else "FAIL",
                 depth=inner.depth,
                 classification=actual,
                 witnesses=witnesses,

@@ -14,8 +14,8 @@ from typing import Mapping
 
 from . import values
 from .category import (Cover, FiniteCategory, PointFilter, Sieve, SiteSpec,
-                       _comma_base, comma_of_sieve, distinct_covers, poset_category,
-                       refinement_search, sieve_from_cover, sieve_levels)
+                       _comma_base, _generating_pairs, comma_of_sieve, distinct_covers,
+                       poset_category, refinement_search, sieve_from_cover, sieve_levels)
 from .errors import EngineError, InsufficientDepth, SiteError
 from .report import CheckReport
 from .towers import (LevelMorphism, Tower, TowerColimit, chain_components,
@@ -25,28 +25,6 @@ from .towers import (LevelMorphism, Tower, TowerColimit, chain_components,
 from .values import (FINAB, FINSET, FinAbMap, FinAbObj, FinSetMap, FinSetObj,
                      _shape, category_of, chains_equal, commutes, compose, identity_map,
                      out_map)
-
-
-def _generating_pairs(site: SiteSpec):
-    """Composable pairs whose functoriality implies it for every pair.
-
-    On a poset site it is enough to precompose with covering relations
-    (Hasse edges): every inclusion factors into covering steps and the
-    general square follows by induction on the factorization length.  On
-    arbitrary sites all composable pairs are checked."""
-    cat = site.category
-    nonid = [m for m in cat.morphisms if m.id != cat.id_of(m.src)]
-    if not site.poset:
-        return [(g.id, f.id) for g in nonid for f in nonid if f.dst == g.src]
-    strictly_below = {}
-    for m in nonid:
-        strictly_below.setdefault(m.dst, set()).add(m.src)
-    hasse = []
-    for m in nonid:
-        between = strictly_below.get(m.dst, set())
-        if not any(m.src in strictly_below.get(w, ()) for w in between):
-            hasse.append(m)
-    return [(g.id, f.id) for f in hasse for g in nonid if g.src == f.dst]
 
 
 @dataclass(frozen=True)
@@ -358,7 +336,6 @@ def check_cosheaf(a: Precosheaf, depth: int | None = None) -> CheckReport:
         classification = "NOT-COSEPARATED"
     trace.append(f"classification: {classification}")
     return CheckReport(
-        verdict="PASS" if all_iso else "FAIL",
         depth=d if a.site.has_chains() else None,
         classification=classification,
         witnesses=tuple(witnesses),
@@ -381,7 +358,7 @@ def truncate_precosheaf(a: Precosheaf, depth: int) -> Precosheaf:
     """Restrict every value tower and action to the levels up to `depth`."""
     if depth >= a.depth:
         return a
-    towers = {u: Tower(t.levels[: depth + 1], t.bonds[:depth]) for u, t in a.values.items()}
+    towers = {u: t.reindexed(range(depth + 1)) for u, t in a.values.items()}
     action = {}
     for mid, lm in a.action.items():
         m = a.site.category.morphism(mid)
@@ -476,9 +453,7 @@ def _normalize_with_reindex(site, category, depth, towers, action, points, colim
     reindexing every tower along phi; a level, bond or action component that
     needs no reindexing keeps its object."""
     phi = _stable_reindex([shift for shift, _ in action.values()], depth)
-    new_towers = {u: Tower(tuple(t.levels[p] for p in phi),
-                           tuple(t.bond_composite(phi[j + 1], phi[j]) for j in range(depth)))
-                  for u, t in towers.items()}
+    new_towers = {u: t.reindexed(phi) for u, t in towers.items()}
     new_action = {}
     for mid, (shift, comps) in action.items():
         m = site.category.morphism(mid)
@@ -533,7 +508,6 @@ def cosheafify(a: Precosheaf, depth: int | None = None) -> CosheafifyResult:
     ok = r1.classification in ("COSEPARATED", "COSHEAF") and r2.classification == "COSHEAF"
     witnesses = tuple() if ok else tuple([*r1.witnesses, *r2.witnesses]) or ("postcondition failed",)
     report = CheckReport(
-        verdict="PASS" if ok else "FAIL",
         depth=(depth if depth is not None else a.depth) if a.site.has_chains() else None,
         classification="coreflection postconditions",
         witnesses=witnesses,
@@ -593,11 +567,10 @@ def strong_local_iso_check(f: PrecosheafMorphism, points, depth: int | None = No
         if not verdict.iso:
             witnesses.append({"point": p.label, "obstruction": verdict.obstruction,
                               "detail": verdict.detail})
-    ok = not witnesses
     return CheckReport(
-        verdict="PASS" if ok else "FAIL",
         depth=d if f.src.site.has_chains() else None,
-        classification="strong local isomorphism" if ok else "not a strong local isomorphism",
+        classification=("not a strong local isomorphism" if witnesses
+                        else "strong local isomorphism"),
         witnesses=tuple(witnesses),
         trace=tuple(trace),
     )
@@ -616,11 +589,9 @@ def is_locally_zero(a: Precosheaf, points, depth: int | None = None, margin: int
         trace.append(f"point {p.label}: {'pro-zero' if ok else 'not pro-zero'}")
         if not ok:
             witnesses.append({"point": p.label, "level": obstruction})
-    ok = not witnesses
     return CheckReport(
-        verdict="PASS" if ok else "FAIL",
         depth=d if a.site.has_chains() else None,
-        classification="locally zero" if ok else "not locally zero",
+        classification="not locally zero" if witnesses else "locally zero",
         witnesses=tuple(witnesses),
         trace=tuple(trace),
     )
@@ -634,8 +605,7 @@ def is_smooth(a: Precosheaf, depth: int | None = None) -> CheckReport:
     d = a.depth if depth is None else min(depth, a.depth)
     if not a.is_rudimentary_valued():
         return CheckReport(
-            verdict="PASS", depth=d if a.site.has_chains() else None,
-            classification="SMOOTH",
+            depth=d if a.site.has_chains() else None, classification="SMOOTH",
             trace=("tower-valued input: smooth by construction (trivial pass)",))
     top = plus_cosheaf(plus_cosheaf(a, d).precosheaf, d).precosheaf
     witnesses = []
@@ -645,11 +615,9 @@ def is_smooth(a: Precosheaf, depth: int | None = None) -> CheckReport:
         trace.append(f"{u}: {rv.verdict} profile {list(rv.profile)}")
         if not rv.rudimentary:
             witnesses.append({"object": u, "growth_profile": list(map(str, rv.profile))})
-    ok = not witnesses
     return CheckReport(
-        verdict="PASS" if ok else "FAIL",
         depth=d if a.site.has_chains() else None,
-        classification="SMOOTH" if ok else "NOT-SMOOTH",
+        classification="NOT-SMOOTH" if witnesses else "SMOOTH",
         witnesses=tuple(witnesses),
         trace=tuple(trace),
     )
@@ -740,7 +708,6 @@ def universal_factorization_check(a: Precosheaf, b: Precosheaf, f: PrecosheafMor
         else:
             trace.append("uniqueness: skipped (instance above the enumeration bound)")
     return CheckReport(
-        verdict="PASS" if ok else "FAIL",
         depth=(depth if depth is not None else a.depth) if a.site.has_chains() else None,
         classification="unique factorization" if ok else "factorization failure",
         witnesses=tuple(witnesses),

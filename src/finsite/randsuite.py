@@ -12,13 +12,15 @@ import random
 from dataclasses import dataclass
 
 from . import values
-from .category import SiteSpec
-from .cosheaf import Precosheaf, PrecosheafMorphism, precosheaf_from_tables
+from .category import SiteSpec, distinct_covers, validate_site
+from .cosheaf import (Precosheaf, PrecosheafMorphism, check_cosheaf, coproduct,
+                      defect_agreement, plus_cosheaf, precosheaf_from_tables)
 from .errors import EngineError
-from .sheaf import Presheaf
+from .report import CheckReport
+from .sheaf import Presheaf, check_sheaf, plus_sheaf
 from .spaces import FiniteSpace, open_site, site_points
-from .towers import LevelMorphism
-from .values import FINAB, FINSET, FinAbObj, finset_map
+from .towers import LevelMorphism, is_iso_at_depth
+from .values import FINAB, FINSET, FinAbObj, classify_map, finset_map
 
 
 _SHAPES = {
@@ -143,8 +145,6 @@ def random_finab_morphism(spec: SiteSpec, rng: random.Random, depth: int = 0
                           ) -> PrecosheafMorphism:
     """A natural transformation of abelian block precosheaves: a scaled
     identity, a summand inclusion, or a summand projection."""
-    from .cosheaf import coproduct
-
     a = random_finab_precosheaf(spec, rng, depth)
     kind = rng.choice(["scale", "scale", "inject", "project"])
     if kind == "scale":
@@ -159,13 +159,6 @@ def random_finab_morphism(spec: SiteSpec, rng: random.Random, depth: int = 0
 def oracle_suite(seed: int = 0, cases: int = 25):
     """Randomized cross-validation: fast/slow defect agreement and the plus
     construction laws on both sides, over seeded random open-set sites."""
-    from .cosheaf import check_cosheaf, defect_agreement, plus_cosheaf
-    from .category import distinct_covers, validate_site
-    from .report import CheckReport
-    from .sheaf import check_sheaf, plus_sheaf
-    from .towers import is_iso_at_depth
-    from .values import classify_map
-
     rng = random.Random(seed)
     failures = []
     trace = []
@@ -205,7 +198,6 @@ def oracle_suite(seed: int = 0, cases: int = 25):
             failures.append({"case": case, "failed": "unit-iso vs sheaf mismatch"})
     trace.append(f"{cases} cases, {len(failures)} failures")
     return CheckReport(
-        verdict="PASS" if not failures else "FAIL",
         classification="oracle suite",
         witnesses=tuple(failures[:10]),
         trace=tuple(trace),

@@ -9,27 +9,24 @@ from dataclasses import dataclass
 class CheckReport:
     """Outcome of a property check.
 
-    verdict is "PASS" or "FAIL"; `depth` is set when the verdict is
-    depth-qualified (rendered as PASS-AT-DEPTH(d)).  A FAIL always carries a
-    concrete witness.  `classification` holds the domain verdict word
-    (COSHEAF, SMOOTH, ...) when one applies.
+    A report fails exactly when it carries a witness: verdict is "FAIL" when
+    `witnesses` is nonempty, else "PASS".  `depth` is set when the verdict is
+    depth-qualified (rendered as PASS-AT-DEPTH(d)).  `classification` holds
+    the domain verdict word (COSHEAF, SMOOTH, ...) when one applies.
     """
 
-    verdict: str
     depth: int | None = None
     classification: str | None = None
     witnesses: tuple = ()
     trace: tuple[str, ...] = ()
 
-    def __post_init__(self):
-        if self.verdict not in ("PASS", "FAIL"):
-            raise ValueError(f"bad verdict {self.verdict!r}")
-        if self.verdict == "FAIL" and not self.witnesses:
-            raise ValueError("FAIL verdicts must carry a witness")
+    @property
+    def verdict(self) -> str:
+        return "FAIL" if self.witnesses else "PASS"
 
     @property
     def passed(self) -> bool:
-        return self.verdict == "PASS"
+        return not self.witnesses
 
     def rendered_verdict(self) -> str:
         if self.verdict == "PASS" and self.depth is not None:

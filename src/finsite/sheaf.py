@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 from . import values
 from .category import (FiniteCategory, Morphism, PointFilter, Sieve, SiteSpec,
-                       _comma_base, comma_of_sieve, common_refinement, distinct_covers,
-                       sieve_from_cover, sieve_levels)
+                       _comma_base, _generating_pairs, comma_of_sieve, common_refinement,
+                       distinct_covers, sieve_from_cover, sieve_levels)
 from .cosheaf import Precosheaf
 from .errors import EngineError, SiteError
 from .report import CheckReport
@@ -44,7 +44,6 @@ class Presheaf:
         for u in cat.objects:
             if not maps_equal(self.action[cat.id_of(u)], identity_map(self.values[u])):
                 raise EngineError(f"identity restriction at {u!r} is not the identity")
-        from .cosheaf import _generating_pairs
         for g, f in _generating_pairs(self.site):
             gf = cat.compose(g, f)
             if not maps_equal(self.action[gf], compose(self.action[f], self.action[g])):
@@ -113,7 +112,6 @@ def check_sheaf(a: Presheaf, depth: int = 6) -> CheckReport:
                 witnesses.append({"object": u, "cover": list(cover.pieces), "failed": "iso"})
     classification = "SHEAF" if all_iso else ("SEPARATED" if all_mono else "NOT-SEPARATED")
     return CheckReport(
-        verdict="PASS" if all_iso else "FAIL",
         depth=depth if a.site.has_chains() else None,
         classification=classification,
         witnesses=tuple(witnesses),
@@ -182,7 +180,6 @@ def sheafify(a: Presheaf, depth: int = 6) -> SheafifyResult:
     r2 = check_sheaf(p2.presheaf, depth)
     ok = r1.classification in ("SEPARATED", "SHEAF") and r2.classification == "SHEAF"
     report = CheckReport(
-        verdict="PASS" if ok else "FAIL",
         depth=depth if a.site.has_chains() else None,
         classification="reflection postconditions",
         witnesses=tuple() if ok else tuple([*r1.witnesses, *r2.witnesses]) or ("postcondition failed",),

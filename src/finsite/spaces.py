@@ -16,6 +16,7 @@ from .category import (Cover, CoverChain, Coverage, PointFilter, SiteSpec, _refi
                        order_closure, poset_category)
 from .cosheaf import Precosheaf, constant_precosheaf, precosheaf_from_tables
 from .errors import EngineError, SiteError
+from .sheaf import Presheaf
 from .values import FINAB, FINSET, FinAbObj, finset
 
 
@@ -313,7 +314,6 @@ def builtin_demos() -> list[Demo]:
         return spec, constant_precosheaf(spec, values.free_ab(1), depth, site_points(spec))
 
     def constant_presheaf(depth):
-        from .sheaf import Presheaf
         space = pseudocircle()
         spec = open_site(space)
         g = finset("g0", "g1")

@@ -63,6 +63,14 @@ class Tower:
         cache[(i, j)] = out
         return out
 
+    def reindexed(self, phi) -> "Tower":
+        """The tower whose level j is level phi[j] of this one, for a
+        nondecreasing phi, with the bond composites between those levels as
+        bonds.  Along phi = 0..d it is the truncation at d, with this tower's
+        own level and bond objects."""
+        return Tower(tuple(self.levels[p] for p in phi),
+                     tuple(self.bond_composite(phi[j + 1], phi[j]) for j in range(len(phi) - 1)))
+
     def is_constant(self) -> bool:
         return all(maps_equal(b, identity_map(self.levels[0])) for b in self.bonds) if (
             len(set(self.levels)) == 1) else False
@@ -124,7 +132,7 @@ class LevelMorphism:
         return LevelMorphism.strict(t, t, tuple(identity_map(x) for x in t.levels))
 
     def is_strict(self) -> bool:
-        return all(s == j for j, s in enumerate(self.shift))
+        return self.shift == _strict_shift(len(self.shift))
 
     def component_from_depth(self, j: int):
         """The canonical representative X_depth -> Y_j."""
@@ -197,14 +205,13 @@ def pro_hom_at_depth(x: Tower, y: Tower, depth: int) -> tuple[LevelMorphism, ...
         raise EngineError("non-enumerable hom; use matrix predicates instead")
     d = min(depth, x.depth, y.depth)
     xd = x.levels[d]
+    trunc_x, trunc_y = x.reindexed(range(d + 1)), y.reindexed(range(d + 1))
     out = []
     for top in values.hom_set(xd, y.levels[d]):
         comps = [None] * (d + 1)
         comps[d] = top
         for j in range(d - 1, -1, -1):
             comps[j] = compose(y.bonds[j], comps[j + 1])
-        trunc_x = Tower(x.levels[: d + 1], x.bonds[:d])
-        trunc_y = Tower(y.levels[: d + 1], y.bonds[:d])
         out.append(LevelMorphism(trunc_x, trunc_y, (d,) * (d + 1), tuple(comps)))
     return tuple(out)
 
@@ -250,26 +257,15 @@ def _finset_local_inverse(fi, fj, image_j, down_x, down_y) -> bool:
 
 def _finset_spans(f: LevelMorphism, d: int, ceiling: int):
     """The first span (j, i) carrying a local inverse for each level j up to
-    the ceiling, and the first level without one (or None).
+    the ceiling, and the first level without one (or None), for a strict f.
 
-    Each level's strict component and image is built once, and the bond
-    composites down to level j are extended one bond at a time as i grows, as
-    element lookups: no composite map is built for a candidate span."""
-    strict = {}
-
-    def strict_at(k):
-        hit = strict.get(k)
-        if hit is None:
-            fk = f.components[k] if f.shift[k] == k else compose(
-                f.components[k], f.src.bond_composite(k, f.shift[k]))
-            hit = strict[k] = fk, {fk(x) for x in f.src.levels[k].elements}
-        return hit
-
+    The bond composites down to level j are extended one bond at a time as i
+    grows, as element lookups: no composite map is built for a candidate
+    span."""
     spans = []
     for j in range(ceiling + 1):
-        if f.shift[j] > j:
-            return spans, j
-        fj, image_j = strict_at(j)
+        fj = f.components[j]
+        image_j = {fj(x) for x in f.src.levels[j].elements}
         down_x = {x: x for x in f.src.levels[j].elements}
         down_y = {y: y for y in f.dst.levels[j].elements}
         for i in range(j, d + 1):
@@ -277,9 +273,7 @@ def _finset_spans(f: LevelMorphism, d: int, ceiling: int):
                 bx, by = f.src.bonds[i - 1]._lookup, f.dst.bonds[i - 1]._lookup
                 down_x = {x: down_x[bx[x]] for x in f.src.levels[i].elements}
                 down_y = {y: down_y[by[y]] for y in f.dst.levels[i].elements}
-            if f.shift[i] > i:
-                continue
-            if _finset_local_inverse(strict_at(i)[0], fj, image_j, down_x, down_y):
+            if _finset_local_inverse(f.components[i], fj, image_j, down_x, down_y):
                 spans.append((j, i))
                 break
         else:
@@ -287,18 +281,19 @@ def _finset_spans(f: LevelMorphism, d: int, ceiling: int):
     return spans, None
 
 
-def strictified(f: LevelMorphism) -> LevelMorphism:
-    """Equivalent strict representative, when every shift sits at or below
-    its level (precompose with bonds)."""
-    if f.is_strict():
+def _strict_at_depth(f: LevelMorphism, depth: int | None) -> LevelMorphism:
+    """The strict form of f at its working depth d, the least of `depth` and
+    both tower depths: source level j becomes level t(j) = max(j, shift[j]),
+    component j is precomposed with the source bonds from t(j) down to
+    shift[j], and the target is truncated at d.  A strict f between towers of
+    depth d is its own strict form."""
+    d = min(f.src.depth, f.dst.depth, f.dst.depth if depth is None else depth)
+    if f.src.depth == d == f.dst.depth and f.is_strict():
         return f
-    if any(f.shift[j] > j for j in range(len(f.shift))):
-        raise EngineError("cannot strictify a forward-shifted level morphism")
-    comps = tuple(
-        compose(f.components[j], f.src.bond_composite(j, f.shift[j]))
-        for j in range(f.dst.depth + 1)
-    )
-    return LevelMorphism.strict(f.src, f.dst, comps)
+    t = tuple(max(j, f.shift[j]) for j in range(d + 1))
+    comps = tuple(c if s == k else compose(c, f.src.bond_composite(k, s))
+                  for c, s, k in zip(f.components, f.shift, t))
+    return LevelMorphism.strict(f.src.reindexed(t), f.dst.reindexed(range(d + 1)), comps)
 
 
 def _first_unkilled(d: int, margin: int, kills):
@@ -363,9 +358,12 @@ def is_iso_at_depth(f: LevelMorphism, depth: int | None = None, margin: int = 2)
     Finite sets: for every level j up to depth - margin, search for a span
     (j, i) carrying a two-sided bond-inverse Y_i -> X_j (image condition plus
     kernel-pair condition).  Abelian values: kernel and cokernel towers must
-    be pro-zero at depth.
+    be pro-zero at depth.  Either way the verdict is decided on the strict
+    form of f at the working depth, the least of `depth` and both tower
+    depths.
     """
-    d = f.dst.depth if depth is None else min(depth, f.dst.depth, f.src.depth)
+    f = _strict_at_depth(f, depth)
+    d = f.dst.depth
     if f.src.category() == FINSET:
         ceiling = max(0, d - margin)
         spans, j = _finset_spans(f, d, ceiling)
@@ -383,20 +381,19 @@ def is_iso_at_depth(f: LevelMorphism, depth: int | None = None, margin: int = 2)
                 return IsoVerdict(False, d, margin, tuple(spans), j,
                                   f"stable target image escapes level {j}")
         return IsoVerdict(True, d, margin, tuple(spans))
-    fs = strictified(f)
-    ok_k, obs_k = _finab_kernel_pro_zero(fs, d, margin)
+    ok_k, obs_k = _finab_kernel_pro_zero(f, d, margin)
     if not ok_k:
         return IsoVerdict(False, d, margin, (), obs_k, f"kernel tower not pro-zero at level {obs_k}")
-    ok_c, obs_c = _finab_cokernel_pro_zero(fs, d, margin)
+    ok_c, obs_c = _finab_cokernel_pro_zero(f, d, margin)
     if not ok_c:
         return IsoVerdict(False, d, margin, (), obs_c, f"cokernel tower not pro-zero at level {obs_c}")
     # headroom-free image condition on the margin levels
     ceiling = max(0, d - margin)
     for j in range(ceiling + 1, d + 1):
-        fj = fs.component_from_depth(j)
+        fj = f.component_from_depth(j)
         lat = intmat.column_lattice_basis(
-            intmat.hstack(fj.matrix, fs.dst.levels[j].relation_matrix()))
-        stable = fs.dst.bond_composite(d, j).matrix
+            intmat.hstack(fj.matrix, f.dst.levels[j].relation_matrix()))
+        stable = f.dst.bond_composite(d, j).matrix
         for c in range(intmat.shape(stable)[1]):
             if not intmat.hnf_member(lat, intmat.column(stable, c)):
                 return IsoVerdict(False, d, margin, (), j,
@@ -435,10 +432,12 @@ def is_epi_at_depth(f: LevelMorphism, depth: int | None = None) -> EpiVerdict:
     the canonical depth component is surjective; a set of size 2 detects any
     failure.  On the abelian side injectivity for G says Hom(coker, G) = 0:
     Z detects free rank in the cokernel and Z/p a prime p dividing its
-    torsion.  `failing` names the test objects that detect the failure.
+    torsion.  `failing` names the test objects that detect the failure.  It
+    decides on the strict form of f at the working depth, as is_iso_at_depth.
     """
-    d = f.dst.depth if depth is None else min(depth, f.dst.depth, f.src.depth)
-    fdep = compose(f.components[d], f.src.bond_composite(d, f.shift[d]))
+    f = _strict_at_depth(f, depth)
+    d = f.dst.depth
+    fdep = f.components[d]
     if f.src.category() == FINSET:
         image = {fdep(x) for x in f.src.levels[d].elements}
         surj = image == set(f.dst.levels[d].elements)

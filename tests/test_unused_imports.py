@@ -1,5 +1,7 @@
-"""Every name a finsite module imports is used in that module, and every
-private module-level function or class is used somewhere in the package.
+"""Every name a finsite module imports is used in that module, every
+private module-level function or class is used somewhere in the package,
+and no function imports from the package: finsite has no import cycle to
+guard, so every module imports its finsite names at its top.
 
 `__init__.py` imports only to re-export, so it is skipped, and so is the
 `from __future__ import annotations` switch.  A name counts as used when it
@@ -55,6 +57,37 @@ def test_check_reports_an_unused_import():
               "def f(s: 'Sieve'):\n"
               "    return itertools.chain(s)\n")
     assert _unused_imports(source) == ["Morphism (line 3)"]
+
+
+def _function_level_relative_imports(source: str) -> list[str]:
+    """Relative imports made inside a function body, by line."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.update(f"{n.module or '.'} (line {n.lineno})" for n in ast.walk(node)
+                         if isinstance(n, ast.ImportFrom) and n.level)
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_from_the_package_at_its_top(module):
+    assert _function_level_relative_imports((SRC / module).read_text()) == []
+
+
+def test_check_reports_a_function_level_relative_import():
+    source = ("from . import values\n"
+              "import json\n"
+              "def f():\n"
+              "    import traceback\n"
+              "    def g():\n"
+              "        from .cosheaf import coproduct\n"
+              "        return coproduct\n"
+              "    return g, values, json, traceback\n"
+              "class C:\n"
+              "    def m(self):\n"
+              "        from . import io\n"
+              "        return io\n")
+    assert _function_level_relative_imports(source) == [". (line 11)", "cosheaf (line 6)"]
 
 
 def _orphaned_private_definitions(sources: dict[str, str]) -> list[str]:
