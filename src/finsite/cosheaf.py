@@ -314,17 +314,18 @@ def check_cosheaf(a: Precosheaf, depth: int | None = None) -> CheckReport:
     all_iso = True
     all_epi = True
     witnesses = []
-    trace = []
     for u in sorted(a.site.category.objects):
         for cover in distinct_covers(a.site, u, d):
             defect = cosheaf_defect(a, cover)
-            epi = is_epi_at_depth(defect.compare, d)
             iso = is_iso_at_depth(defect.compare, d)
-            if not epi.epi and all_epi:
+            if iso.iso:  # iso implies epi at every depth
+                continue
+            # past the first non-epi cover no epi verdict changes the report
+            if all_epi and not (epi := is_epi_at_depth(defect.compare, d)).epi:
                 all_epi = False
                 witnesses.append({"object": u, "cover": list(cover.pieces), "failed": "epi",
                                   "detail": epi.detail})
-            if not iso.iso and all_iso:
+            if all_iso:
                 all_iso = False
                 witnesses.append({"object": u, "cover": list(cover.pieces), "failed": "iso",
                                   "detail": iso.detail})
@@ -334,12 +335,11 @@ def check_cosheaf(a: Precosheaf, depth: int | None = None) -> CheckReport:
         classification = "COSEPARATED"
     else:
         classification = "NOT-COSEPARATED"
-    trace.append(f"classification: {classification}")
     return CheckReport(
         depth=d if a.site.has_chains() else None,
         classification=classification,
         witnesses=tuple(witnesses),
-        trace=tuple(trace),
+        trace=(f"classification: {classification}",),
     )
 
 
@@ -352,6 +352,7 @@ class PlusResult:
     precosheaf: Precosheaf
     counit: PrecosheafMorphism
     sieves: Mapping[str, list]
+    phi: tuple[int, ...]  # plus level j is sieve and tensor level phi[j]
 
 
 def truncate_precosheaf(a: Precosheaf, depth: int) -> Precosheaf:
@@ -400,10 +401,8 @@ def plus_cosheaf(a: Precosheaf, depth: int | None = None) -> PlusResult:
         plus_values[u] = Tower(tuple(levels), tuple(bonds))
 
     # the plus action on m at level k reads level shift[k] >= k of its source
-    action = {}
+    shifts = {}
     for m in site.category.morphisms:
-        comps = []
-        prev_phi = 0
         shift = []
         for k in range(d + 1):
             hit = refinement_search(site, m.src, sieves[m.dst][k], m.id, d)
@@ -411,19 +410,13 @@ def plus_cosheaf(a: Precosheaf, depth: int | None = None) -> PlusResult:
                 raise SiteError(
                     f"no declared cover of {m.src!r} refines the pullback of "
                     f"level {k} of {m.dst!r} along {m.id!r}")
-            lvl = max(k, hit[0], prev_phi)
+            lvl = max(k, hit[0], shift[-1] if shift else 0)
             if lvl > d:
                 raise InsufficientDepth("insufficient depth for the plus action")
-            prev_phi = lvl
             shift.append(lvl)
-            src_tensor = tensors[m.src][lvl]
-            dst_tensor = tensors[m.dst][k]
-            push = _pushforward(a, src_tensor, sieves[m.src][lvl], dst_tensor, m.id, lvl)
-            comps.append(compose(dst_tensor.tower.bond_composite(lvl, k), push))
-        action[m.id] = tuple(shift), tuple(comps)
+        shifts[m.id] = shift
 
-    plus, phi = _normalize_with_reindex(site, a.category, d, plus_values, action, a.points,
-                                        a._colimits)
+    plus, phi = _normalize_with_reindex(a, plus_values, shifts, sieves, tensors)
     counit_components = {}
     for u in site.category.objects:
         t = a.values[u]
@@ -432,7 +425,7 @@ def plus_cosheaf(a: Precosheaf, depth: int | None = None) -> PlusResult:
                       for k, p in enumerate(phi))
         counit_components[u] = LevelMorphism.strict(plus.values[u], t, comps)
     counit = PrecosheafMorphism(plus, a, counit_components)
-    return PlusResult(plus, counit, sieves)
+    return PlusResult(plus, counit, sieves, phi)
 
 
 def _stable_reindex(shifts, depth: int) -> tuple[int, ...]:
@@ -448,43 +441,43 @@ def _stable_reindex(shifts, depth: int) -> tuple[int, ...]:
     return tuple(phi)
 
 
-def _normalize_with_reindex(site, category, depth, towers, action, points, colimits):
-    """Strictify shifted actions, given as (shift, components) pairs, by
-    reindexing every tower along phi; a level, bond or action component that
+def _normalize_with_reindex(a, towers, shifts, sieves, tensors):
+    """Reindex the plus towers along phi and build each action component
+    strict there: at p = phi[j] every shift is p, so component j is the
+    pushforward at level p, one object per distinct p.  A level or bond that
     needs no reindexing keeps its object."""
-    phi = _stable_reindex([shift for shift, _ in action.values()], depth)
+    phi = _stable_reindex(list(shifts.values()), a.depth)
     new_towers = {u: t.reindexed(phi) for u, t in towers.items()}
     new_action = {}
-    for mid, (shift, comps) in action.items():
-        m = site.category.morphism(mid)
-        new_action[mid] = LevelMorphism.strict(
-            new_towers[m.src], new_towers[m.dst],
-            tuple(comps[p] if shift[p] == p else
-                  compose(comps[p], towers[m.src].bond_composite(p, shift[p])) for p in phi))
-    return (Precosheaf(site, category, depth, new_towers, new_action, points,
-                       _colimits=colimits), phi)
+    for m in a.site.category.morphisms:
+        push = {p: _pushforward(a, tensors[m.src][p], sieves[m.src][p], tensors[m.dst][p],
+                                m.id, p)
+                for p in dict.fromkeys(phi)}
+        new_action[m.id] = LevelMorphism.strict(new_towers[m.src], new_towers[m.dst],
+                                                tuple(push[p] for p in phi))
+    return (Precosheaf(a.site, a.category, a.depth, new_towers, new_action, a.points,
+                       _colimits=a._colimits), phi)
 
 
 def plus_map(f: PrecosheafMorphism, plus_src: PlusResult, plus_dst: PlusResult) -> PrecosheafMorphism:
-    """The plus construction applied to a precosheaf morphism."""
-    a, b = f.src, f.dst
-    d = plus_src.precosheaf.depth
-    site = a.site
+    """The plus construction applied to a precosheaf morphism; plus level j
+    reads sieve and tensor level phi[j], one component per distinct level."""
+    site = f.src.site
     comps = {}
     for u in site.category.objects:
-        sieves_u = plus_src.sieves[u]
-        per_level = []
-        for k in range(d + 1):
-            s = sieves_u[k]
+        per_level = {}
+        for p in dict.fromkeys(plus_src.phi):
+            s = plus_src.sieves[u][p]
             src_t = tensor_with_sieve(plus_src.counit.dst, s)
             dst_t = tensor_with_sieve(plus_dst.counit.dst, s)
             node_maps = {
-                g: (f.components[site.category.morphism(g).src].components[k],
-                    dst_t.colimit.cocone[g].components[k])
+                g: (f.components[site.category.morphism(g).src].components[p],
+                    dst_t.colimit.cocone[g].components[p])
                 for g in sorted(s.members)}
-            per_level.append(out_map(src_t.colimit.levels[k], node_maps, dst_t.tower.levels[k]))
+            per_level[p] = out_map(src_t.colimit.levels[p], node_maps, dst_t.tower.levels[p])
         comps[u] = LevelMorphism.strict(plus_src.precosheaf.values[u],
-                                        plus_dst.precosheaf.values[u], tuple(per_level))
+                                        plus_dst.precosheaf.values[u],
+                                        tuple(per_level[p] for p in plus_src.phi))
     return PrecosheafMorphism(plus_src.precosheaf, plus_dst.precosheaf, comps)
 
 

@@ -28,16 +28,21 @@ def save(value, path) -> None:
     Path(path).write_text(dumps(to_document(value)), encoding="utf-8")
 
 
-def load(path, depth: int = 6):
+def _read_json(path, ptr: str):
+    """The JSON document at path; a failure to read or parse it is reported
+    at ptr."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InvalidDocument("/", f"unreadable file: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidDocument(ptr, f"unreadable file: {exc}") from exc
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InvalidDocument("/", f"not JSON: {exc}") from exc
-    return from_document(doc, depth=depth, base=Path(path).parent)
+        raise InvalidDocument(ptr, f"not JSON: {exc}") from exc
+
+
+def load(path, depth: int = 6):
+    return from_document(_read_json(path, "/"), depth=depth, base=Path(path).parent)
 
 
 def to_document(value) -> dict:
@@ -364,10 +369,10 @@ def _site_ref(doc, base: Path | None):
         path = Path(raw)
         if base is not None and not path.is_absolute():
             path = base / path
-        site = load(path)
-        if not isinstance(site, SiteSpec):
+        ref = _read_json(path, "/site")
+        if not isinstance(ref, dict) or ref.get("kind") != "site":
             raise InvalidDocument("/site", "referenced document is not a site")
-        return site
+        return _site_from(ref)
     if isinstance(raw, dict):
         return _site_from(raw)
     raise InvalidDocument("/site", "site must be inline or a reference path")

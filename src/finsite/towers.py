@@ -230,12 +230,14 @@ class IsoVerdict:
         return "ISO" if self.iso else "NOT-ISO-AT-DEPTH"
 
 
-def _finset_local_inverse(fi, fj, image_j, down_x, down_y) -> bool:
+def _finset_local_inverse(fi, image_j, down_x, down_y) -> bool:
     """True when some u: Y_i -> X_j satisfies both bond-inverse triangles.
 
-    fi, fj are the components realized strictly at levels i and j, image_j
-    is the image of fj, and down_x, down_y send each element of X_i, Y_i to
-    its image under the bond composite down to level j."""
+    fi is the component realized strictly at level i, image_j is the image
+    of the component at level j, and down_x, down_y send each element of
+    X_i, Y_i to its image under the bond composite down to level j.  The
+    triangle f_j ∘ u = bond_y holds on the forced part by the squares of
+    the strict form, so only u ∘ f_i = bond_x and the free part are decided."""
     # forced part: u(f_i(x)) = bond_x(x) must be consistent
     forced = {}
     for xx, v in down_x.items():
@@ -246,11 +248,6 @@ def _finset_local_inverse(fi, fj, image_j, down_x, down_y) -> bool:
     # free part: bond_y(y) must lie in the image of f_j
     for y, below in down_y.items():
         if y not in forced and below not in image_j:
-            return False
-    # forced part must also satisfy the first triangle (automatic by the squares,
-    # but cheap to confirm)
-    for y, v in forced.items():
-        if fj(v) != down_y[y]:
             return False
     return True
 
@@ -273,7 +270,7 @@ def _finset_spans(f: LevelMorphism, d: int, ceiling: int):
                 bx, by = f.src.bonds[i - 1]._lookup, f.dst.bonds[i - 1]._lookup
                 down_x = {x: down_x[bx[x]] for x in f.src.levels[i].elements}
                 down_y = {y: down_y[by[y]] for y in f.dst.levels[i].elements}
-            if _finset_local_inverse(f.components[i], fj, image_j, down_x, down_y):
+            if _finset_local_inverse(f.components[i], image_j, down_x, down_y):
                 spans.append((j, i))
                 break
         else:

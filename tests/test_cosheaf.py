@@ -593,3 +593,30 @@ def test_plus_on_strict_site_reindexes_by_the_identity(monkeypatch, g):
                    for k in range(4))
         assert all(plus.counit.components[u].components[k] is tensors[k].compare.components[k]
                    for k in range(4))
+
+
+def test_plus_result_carries_phi():
+    lagging = plus_cosheaf(constant_precosheaf(_lagging_chain_site(), finset("*"), 3))
+    strict = plus_cosheaf(constant_precosheaf(converging_sequence_site(4), finset("*"), 3))
+    assert lagging.phi == (0, 2, 2, 3)
+    assert strict.phi == (0, 1, 2, 3)
+
+
+@pytest.mark.parametrize("g", [finset("*"), finset("x", "y"), cyclic(2)],
+                         ids=["pt", "{x,y}", "Z/2"])
+def test_plus_map_on_lagging_chain_reads_phi(g):
+    """Plus level j of a map reads sieve and tensor level phi[j], as the plus
+    values do, so maps and factorizations exist where the action lags."""
+    a = constant_precosheaf(_lagging_chain_site(), g, 3)
+    plus = plus_cosheaf(a)
+    ident = plus_map(cosheaf.identity_morphism(a), plus, plus)
+    for u, lm in ident.components.items():
+        assert lm.src is plus.precosheaf.values[u]
+        assert equal_at_depth(lm, LevelMorphism.identity(lm.src), 3)
+    # plus levels 1 and 2 are both level 2: one component object serves both
+    for lm in [*plus.precosheaf.action.values(), *ident.components.values()]:
+        assert lm.components[1] is lm.components[2]
+    result = cosheafify(a, 3)
+    report = universal_factorization_check(a, result.precosheaf, result.counit, 3)
+    assert report.classification == "unique factorization"
+    assert report.passed

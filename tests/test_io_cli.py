@@ -2,6 +2,7 @@
 
 import functools
 import json
+from pathlib import Path
 
 import pytest
 
@@ -388,3 +389,56 @@ def test_cli_malformed_site_part_is_input_error(tmp_path, capsys, path, bad):
     node[path[-1]] = bad
     witness = _check_cosheaf_input_error(tmp_path, capsys, doc)
     assert witness.startswith("".join(f"/{key}" for key in path) + ":")
+
+
+DATA = Path(__file__).parent / "data"
+
+
+def test_site_reference_by_relative_path_gives_the_inline_report(tmp_path, capsys):
+    """tests/data/pi0_by_site_reference.json is π₀ of the pseudocircle with
+    its site named by a path relative to the document."""
+    inline = tmp_path / "pi0.json"
+    space = pseudocircle()
+    io.save(pi0_precosheaf(open_site(space), space), inline)
+    assert main(["check-cosheaf", str(inline)]) == 0
+    expected = capsys.readouterr().out
+    assert main(["check-cosheaf", str(DATA / "pi0_by_site_reference.json")]) == 0
+    assert capsys.readouterr().out == expected
+    assert io.load(DATA / "pi0_by_site_reference.json").site == io.load(
+        DATA / "pseudocircle_site.json")
+
+
+@pytest.mark.parametrize("target", ["self", "missing", "precosheaf", "report", "array",
+                                    "not JSON", "not UTF-8"])
+def test_site_reference_to_anything_but_a_site_is_input_error_at_site(tmp_path, capsys,
+                                                                        target):
+    doc = json.loads((DATA / "pi0_by_site_reference.json").read_text(encoding="utf-8"))
+    path = tmp_path / "doc.json"
+    referenced = {"self": "doc.json", "missing": "nowhere.json"}.get(target, "ref.json")
+    doc["site"] = referenced
+    path.write_text(io.dumps(doc))
+    contents = {"precosheaf": io.dumps(doc).encode(), "array": b"[]", "not JSON": b"{",
+                "report": io.dumps({"kind": "report"}).encode(), "not UTF-8": b"\xff{"}
+    if target in contents:
+        (tmp_path / referenced).write_bytes(contents[target])
+    assert main(["check-cosheaf", str(path)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "INPUT-ERROR"
+    assert report["witnesses"][0].startswith("/site:")
+
+
+def test_document_that_is_not_utf8_is_input_error(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b"\xff\xfe{")
+    assert main(["check-cosheaf", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["witnesses"][0].startswith("/: unreadable file")
+
+
+def test_cli_costalk_on_abelian_values(tmp_path, capsys):
+    spec = converging_sequence_site(6)
+    path = tmp_path / "z.json"
+    io.save(constant_precosheaf(spec, free_ab(1), 4, site_points(spec)), path)
+    assert main(["costalk", str(path), "--point", "pt:0", "--depth", "4"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["classification"] == "RUDIMENTARY"
+    assert report["trace"] == [f"level {k}: invariants [] free 1" for k in range(5)]
