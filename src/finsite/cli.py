@@ -155,7 +155,7 @@ def main(argv=None) -> int:
             tower = costalk(a, p, args.depth)
             rv = is_rudimentary_at_depth(tower, args.depth)
             report = CheckReport(
-                depth=args.depth if a.site.has_chains() else None,
+                depth=tower.depth if a.site.has_chains() else None,
                 classification=rv.verdict,
                 trace=tuple(f"level {k}: {line}" for k, line in enumerate(_tower_profile(tower))),
             )

@@ -501,7 +501,7 @@ def cosheafify(a: Precosheaf, depth: int | None = None) -> CosheafifyResult:
     ok = r1.classification in ("COSEPARATED", "COSHEAF") and r2.classification == "COSHEAF"
     witnesses = tuple() if ok else tuple([*r1.witnesses, *r2.witnesses]) or ("postcondition failed",)
     report = CheckReport(
-        depth=(depth if depth is not None else a.depth) if a.site.has_chains() else None,
+        depth=r1.depth,
         classification="coreflection postconditions",
         witnesses=witnesses,
         trace=(
@@ -701,7 +701,7 @@ def universal_factorization_check(a: Precosheaf, b: Precosheaf, f: PrecosheafMor
         else:
             trace.append("uniqueness: skipped (instance above the enumeration bound)")
     return CheckReport(
-        depth=(depth if depth is not None else a.depth) if a.site.has_chains() else None,
+        depth=ca.report.depth,
         classification="unique factorization" if ok else "factorization failure",
         witnesses=tuple(witnesses),
         trace=tuple(trace),

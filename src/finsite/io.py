@@ -364,18 +364,21 @@ def _map_from(raw, src, dst, category, ptr):
 
 
 def _site_ref(doc, base: Path | None):
-    raw = doc.get("site")
+    """A document's site, inline or named by a path relative to `base`; an
+    error inside it is reported under /site."""
+    raw = site = doc.get("site")
     if isinstance(raw, str):
-        path = Path(raw)
-        if base is not None and not path.is_absolute():
-            path = base / path
-        ref = _read_json(path, "/site")
-        if not isinstance(ref, dict) or ref.get("kind") != "site":
+        site = _read_json(Path(raw) if base is None else base / raw, "/site")
+        if not isinstance(site, dict) or site.get("kind") != "site":
             raise InvalidDocument("/site", "referenced document is not a site")
-        return _site_from(ref)
-    if isinstance(raw, dict):
-        return _site_from(raw)
-    raise InvalidDocument("/site", "site must be inline or a reference path")
+    elif not isinstance(raw, dict):
+        raise InvalidDocument("/site", "site must be inline or a reference path")
+    try:
+        return _site_from(site)
+    except InvalidDocument as exc:
+        if site is raw:
+            raise InvalidDocument("/site" + exc.pointer, exc.message) from exc
+        raise InvalidDocument("/site", f"in {raw} at {exc.pointer}: {exc.message}") from exc
 
 
 def _header(doc, base):

@@ -2,7 +2,12 @@
 depth-qualified decision procedures.
 
 A tower X has levels X_0 .. X_d and bonds X_{k+1} -> X_k.  Every verdict
-here is relative to the truncation at the working depth, and says so.
+here is relative to the truncation at the working depth, and says so.  The
+iso and rudimentary verdicts are one algorithm for both value categories:
+the category-specific facts are the value layer's kernel and image tests
+on chains of bonds (`values.kills_kernel`, `values.lands_in_image`) and
+`values.image_invariants`.  Only report wording, the pro-hom enumeration
+and the epi witnesses differ by category.
 """
 
 from __future__ import annotations
@@ -11,11 +16,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping
 
-from . import intmat, values
+from . import values
 from .category import FiniteCategory
 from .errors import EngineError, InsufficientDepth
-from .values import (FINSET, FinAbMap, FinAbObj, FiniteDiagram,
-                     category_of, chains_equal, classify_map, commutes, compose,
+from .values import (FINSET, FiniteDiagram, category_of, chains_equal, commutes, compose,
                      identity_map, is_zero_map, map_key, maps_equal, out_map)
 
 
@@ -230,54 +234,6 @@ class IsoVerdict:
         return "ISO" if self.iso else "NOT-ISO-AT-DEPTH"
 
 
-def _finset_local_inverse(fi, image_j, down_x, down_y) -> bool:
-    """True when some u: Y_i -> X_j satisfies both bond-inverse triangles.
-
-    fi is the component realized strictly at level i, image_j is the image
-    of the component at level j, and down_x, down_y send each element of
-    X_i, Y_i to its image under the bond composite down to level j.  The
-    triangle f_j ∘ u = bond_y holds on the forced part by the squares of
-    the strict form, so only u ∘ f_i = bond_x and the free part are decided."""
-    # forced part: u(f_i(x)) = bond_x(x) must be consistent
-    forced = {}
-    for xx, v in down_x.items():
-        y = fi(xx)
-        if y in forced and forced[y] != v:
-            return False
-        forced[y] = v
-    # free part: bond_y(y) must lie in the image of f_j
-    for y, below in down_y.items():
-        if y not in forced and below not in image_j:
-            return False
-    return True
-
-
-def _finset_spans(f: LevelMorphism, d: int, ceiling: int):
-    """The first span (j, i) carrying a local inverse for each level j up to
-    the ceiling, and the first level without one (or None), for a strict f.
-
-    The bond composites down to level j are extended one bond at a time as i
-    grows, as element lookups: no composite map is built for a candidate
-    span."""
-    spans = []
-    for j in range(ceiling + 1):
-        fj = f.components[j]
-        image_j = {fj(x) for x in f.src.levels[j].elements}
-        down_x = {x: x for x in f.src.levels[j].elements}
-        down_y = {y: y for y in f.dst.levels[j].elements}
-        for i in range(j, d + 1):
-            if i > j:
-                bx, by = f.src.bonds[i - 1]._lookup, f.dst.bonds[i - 1]._lookup
-                down_x = {x: down_x[bx[x]] for x in f.src.levels[i].elements}
-                down_y = {y: down_y[by[y]] for y in f.dst.levels[i].elements}
-            if _finset_local_inverse(f.components[i], image_j, down_x, down_y):
-                spans.append((j, i))
-                break
-        else:
-            return spans, j
-    return spans, None
-
-
 def _strict_at_depth(f: LevelMorphism, depth: int | None) -> LevelMorphism:
     """The strict form of f at its working depth d, the least of `depth` and
     both tower depths: source level j becomes level t(j) = max(j, shift[j]),
@@ -293,51 +249,19 @@ def _strict_at_depth(f: LevelMorphism, depth: int | None) -> LevelMorphism:
     return LevelMorphism.strict(f.src.reindexed(t), f.dst.reindexed(range(d + 1)), comps)
 
 
-def _first_unkilled(d: int, margin: int, kills):
-    """(True, None) when every level j up to d - margin is killed by some
-    level i in j..d, that is kills(i, j) holds; else (False, the first level
-    that none kills)."""
-    for j in range(max(0, d - margin) + 1):
-        if not any(kills(i, j) for i in range(j, d + 1)):
-            return False, j
-    return True, None
-
-
-def _finab_kernel_pro_zero(f: LevelMorphism, d: int, margin: int):
-    """Pro-zero test for the kernel tower, without presenting its bonds.
-
-    The composite ker(f_i) -> ker(f_j) is zero exactly when the source bond
-    composite carries the kernel generators into the relation lattice of the
-    level below (kernel inclusions are monomorphisms)."""
-    gens = []
-    for j in range(d + 1):
-        k, incl = values.kernel(f.components[j])
-        gens.append(incl.matrix if k.rank else None)
-
-    def kills(i, j):
-        if gens[i] is None:
-            return True
-        carried = intmat.mul(f.src.bond_composite(i, j).matrix, gens[i])
-        lvl = f.src.levels[j]
-        return all(lvl.lattice_contains(intmat.column(carried, c))
-                   for c in range(intmat.shape(carried)[1]))
-
-    return _first_unkilled(d, margin, kills)
-
-
-def _finab_cokernel_pro_zero(f: LevelMorphism, d: int, margin: int):
-    """Pro-zero test for the cokernel tower: the target bond composite must
-    land in the cokernel's relation lattice."""
-    cokers = [values.cokernel(f.components[j])[0] for j in range(d + 1)]
-
-    def kills(i, j):
-        if cokers[i].is_trivial():   # i = j comes first, so this covers cokers[j]
-            return True
-        bond = f.dst.bond_composite(i, j).matrix
-        return all(cokers[j].lattice_contains(intmat.column(bond, c))
-                   for c in range(intmat.shape(bond)[1]))
-
-    return _first_unkilled(d, margin, kills)
+def _least_levels(d: int, ceiling: int, holds):
+    """For each level j up to the ceiling in turn, the least level i in j..d
+    where holds(i, j); the scan stops at the first j without one.  Returns
+    (those levels, that j or None)."""
+    found = []
+    for j in range(ceiling + 1):
+        for i in range(j, d + 1):
+            if holds(i, j):
+                found.append(i)
+                break
+        else:
+            return found, j
+    return found, None
 
 
 def tower_pro_zero(t: Tower, depth: int | None = None, margin: int = 3):
@@ -346,56 +270,49 @@ def tower_pro_zero(t: Tower, depth: int | None = None, margin: int = 3):
     Pro-zero: for every level k up to depth - margin some deeper bond
     composite into level k is the zero map."""
     d = t.depth if depth is None else min(depth, t.depth)
-    return _first_unkilled(d, margin, lambda m, k: is_zero_map(t.bond_composite(m, k)))
+    _, j = _least_levels(d, max(0, d - margin),
+                         lambda m, k: is_zero_map(t.bond_composite(m, k)))
+    return j is None, j
 
 
 def is_iso_at_depth(f: LevelMorphism, depth: int | None = None, margin: int = 2) -> IsoVerdict:
     """Certify that f is an isomorphism of the truncated pro-objects.
 
-    Finite sets: for every level j up to depth - margin, search for a span
-    (j, i) carrying a two-sided bond-inverse Y_i -> X_j (image condition plus
-    kernel-pair condition).  Abelian values: kernel and cokernel towers must
-    be pro-zero at depth.  Either way the verdict is decided on the strict
-    form of f at the working depth, the least of `depth` and both tower
-    depths.
+    f is one when, for every level j up to depth - margin, some source bond
+    X_i -> X_j kills the kernel of f_i and some target bond Y_i -> Y_j lands
+    in the image of f_j.  Both conditions are upward-closed in i.  On finite
+    sets both at one i make a bond-inverse Y_i -> X_j, and `spans` lists
+    the least such (j, i); on abelian values they make the kernel and
+    cokernel towers pro-zero, and the kernel is decided first.  On the
+    margin levels the image condition needs no headroom: whatever survives
+    the target bonds from the deepest level must already be hit.  It decides
+    on the strict form of f at the working depth, the least of `depth` and
+    both tower depths.
     """
     f = _strict_at_depth(f, depth)
-    d = f.dst.depth
-    if f.src.category() == FINSET:
-        ceiling = max(0, d - margin)
-        spans, j = _finset_spans(f, d, ceiling)
-        if j is not None:
-            return IsoVerdict(False, d, margin, tuple(spans), j,
-                              f"no bond-inverse for level {j} within depth {d}")
-        # Margin levels lack headroom for a full bond-inverse, but the image
-        # condition needs none: whatever survives the target bonds from the
-        # deepest level must already be hit.
-        for j in range(ceiling + 1, d + 1):
-            fj = f.component_from_depth(j)
-            image = {fj(x) for x in f.src.levels[d].elements}
-            stable = {f.dst.bond_composite(d, j)(y) for y in f.dst.levels[d].elements}
-            if not stable <= image:
-                return IsoVerdict(False, d, margin, tuple(spans), j,
-                                  f"stable target image escapes level {j}")
-        return IsoVerdict(True, d, margin, tuple(spans))
-    ok_k, obs_k = _finab_kernel_pro_zero(f, d, margin)
-    if not ok_k:
-        return IsoVerdict(False, d, margin, (), obs_k, f"kernel tower not pro-zero at level {obs_k}")
-    ok_c, obs_c = _finab_cokernel_pro_zero(f, d, margin)
-    if not ok_c:
-        return IsoVerdict(False, d, margin, (), obs_c, f"cokernel tower not pro-zero at level {obs_c}")
-    # headroom-free image condition on the margin levels
+    x, y, comps, d = f.src, f.dst, f.components, f.dst.depth
+    finset = x.category() == FINSET
     ceiling = max(0, d - margin)
+    # t.bonds[j:i][::-1] is the chain of t's bonds from level i down to j
+    kills = list(map(values.kills_kernel, comps))
+    killing, j_k = _least_levels(d, ceiling, lambda i, j: kills[i](x.bonds[j:i][::-1]))
+    if j_k is not None and not finset:
+        return IsoVerdict(False, d, margin, (), j_k, f"kernel tower not pro-zero at level {j_k}")
+    lands = list(map(values.lands_in_image, comps))
+    # scanned below the kernel's first failure only; a target bond out of a
+    # level where f is onto lands, by the squares
+    landing, j_l = _least_levels(d, ceiling if j_k is None else j_k - 1,
+                                 lambda i, j: lands[i](()) or lands[j](y.bonds[j:i][::-1]))
+    spans = tuple(enumerate(map(max, killing, landing))) if finset else ()
+    if j_k is not None or j_l is not None:
+        j = j_k if j_l is None else j_l
+        detail = (f"no bond-inverse for level {j} within depth {d}" if finset
+                  else f"cokernel tower not pro-zero at level {j}")
+        return IsoVerdict(False, d, margin, spans, j, detail)
     for j in range(ceiling + 1, d + 1):
-        fj = f.component_from_depth(j)
-        lat = intmat.column_lattice_basis(
-            intmat.hstack(fj.matrix, f.dst.levels[j].relation_matrix()))
-        stable = f.dst.bond_composite(d, j).matrix
-        for c in range(intmat.shape(stable)[1]):
-            if not intmat.hnf_member(lat, intmat.column(stable, c)):
-                return IsoVerdict(False, d, margin, (), j,
-                                  f"stable target image escapes level {j}")
-    return IsoVerdict(True, d, margin)
+        if not values.lands_in_image(f.component_from_depth(j))(y.bonds[j:d][::-1]):
+            return IsoVerdict(False, d, margin, spans, j, f"stable target image escapes level {j}")
+    return IsoVerdict(True, d, margin, spans)
 
 
 @dataclass(frozen=True)
@@ -436,8 +353,7 @@ def is_epi_at_depth(f: LevelMorphism, depth: int | None = None) -> EpiVerdict:
     d = f.dst.depth
     fdep = f.components[d]
     if f.src.category() == FINSET:
-        image = {fdep(x) for x in f.src.levels[d].elements}
-        surj = image == set(f.dst.levels[d].elements)
+        surj = values.lands_in_image(fdep)(())
         return EpiVerdict(surj, d, () if surj else ("set of size 2",),
                           "precomposition injective for every test object" if surj
                           else "maps separating the image from its complement collapse")
@@ -464,44 +380,21 @@ class RudVerdict:
         return "RUDIMENTARY" if self.rudimentary else "NOT-RUDIMENTARY-AT-DEPTH"
 
 
-def _finset_image_system(t: Tower, d: int):
-    images = []
-    for k in range(d + 1):
-        comp = t.bond_composite(d, k)
-        images.append(sorted({comp(x) for x in t.levels[d].elements}))
-    return images
-
-
 def is_rudimentary_at_depth(x: Tower, depth: int | None = None, window: int = 3) -> RudVerdict:
     """Stabilized Mittag-Leffler image test.
 
-    Computes S_k = image(X_depth -> X_k); rudimentary when the induced maps
-    S_{k+1} -> S_k are isomorphisms throughout the trailing window (top level
-    included) with stabilized cardinalities/invariants.
+    S_k is the image of X_depth -> X_k, and the profile lists each one's
+    size or invariants.  Rudimentary when the induced maps S_{k+1} -> S_k
+    are isomorphisms throughout the trailing window (top level included).
+    Each is onto, so it is one exactly when X_depth -> X_{k+1} kills the
+    kernel of X_depth -> X_k.
     """
     d = x.depth if depth is None else min(depth, x.depth)
     w = min(window, d)
-    if x.category() == FINSET:
-        images = _finset_image_system(x, d)
-        profile = tuple(len(s) for s in images)
-        for k in range(d - w, d):
-            # surjective by construction; iso iff sizes agree and the bond is
-            # injective on the deeper image
-            src, dst = images[k + 1], images[k]
-            bond = x.bonds[k]
-            mapped = [bond(e) for e in src]
-            if len(set(mapped)) != len(src) or len(src) != len(dst):
-                return RudVerdict(False, d, w, profile)
-        return RudVerdict(True, d, w, profile, stable_index=max(0, d - w))
-    # FinAb: the image of X_d in X_k, presented on X_d's generators modulo
-    # the kernel of the bond composite
-    n = x.levels[d].rank
-    images = [FinAbObj(n, values.kernel(x.bond_composite(d, k))[1].matrix) for k in range(d + 1)]
-    profile = tuple(img.invariants() for img in images)
+    down = [x.bond_composite(d, k) for k in range(d + 1)]
+    profile = tuple(map(values.image_invariants, down))
     for k in range(d - w, d):
-        ident = FinAbMap(images[k + 1], images[k], intmat.identity(images[k + 1].rank))
-        flags = classify_map(ident)
-        if not flags.iso:
+        if not values.kills_kernel(down[k])((down[k + 1],)):
             return RudVerdict(False, d, w, profile)
     return RudVerdict(True, d, w, profile, stable_index=max(0, d - w))
 

@@ -362,10 +362,73 @@ def commutes(g1, f1, g2, f2) -> bool:
     return chains_equal((f1, g1), (f2, g2))
 
 
-def is_zero_map(f: FinAbMap) -> bool:
-    if intmat.is_zero(f.matrix):
-        return True
-    return all(f.dst.lattice_contains(intmat.column(f.matrix, j)) for j in range(f.src.rank))
+def is_zero_map(f) -> bool:
+    """Whether an abelian map is zero.  It may be given as a chain, a tuple
+    of composable maps in the order they apply, whose composite is then
+    never built."""
+    chain = f if isinstance(f, tuple) else (f,)
+    m = _chain_matrix(chain)
+    return all(chain[-1].dst.lattice_contains(intmat.column(m, j))
+               for j in range(chain[0].src.rank))
+
+
+def kills_kernel(f):
+    """The test of whether a chain out of f's source kills f's kernel.
+
+    A chain lists its maps in the order they apply; the empty chain is the
+    identity, so kills_kernel(f)(()) says whether f is mono.  Finite sets:
+    the chain is constant on f's fibres.  Abelian groups: it is zero on
+    kernel(f).  The fibres or the kernel are computed once, here, and no
+    composite is built."""
+    if isinstance(f, FinSetMap):
+        fibres = {}
+        if len(set(f._lookup.values())) < len(f.table):  # not mono
+            for x, y in f.table:
+                fibres.setdefault(y, set()).add(x)
+        fibres = [xs for xs in fibres.values() if len(xs) > 1]
+
+        def kills(chain) -> bool:
+            for xs in fibres:
+                for g in chain:
+                    xs = {g._lookup[x] for x in xs}
+                    if len(xs) == 1:
+                        break
+                else:
+                    return False
+            return True
+        return kills
+    _, incl = kernel(f)
+    return lambda chain: is_zero_map((incl, *chain))
+
+
+def lands_in_image(f):
+    """The test of whether a chain into f's target lands in f's image, as
+    kills_kernel: the empty chain's test says whether f is onto.  Finite
+    sets: the chain's image lies in f's.  Abelian groups: the chain followed
+    by the projection onto cokernel(f) is zero."""
+    if isinstance(f, FinSetMap):
+        image = {y for _, y in f.table}
+        onto = image >= f.dst.element_set
+
+        def lands(chain) -> bool:
+            if onto or not chain:
+                return onto
+            ys = chain[0].src.element_set
+            for g in chain:
+                ys = {g._lookup[y] for y in ys}
+            return ys <= image
+        return lands
+    coker, proj = cokernel(f)
+    onto = coker.is_trivial()
+    return lambda chain: onto or is_zero_map((*chain, proj))
+
+
+def image_invariants(f):
+    """The size of f's image (finite sets) or its invariants() (abelian
+    groups: the source modulo the kernel)."""
+    if isinstance(f, FinSetMap):
+        return len({y for _, y in f.table})
+    return FinAbObj(f.src.rank, kernel(f)[1].matrix).invariants()
 
 
 def unique_map_from_initial(category: str, dst):
@@ -390,12 +453,7 @@ class MapFlags:
 
 
 def classify_map(f) -> MapFlags:
-    if isinstance(f, FinSetMap):
-        values = [f(x) for x in f.src.elements]
-        return MapFlags(len(set(values)) == len(values), set(values) == set(f.dst.elements))
-    k, _ = kernel(f)
-    c, _ = cokernel(f)
-    return MapFlags(k.is_trivial(), c.is_trivial())
+    return MapFlags(kills_kernel(f)(()), lands_in_image(f)(()))
 
 
 # ---------------------------------------------------------------------------

@@ -620,3 +620,13 @@ def test_plus_map_on_lagging_chain_reads_phi(g):
     report = universal_factorization_check(a, result.precosheaf, result.counit, 3)
     assert report.classification == "unique factorization"
     assert report.passed
+
+
+def test_reports_give_the_depth_they_compute_at():
+    """A depth beyond the input's is cut to the input's depth, and the
+    report says so."""
+    a = constant_precosheaf(converging_sequence_site(3), finset("*"), 2)
+    result = cosheafify(a, 9)
+    assert result.report.depth == 2
+    report = universal_factorization_check(a, result.precosheaf, result.counit, 9)
+    assert report.passed and report.depth == 2

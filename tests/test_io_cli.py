@@ -269,7 +269,7 @@ def test_cli_malformed_point_is_input_error(tmp_path, capsys, bad):
     doc["site"]["points"] = [*doc["site"]["points"], bad]
     where = len(doc["site"]["points"]) - 1
     witness = _check_cosheaf_input_error(tmp_path, capsys, doc)
-    assert witness.startswith(f"/points/{where}:")
+    assert witness.startswith(f"/site/points/{where}:")
 
 
 @pytest.mark.parametrize("bad", [[], {}, 7, None])
@@ -277,7 +277,7 @@ def test_cli_non_string_cover_piece_is_input_error(tmp_path, capsys, bad):
     doc = _pi0_document(tmp_path)
     doc["site"]["covers"][1]["pieces"][0] = bad
     witness = _check_cosheaf_input_error(tmp_path, capsys, doc)
-    assert witness.startswith("/covers/1/pieces/0:")
+    assert witness.startswith("/site/covers/1/pieces/0:")
 
 
 @pytest.mark.parametrize("bad", [7, [1], True, "x"])
@@ -285,7 +285,7 @@ def test_cli_malformed_intersections_is_input_error(tmp_path, capsys, bad):
     doc = _pi0_document(tmp_path)
     doc["site"]["covers"][1]["intersections"] = bad
     witness = _check_cosheaf_input_error(tmp_path, capsys, doc)
-    assert witness.startswith("/covers/1/intersections")
+    assert witness.startswith("/site/covers/1/intersections")
 
 
 @pytest.mark.parametrize("bad", ["x", None, [], {}, True, -1, 1.0])
@@ -388,7 +388,7 @@ def test_cli_malformed_site_part_is_input_error(tmp_path, capsys, path, bad):
         node = node[key]
     node[path[-1]] = bad
     witness = _check_cosheaf_input_error(tmp_path, capsys, doc)
-    assert witness.startswith("".join(f"/{key}" for key in path) + ":")
+    assert witness.startswith("/site" + "".join(f"/{key}" for key in path) + ":")
 
 
 DATA = Path(__file__).parent / "data"
@@ -442,3 +442,41 @@ def test_cli_costalk_on_abelian_values(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["classification"] == "RUDIMENTARY"
     assert report["trace"] == [f"level {k}: invariants [] free 1" for k in range(5)]
+
+
+@pytest.mark.parametrize("command", [["cosheafify"], ["costalk", "--point", "pt:0"]])
+def test_cli_reports_the_depth_it_computes_at(capsys, command):
+    """tests/data/pt_plus_converging3.json is the `cosheafify --out` document
+    of the constant point on converging_sequence_site(3) at depth 2: a
+    tower-valued document keeps its depth, so --depth 7 works at depth 2."""
+    doc = DATA / "pt_plus_converging3.json"
+    assert io.load(doc, depth=7).depth == 2
+    assert main([command[0], str(doc), *command[1:], "--depth", "7"]) == 0
+    assert json.loads(capsys.readouterr().out)["depth"] == 2
+
+
+def _bad_site_document():
+    return {"kind": "site", "name": "bad", "poset": True, "objects": ["a"], "leq": [],
+            "covers": [{"target": "a", "pieces": ["zz"]}], "chains": []}
+
+
+def test_cli_error_in_a_referenced_site_is_at_site_and_names_it(tmp_path, capsys):
+    doc = json.loads((DATA / "pi0_by_site_reference.json").read_text(encoding="utf-8"))
+    doc["site"] = "bad_site.json"
+    (tmp_path / "bad_site.json").write_text(io.dumps(_bad_site_document()))
+    path = tmp_path / "doc.json"
+    path.write_text(io.dumps(doc))
+    assert main(["check-cosheaf", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["witnesses"] == [
+        "/site: in bad_site.json at /covers/0/pieces/0: unknown morphism or object 'zz'"]
+    # the site document on its own keeps its own pointers
+    assert main(["validate", str(tmp_path / "bad_site.json")]) == 2
+    assert json.loads(capsys.readouterr().out)["witnesses"] == [
+        "/covers/0/pieces/0: unknown morphism or object 'zz'"]
+
+
+def test_cli_error_in_an_inline_site_is_under_site(tmp_path, capsys):
+    doc = _pi0_document(tmp_path)
+    doc["site"] = _bad_site_document()
+    witness = _check_cosheaf_input_error(tmp_path, capsys, doc)
+    assert witness == "/site/covers/0/pieces/0: unknown morphism or object 'zz'"

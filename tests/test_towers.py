@@ -577,3 +577,83 @@ def test_finab_iso_and_pro_zero_match_explicit_kernel_and_cokernel_towers():
     assert kinds == {"", "kernel tower not pro-zero", "cokernel tower not pro-zero",
                      "stable target image"}
     assert {level for _, level in seen} > {None, 0, 1, 2}
+
+
+# ---------------------------------------------------------------------------
+# the kernel scan and the image scan first fail at different levels
+
+
+def _finset_tower(levels, bonds):
+    """Levels given as strings of one-letter elements, bonds as strings of
+    images listed in the order of the upper level's elements."""
+    objs = tuple(finset(*lv) for lv in levels)
+    return Tower(objs, tuple(finset_map(objs[k + 1], objs[k], dict(zip(objs[k + 1].elements, b)))
+                             for k, b in enumerate(bonds)))
+
+
+def _finset_to(x, y, images):
+    return LevelMorphism.strict(x, y, tuple(
+        finset_map(x.levels[k], y.levels[k], dict(zip(x.levels[k].elements, im)))
+        for k, im in enumerate(images)))
+
+
+def test_finset_iso_reports_the_lower_first_failure_kernel_first():
+    # f_1 merges a and b, and no deeper source bond separates them again; the
+    # target gains q at level 2, outside every image
+    x = _finset_tower(("a", "ab", "ab", "ab"), ("aa", "ab", "ab"))
+    y = _finset_tower(("p", "p", "pq", "pq"), ("p", "pp", "pq"))
+    v = is_iso_at_depth(_finset_to(x, y, ("p", "pp", "pp", "pp")), 3, 0)
+    assert (v.iso, v.obstruction, v.spans) == (False, 1, ((0, 0),))
+    assert v.detail == "no bond-inverse for level 1 within depth 3"
+
+
+def test_finset_iso_reports_the_lower_first_failure_image_first():
+    # f_1 misses q, and every target bond into level 1 keeps it; the source
+    # merge comes only at level 2
+    x = _finset_tower(("a", "a", "ab", "ab"), ("a", "aa", "ab"))
+    y = _finset_tower(("p", "pq", "pq", "pq"), ("pp", "pq", "pq"))
+    v = is_iso_at_depth(_finset_to(x, y, ("p", "p", "pp", "pp")), 3, 0)
+    assert (v.iso, v.obstruction, v.spans) == (False, 1, ((0, 0),))
+    assert v.detail == "no bond-inverse for level 1 within depth 3"
+
+
+def test_finset_iso_span_reaches_the_deeper_of_the_two_levels():
+    # level 0 kills its kernel at once but lands only from level 2
+    x = _finset_tower(("a", "a", "a"), ("a", "a"))
+    y = _finset_tower(("pq", "pq", "p"), ("pq", "p"))
+    v = is_iso_at_depth(_finset_to(x, y, ("p", "p", "p")), 2, 2)
+    assert v.spans == ((0, 2),) and v.iso
+
+
+def _ab_tower(ranks, bonds):
+    levels = tuple(free_ab(n) for n in ranks)
+    return Tower(levels, tuple(finab_map(levels[k + 1], levels[k], b) for k, b in enumerate(bonds)))
+
+
+def _ab_to(x, y, matrices):
+    return LevelMorphism.strict(x, y, tuple(finab_map(x.levels[k], y.levels[k], m)
+                                            for k, m in enumerate(matrices)))
+
+
+ONE, ID2 = [[1]], [[1, 0], [0, 1]]
+
+
+def test_finab_iso_names_the_kernel_when_the_cokernel_fails_lower():
+    # coker f_1 = Z, kept by every target bond; ker f_2 = <(1, -1)>, kept by
+    # every source bond
+    x = _ab_tower((1, 1, 2, 2), (ONE, [[1, 1]], ID2))
+    y = _ab_tower((1, 2, 2, 2), ([[1, 0]], ID2, ID2))
+    f = _ab_to(x, y, (ONE, [[1], [0]], [[1, 1], [0, 0]], [[1, 1], [0, 0]]))
+    v = is_iso_at_depth(f, 3, 0)
+    assert (v.iso, v.obstruction, v.spans) == (False, 2, ())
+    assert v.detail == "kernel tower not pro-zero at level 2"
+
+
+def test_finab_iso_names_the_kernel_when_it_fails_lower():
+    # ker f_1 = <(1, -1)>, kept by every source bond; coker f_2 = Z
+    x = _ab_tower((1, 2, 2, 2), ([[1, 1]], ID2, ID2))
+    y = _ab_tower((1, 1, 2, 2), (ONE, [[1, 0]], ID2))
+    f = _ab_to(x, y, (ONE, [[1, 1]], [[1, 1], [0, 0]], [[1, 1], [0, 0]]))
+    v = is_iso_at_depth(f, 3, 0)
+    assert (v.iso, v.obstruction, v.spans) == (False, 1, ())
+    assert v.detail == "kernel tower not pro-zero at level 1"
