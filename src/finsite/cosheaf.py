@@ -190,15 +190,15 @@ def tensor_with_sieve(a: Precosheaf, sieve: Sieve) -> TensorResult:
     return out
 
 
-def _pushforward(a: Precosheaf, src_tensor: TensorResult, src_sieve: Sieve,
-                 dst_tensor: TensorResult, alpha: str, j: int):
+def _pushforward(a: Precosheaf, src_tensor: TensorResult, dst_tensor: TensorResult,
+                 alpha: str, j: int):
     """Raw level-j map [A⊗S] -> [A⊗R] sending class (g, x) to (alpha∘g, x).
 
     Requires alpha ∘ S ⊆ R, which the refinement search guarantees."""
     cat = a.site.category
     return out_map(src_tensor.colimit.levels[j],
                    {g: dst_tensor.colimit.cocone[cat.compose(alpha, g)].components[j]
-                    for g in sorted(src_sieve.members)},
+                    for g in sorted(src_tensor.colimit.cocone)},
                    dst_tensor.tower.levels[j])
 
 
@@ -382,24 +382,6 @@ def plus_cosheaf(a: Precosheaf, depth: int | None = None) -> PlusResult:
         a = truncate_precosheaf(a, d)
     site = a.site
     sieves = {u: sieve_levels(site, u, d) for u in site.category.objects}
-    tensors = {u: [tensor_with_sieve(a, s) for s in sieves[u]] for u in site.category.objects}
-
-    plus_values = {}
-    for u in site.category.objects:
-        levels = []
-        bonds = []
-        for k in range(d + 1):
-            levels.append(tensors[u][k].tower.levels[k])
-        for k in range(d):
-            hi = tensors[u][k + 1]
-            lo = tensors[u][k]
-            if hi is lo:  # equal sieves share one tensor
-                bonds.append(lo.tower.bonds[k])
-                continue
-            hi_to_lo_at = _pushforward(a, hi, sieves[u][k + 1], lo, site.category.id_of(u), k + 1)
-            bonds.append(compose(lo.tower.bonds[k], hi_to_lo_at))
-        plus_values[u] = Tower(tuple(levels), tuple(bonds))
-
     # the plus action on m at level k reads level shift[k] >= k of its source
     shifts = {}
     for m in site.category.morphisms:
@@ -416,7 +398,7 @@ def plus_cosheaf(a: Precosheaf, depth: int | None = None) -> PlusResult:
             shift.append(lvl)
         shifts[m.id] = shift
 
-    plus, phi = _normalize_with_reindex(a, plus_values, shifts, sieves, tensors)
+    plus, phi, tensors = _normalize_with_reindex(a, sieves, shifts)
     counit_components = {}
     for u in site.category.objects:
         t = a.values[u]
@@ -441,22 +423,33 @@ def _stable_reindex(shifts, depth: int) -> tuple[int, ...]:
     return tuple(phi)
 
 
-def _normalize_with_reindex(a, towers, shifts, sieves, tensors):
-    """Reindex the plus towers along phi and build each action component
-    strict there: at p = phi[j] every shift is p, so component j is the
-    pushforward at level p, one object per distinct p.  A level or bond that
-    needs no reindexing keeps its object."""
+def _normalize_with_reindex(a, sieves, shifts):
+    """Build the plus precosheaf at the least phi that makes every action
+    strict, from tensors at the distinct sieve levels of phi only: plus
+    level j is level phi[j] of the tensor at sieve level phi[j], and at
+    p = phi[j] every shift is p, so action component j is the pushforward
+    at level p.  Returns the plus precosheaf, phi and those tensors."""
     phi = _stable_reindex(list(shifts.values()), a.depth)
-    new_towers = {u: t.reindexed(phi) for u, t in towers.items()}
-    new_action = {}
-    for m in a.site.category.morphisms:
-        push = {p: _pushforward(a, tensors[m.src][p], sieves[m.src][p], tensors[m.dst][p],
-                                m.id, p)
-                for p in dict.fromkeys(phi)}
-        new_action[m.id] = LevelMorphism.strict(new_towers[m.src], new_towers[m.dst],
-                                                tuple(push[p] for p in phi))
-    return (Precosheaf(a.site, a.category, a.depth, new_towers, new_action, a.points,
-                       _colimits=a._colimits), phi)
+    cat = a.site.category
+    tensors = {u: {p: tensor_with_sieve(a, s[p]) for p in dict.fromkeys(phi)}
+               for u, s in sieves.items()}
+    towers = {}
+    for u, at in tensors.items():
+        bonds = []
+        for lo, hi in zip(phi, phi[1:]):
+            bond = at[lo].tower.bond_composite(hi, lo)
+            if at[hi] is not at[lo]:  # equal sieves share one tensor
+                bond = compose(bond, _pushforward(a, at[hi], at[lo], cat.id_of(u), hi))
+            bonds.append(bond)
+        towers[u] = Tower(tuple(at[p].tower.levels[p] for p in phi), tuple(bonds))
+    action = {}
+    for m in cat.morphisms:
+        push = {p: _pushforward(a, tensors[m.src][p], tensors[m.dst][p], m.id, p)
+                for p in tensors[m.src]}
+        action[m.id] = LevelMorphism.strict(towers[m.src], towers[m.dst],
+                                            tuple(push[p] for p in phi))
+    return (Precosheaf(a.site, a.category, a.depth, towers, action, a.points,
+                       _colimits=a._colimits), phi, tensors)
 
 
 def plus_map(f: PrecosheafMorphism, plus_src: PlusResult, plus_dst: PlusResult) -> PrecosheafMorphism:
@@ -735,55 +728,38 @@ def coproduct(a: Precosheaf, b: Precosheaf) -> Precosheaf:
 
 
 def objectwise_kernel(f: PrecosheafMorphism) -> Precosheaf:
-    """Kernel precosheaf of an abelian morphism, computed objectwise-levelwise."""
-    return _objectwise_sub(f, kernel_side=True)
+    """Kernel precosheaf of an abelian morphism, computed objectwise-levelwise:
+    the source's bonds and actions carried through the kernel inclusions."""
+    return _objectwise(f, values.kernel, f.src,
+                       lambda g, incl_src, incl_dst: values.express_through(
+                           incl_dst, compose(g, incl_src)))
 
 
 def objectwise_cokernel(f: PrecosheafMorphism) -> Precosheaf:
-    return _objectwise_sub(f, kernel_side=False)
+    """Cokernel precosheaf: the target's bond and action matrices on the
+    cokernel generators."""
+    return _objectwise(f, values.cokernel, f.dst, lambda g, *_: g.matrix)
 
 
-def _objectwise_sub(f: PrecosheafMorphism, kernel_side: bool) -> Precosheaf:
-    a, b = f.src, f.dst
-    if a.category != FINAB:
+def _objectwise(f: PrecosheafMorphism, part, carrier: Precosheaf, induced) -> Precosheaf:
+    """The precosheaf of `part` (kernel or cokernel) of every component of f,
+    with one (object, map) pair per level; induced(g, map_src, map_dst) is
+    the matrix on those objects of the carrier's bond or action g."""
+    if f.src.category != FINAB:
         raise EngineError("kernels and cokernels need abelian values")
-    site = a.site
-    d = a.depth
-    towers = {}
-    carriers = {}
+    site, d = f.src.site, f.src.depth
+    towers, maps = {}, {}
     for u in site.category.objects:
-        lvls = []
-        maps = []
-        for j in range(d + 1):
-            comp = f.components[u].components[j]
-            if kernel_side:
-                k, incl = values.kernel(comp)
-                lvls.append(k)
-                maps.append(incl)
-            else:
-                c, proj = values.cokernel(comp)
-                lvls.append(c)
-                maps.append(proj)
-        bonds = []
-        for j in range(d):
-            if kernel_side:
-                carried = compose(a.values[u].bonds[j], maps[j + 1])
-                mtx = values.express_through(maps[j], carried)
-                bonds.append(FinAbMap(lvls[j + 1], lvls[j], mtx))
-            else:
-                bonds.append(FinAbMap(lvls[j + 1], lvls[j], b.values[u].bonds[j].matrix))
-        towers[u] = Tower(tuple(lvls), tuple(bonds))
-        carriers[u] = maps
+        lvls, maps[u] = zip(*map(part, f.components[u].components))
+        towers[u] = Tower(lvls, tuple(
+            FinAbMap(lvls[j + 1], lvls[j],
+                     induced(carrier.values[u].bonds[j], maps[u][j + 1], maps[u][j]))
+            for j in range(d)))
     action = {}
     for m in site.category.morphisms:
-        comps = []
-        for j in range(d + 1):
-            if kernel_side:
-                step = compose(a.action[m.id].components[j], carriers[m.src][j])
-                mtx = values.express_through(carriers[m.dst][j], step)
-                comps.append(FinAbMap(towers[m.src].levels[j], towers[m.dst].levels[j], mtx))
-            else:
-                comps.append(FinAbMap(towers[m.src].levels[j], towers[m.dst].levels[j],
-                                      b.action[m.id].components[j].matrix))
-        action[m.id] = LevelMorphism.strict(towers[m.src], towers[m.dst], tuple(comps))
-    return Precosheaf(site, FINAB, d, towers, action, a.points)
+        src, dst = towers[m.src], towers[m.dst]
+        action[m.id] = LevelMorphism.strict(src, dst, tuple(
+            FinAbMap(src.levels[j], dst.levels[j],
+                     induced(carrier.action[m.id].components[j], maps[m.src][j], maps[m.dst][j]))
+            for j in range(d + 1)))
+    return Precosheaf(site, FINAB, d, towers, action, f.src.points)

@@ -13,7 +13,7 @@ from . import intmat, values
 from .category import (Cover, CoverChain, Coverage, FiniteCategory, Morphism,
                        PointFilter, SiteSpec, poset_category)
 from .cosheaf import Precosheaf, precosheaf_from_tables
-from .errors import InvalidDocument
+from .errors import InvalidCategory, InvalidDocument, SiteError
 from .report import CheckReport
 from .sheaf import Presheaf
 from .towers import LevelMorphism, Tower
@@ -195,7 +195,10 @@ def _site_from(doc: dict) -> SiteSpec:
             for x in pair:
                 if x not in objects:
                     raise InvalidDocument(f"/leq/{i}", f"unknown object {x!r}")
-        cat = poset_category(objects, [tuple(p) for p in leq])
+        try:
+            cat = poset_category(objects, [tuple(p) for p in leq])
+        except InvalidCategory as exc:
+            raise InvalidDocument("/leq", str(exc)) from exc
     else:
         morphs = []
         for i, m in enumerate(_array(doc.get("morphisms", []), "/morphisms", "morphisms")):
@@ -212,8 +215,13 @@ def _site_from(doc: dict) -> SiteSpec:
             if not (isinstance(triple, list) and len(triple) == 3):
                 raise InvalidDocument(f"/composition/{i}", "triples expected")
             comp[(triple[0], triple[1])] = triple[2]
-        cat = FiniteCategory(tuple(objects), tuple(morphs),
-                             _object(doc.get("identity", {}), "/identity", "identity"), comp)
+        identity = _object(doc.get("identity", {}), "/identity", "identity")
+        try:
+            cat = FiniteCategory(tuple(objects), tuple(morphs), identity, comp)
+        except InvalidCategory as exc:
+            # endpoints are checked above, so a morphism fault is a duplicate id
+            where = "/morphisms" if len({m.id for m in morphs}) < len(morphs) else "/identity"
+            raise InvalidDocument(where, str(exc)) from exc
     covers: dict[str, list[Cover]] = {}
     for i, raw in enumerate(_array(doc.get("covers", []), "/covers", "covers")):
         c = _cover_from(cat, raw, f"/covers/{i}")
@@ -233,13 +241,17 @@ def _site_from(doc: dict) -> SiteSpec:
             for k, assignment in enumerate(
                 _array(raw.get("refinements", []), ptr + "/refinements", "refinements"))
         )
-        chains[target] = CoverChain(target, chain_covers, refinements)
+        try:
+            chains[target] = CoverChain(target, chain_covers, refinements)
+        except SiteError as exc:
+            raise InvalidDocument(ptr, str(exc)) from exc
     raw_points = doc.get("points", [])
     if not isinstance(raw_points, list):
         raise InvalidDocument("/points", "points must be an array")
     return SiteSpec(cat, Coverage({u: tuple(cs) for u, cs in covers.items()}, chains),
                     name=doc.get("name", "site"), poset=poset,
-                    points=tuple(_point_from(p, f"/points/{i}") for i, p in enumerate(raw_points)))
+                    points=tuple(_point_from(p, f"/points/{i}", cat.objects)
+                                 for i, p in enumerate(raw_points)))
 
 
 def _refinement_from(raw, ptr) -> tuple:
@@ -252,11 +264,14 @@ def _refinement_from(raw, ptr) -> tuple:
     return tuple(out)
 
 
-def _point_from(raw, ptr) -> PointFilter:
+def _point_from(raw, ptr, objects) -> PointFilter:
     if not (isinstance(raw, dict) and isinstance(raw.get("label"), str)
             and isinstance(raw.get("chain"), list) and raw["chain"]
             and all(isinstance(u, str) for u in raw["chain"])):
         raise InvalidDocument(ptr, "point needs a string label and a nonempty chain of object ids")
+    for k, u in enumerate(raw["chain"]):
+        if u not in objects:
+            raise InvalidDocument(f"{ptr}/chain/{k}", f"unknown object {u!r}")
     return PointFilter(raw["label"], tuple(raw["chain"]))
 
 

@@ -2,6 +2,7 @@
 costalks, local isomorphisms, smoothness."""
 
 import hashlib
+from pathlib import Path
 
 import pytest
 
@@ -600,6 +601,15 @@ def test_plus_result_carries_phi():
     strict = plus_cosheaf(constant_precosheaf(converging_sequence_site(4), finset("*"), 3))
     assert lagging.phi == (0, 2, 2, 3)
     assert strict.phi == (0, 1, 2, 3)
+
+
+def test_lagging_chain_fixture_is_the_constant_z2_precosheaf():
+    """tests/data/lagging_chain_point.json, which CI cosheafifies through the
+    console script, is the constant Z/2 precosheaf on the lagging chain site."""
+    path = Path(__file__).parent / "data" / "lagging_chain_point.json"
+    a = io.load(path, depth=3)
+    assert a == constant_precosheaf(_lagging_chain_site(), cyclic(2), 3)
+    assert plus_cosheaf(a).phi == (0, 2, 2, 3)
 
 
 @pytest.mark.parametrize("g", [finset("*"), finset("x", "y"), cyclic(2)],

@@ -7,17 +7,18 @@ import random
 
 import pytest
 
-from finsite import intmat
+from finsite import intmat, values
 from finsite.category import FiniteCategory, Morphism, poset_category
-from finsite.cosheaf import constant_precosheaf, coproduct, cosheafify
+from finsite.cosheaf import (constant_precosheaf, coproduct, cosheafify, objectwise_cokernel,
+                             objectwise_kernel)
 from finsite.errors import EngineError
-from finsite.randsuite import random_finab_precosheaf, random_site
+from finsite.randsuite import random_finab_morphism, random_finab_precosheaf, random_site
 from finsite.sheaf import Presheaf, opposite_category, presheaf_product
 from finsite.spaces import converging_sequence_site
 from finsite.towers import Tower, is_rudimentary_at_depth
 from finsite.values import (FinAbMap, FinAbObj, FiniteDiagram, block_relations,
-                            classify_map, compose, cyclic, direct_sum, finab_map,
-                            finset, finset_map, free_ab, functor_pairings,
+                            classify_map, cokernel, commutes, compose, cyclic, direct_sum,
+                            finab_map, finset, finset_map, free_ab, functor_pairings,
                             identity_map, kernel)
 
 # ---------------------------------------------------------------------------
@@ -310,6 +311,64 @@ def test_rudimentary_sees_a_rank_zero_level():
     verdict = is_rudimentary_at_depth(t, 3, 3)
     assert verdict.profile == tuple(img.invariants() for img in _reference_images(t, 3))
     assert not verdict.rudimentary
+
+
+@pytest.mark.parametrize("depth", [1, 3, 5])
+def test_rudimentary_verdict_computes_each_kernel_once(monkeypatch, depth):
+    """The verdict reads the profile: one kernel per image X_depth -> X_k."""
+    rng = random.Random(depth)
+    towers = [_random_tower(rng, depth) for _ in range(4)]
+    towers.append(Tower.constant(free_ab(2), depth))
+    calls = []
+    real = values.kernel
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    monkeypatch.setattr(values, "kernel", counting)
+    for x in towers:
+        calls.clear()
+        is_rudimentary_at_depth(x, depth, 3)
+        assert len(calls) == depth + 1
+
+
+# ---------------------------------------------------------------------------
+# objectwise kernels and cokernels
+
+
+def _hand_levelwise(f, part):
+    """Per object, the kernel or cokernel (object, map) of each component."""
+    return {u: [part(c) for c in lm.components] for u, lm in f.components.items()}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_objectwise_kernel_and_cokernel_match_hand_built_levelwise(seed):
+    """Levels are the levelwise kernels and cokernels; the kernel's bonds and
+    actions are the source's restricted along the (mono) inclusions, the
+    cokernel's the target's pushed along the (epi) projections, and the
+    cokernel keeps the target's matrices."""
+    rng = random.Random(seed)
+    spec = converging_sequence_site(4) if seed % 2 else random_site(rng)
+    f = random_finab_morphism(spec, rng, 1 + seed % 3)
+    cat = spec.category
+    ker, coker = objectwise_kernel(f), objectwise_cokernel(f)
+    for got, part, outer in ((ker, kernel, f.src), (coker, cokernel, f.dst)):
+        hand = _hand_levelwise(f, part)
+        mono = part is kernel
+        for u in cat.objects:
+            assert got.values[u].levels == tuple(obj for obj, _ in hand[u])
+        arrows = [(got.values[u].bonds[j], outer.values[u].bonds[j], hand[u][j + 1][1],
+                   hand[u][j][1]) for u in cat.objects for j in range(f.src.depth)]
+        arrows += [(got.action[m.id].components[j], outer.action[m.id].components[j],
+                    hand[m.src][j][1], hand[m.dst][j][1])
+                   for m in cat.morphisms for j in range(f.src.depth + 1)]
+        for induced, g, at_src, at_dst in arrows:
+            if mono:
+                assert commutes(at_dst, induced, g, at_src)
+            else:
+                assert commutes(induced, at_src, at_dst, g)
+                assert induced.matrix == g.matrix
 
 
 # ---------------------------------------------------------------------------

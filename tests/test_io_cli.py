@@ -480,3 +480,49 @@ def test_cli_error_in_an_inline_site_is_under_site(tmp_path, capsys):
     doc["site"] = _bad_site_document()
     witness = _check_cosheaf_input_error(tmp_path, capsys, doc)
     assert witness == "/site/covers/0/pieces/0: unknown morphism or object 'zz'"
+
+
+@pytest.mark.parametrize("command", ["validate", "check-cosheaf", "costalk"])
+def test_declared_point_with_unknown_object_is_input_error_at_its_pointer(tmp_path, capsys,
+                                                                          command):
+    doc = _pi0_document(tmp_path)
+    site = doc["site"]
+    site["points"] = [*site["points"], {"label": "p", "chain": [site["objects"][0], "zz"]}]
+    where = f"/points/{len(site['points']) - 1}/chain/1"
+    path = tmp_path / "doc.json"
+    if command == "validate":
+        path.write_text(io.dumps(site))
+        argv = ["validate", str(path)]
+    else:
+        path.write_text(io.dumps(doc))
+        where = "/site" + where
+        argv = [command, str(path)] + (["--point", "p"] if command == "costalk" else [])
+    assert main(argv) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "INPUT-ERROR"
+    assert report["witnesses"] == [f"{where}: unknown object 'zz'"]
+
+
+def _one_object_site(**changes):
+    doc = {"kind": "site", "name": "one", "poset": False, "objects": ["a"],
+           "morphisms": [{"id": "id:a", "src": "a", "dst": "a"}], "identity": {"a": "id:a"},
+           "composition": [["id:a", "id:a", "id:a"]], "covers": [], "chains": []}
+    return {**doc, **changes}
+
+
+@pytest.mark.parametrize("site,witness", [
+    (_one_object_site(morphisms=[{"id": "id:a", "src": "a", "dst": "a"}] * 2),
+     "/morphisms: duplicate morphism id 'id:a'"),
+    (_one_object_site(identity={}), "/identity: object 'a' lacks an identity morphism"),
+    (_one_object_site(chains=[{"target": "a", "covers": []}]), "/chains/0: empty cover chain"),
+    (_one_object_site(chains=[{"target": "a", "covers": [{"target": "a", "pieces": ["id:a"]}] * 2}]),
+     "/chains/0: chain must record one refinement per consecutive pair"),
+    (_one_object_site(poset=True, objects=["a", "b"], leq=[["a", "b"], ["b", "a"]]),
+     "/leq: antisymmetry fails on 'a', 'b'"),
+], ids=["duplicate id", "identity", "empty chain", "refinements", "antisymmetry"])
+def test_site_constructor_errors_are_reported_at_a_pointer(tmp_path, capsys, site, witness):
+    path = tmp_path / "site.json"
+    path.write_text(io.dumps(site))
+    assert main(["validate", str(path)]) == 2
+    assert json.loads(capsys.readouterr().out)["witnesses"] == [witness]
+
