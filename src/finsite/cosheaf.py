@@ -444,8 +444,20 @@ def _normalize_with_reindex(a, sieves, shifts):
         towers[u] = Tower(tuple(at[p].tower.levels[p] for p in phi), tuple(bonds))
     action = {}
     for m in cat.morphisms:
-        push = {p: _pushforward(a, tensors[m.src][p], tensors[m.dst][p], m.id, p)
-                for p in tensors[m.src]}
+        # a component whose source colimit level, target level and target
+        # cocone components are the objects used at the previous p, q, is
+        # the component built there
+        push, q = {}, None
+        for p in tensors[m.src]:
+            src_t, dst_t = tensors[m.src][p], tensors[m.dst][p]
+            colim, was = src_t.colimit.levels[p], tensors[m.dst].get(q)
+            if (was is None or colim is not tensors[m.src][q].colimit.levels[q]
+                    or dst_t.tower.levels[p] is not was.tower.levels[q]
+                    or any(dst_t.colimit.cocone[h].components[p]
+                           is not was.colimit.cocone[h].components[q]
+                           for h in (cat.compose(m.id, g) for g in colim.cocone))):
+                built = _pushforward(a, src_t, dst_t, m.id, p)
+            push[p], q = built, p
         action[m.id] = LevelMorphism.strict(towers[m.src], towers[m.dst],
                                             tuple(push[p] for p in phi))
     return (Precosheaf(a.site, a.category, a.depth, towers, action, a.points,

@@ -150,6 +150,11 @@ def _object(raw, ptr, what) -> dict:
     return raw
 
 
+def _string(raw, ptr, what) -> None:
+    if not isinstance(raw, str):
+        raise InvalidDocument(ptr, f"{what} must be a string")
+
+
 def _cover_from(cat, raw, ptr) -> Cover:
     if not isinstance(raw, dict) or "target" not in raw or "pieces" not in raw:
         raise InvalidDocument(ptr, "cover needs target and pieces")
@@ -186,6 +191,8 @@ def _site_from(doc: dict) -> SiteSpec:
     objects = doc.get("objects")
     if not isinstance(objects, list) or not objects:
         raise InvalidDocument("/objects", "objects must be a nonempty array")
+    for i, u in enumerate(objects):
+        _string(u, f"/objects/{i}", "object id")
     poset = bool(doc.get("poset", False))
     if poset:
         leq = _array(doc.get("leq", []), "/leq", "leq")
@@ -208,14 +215,19 @@ def _site_from(doc: dict) -> SiteSpec:
                     raise InvalidDocument(f"/morphisms/{i}", f"missing {fieldname!r}")
             if m["src"] not in objects or m["dst"] not in objects:
                 raise InvalidDocument(f"/morphisms/{i}", "unknown endpoint")
+            _string(m["id"], f"/morphisms/{i}", "morphism id")
             morphs.append(Morphism(m["id"], m["src"], m["dst"]))
         comp = {}
         for i, triple in enumerate(_array(doc.get("composition", []), "/composition",
                                           "composition")):
             if not (isinstance(triple, list) and len(triple) == 3):
                 raise InvalidDocument(f"/composition/{i}", "triples expected")
+            for mid in triple:
+                _string(mid, f"/composition/{i}", "morphism id")
             comp[(triple[0], triple[1])] = triple[2]
         identity = _object(doc.get("identity", {}), "/identity", "identity")
+        for u, mid in identity.items():
+            _string(mid, f"/identity/{u}", "morphism id")
         try:
             cat = FiniteCategory(tuple(objects), tuple(morphs), identity, comp)
         except InvalidCategory as exc:

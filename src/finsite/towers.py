@@ -180,26 +180,33 @@ def _chain_ends(chain, src: Tower):
 
 
 def chains_equal_at_depth(first, second, depth: int | None = None) -> bool:
-    """equal_at_depth of the composites of two chains of level morphisms,
-    decided level by level without building either composite.
+    """equal_at_depth of the composites of two chains of level morphisms X ->
+    Y, decided at the working depth d alone without building either
+    composite.
 
     Each chain lists its level morphisms in the order they apply, so
     chains_equal_at_depth((f1, g1), (f2, g2)) decides
     equal_at_depth(f1.then(g1), f2.then(g2)).  An empty chain stands for the
-    identity of the other chain's source."""
+    identity of the other chain's source.
+
+    One level decides.  Write rep_j for a chain's representative X_top -> Y_j
+    at level j.  Every level morphism's squares commute (its constructor
+    checks each one), and the composite of level morphisms, shifted ones
+    too, keeps commuting squares; so rep_j = Y.bond_j ∘ rep_{j+1}, and two
+    chains whose representatives agree at level d agree at every level
+    below it.  For abelian values they agree modulo the relations of Y_d,
+    and the bonds are well defined on the quotients, so modulo those of
+    every Y_j."""
     src = (first or second)[0].src
     ends = _chain_ends(first, src)
     if ends != _chain_ends(second, src):
         raise EngineError("endpoint mismatch")
     d = ends[1].depth if depth is None else min(depth, ends[1].depth)
     top = src.depth
-    for j in range(d + 1):
-        i, left = chain_components(first, j)
-        k, right = chain_components(second, j)
-        if not chains_equal((src.bond_composite(top, i), *left),
-                            (src.bond_composite(top, k), *right)):
-            return False
-    return True
+    i, left = chain_components(first, d)
+    k, right = chain_components(second, d)
+    return chains_equal((src.bond_composite(top, i), *left),
+                        (src.bond_composite(top, k), *right))
 
 
 def pro_hom_at_depth(x: Tower, y: Tower, depth: int) -> tuple[LevelMorphism, ...]:

@@ -8,11 +8,14 @@ import pickle
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finsite import intmat, towers
-from finsite.category import pullback_sieve, refinement_search, sieve_levels
-from finsite.cosheaf import (PrecosheafMorphism, constant_precosheaf, identity_morphism,
-                             is_smooth, plus_cosheaf, tensor_with_sieve)
+from finsite.category import (Coverage, SiteSpec, poset_category, pullback_sieve,
+                              refinement_search, sieve_levels)
+from finsite.cosheaf import (Precosheaf, PrecosheafMorphism, constant_precosheaf,
+                             identity_morphism, is_smooth, plus_cosheaf, tensor_with_sieve)
 from finsite.errors import EngineError
 from finsite.randsuite import random_finab_precosheaf, random_finset_precosheaf, random_site
 from finsite.spaces import converging_sequence_site
@@ -200,6 +203,227 @@ def test_chains_equal_at_depth_keeps_the_errors_of_then():
         chains_equal_at_depth((f, g), (f,))
     with pytest.raises(EngineError, match="endpoint mismatch"):
         chains_equal_at_depth((f,), ())
+
+
+# ---------------------------------------------------------------------------
+# one level decides: chains_equal_at_depth against a per-level oracle
+
+
+def _per_level_oracle(first, second, depth):
+    """maps_equal of the two composites' representatives at every level up
+    to the working depth; an empty chain is the identity of the source."""
+    src = (first or second)[0].src
+    f, g = (functools.reduce(LevelMorphism.then, chain) if chain else LevelMorphism.identity(src)
+            for chain in (first, second))
+    d = f.dst.depth if depth is None else min(depth, f.dst.depth)
+    return all(maps_equal(f.component_from_depth(j), g.component_from_depth(j))
+               for j in range(d + 1))
+
+
+# nonzero first: the simplest drawn abelian map is not the zero map
+ENTRIES = st.sampled_from((1, 0, -1, 2, -2))
+
+
+@st.composite
+def _source_towers(draw, category, d):
+    """Any tower: level sizes or ranks and bonds drawn freely (abelian
+    levels are free)."""
+    if category == FINSET:
+        levels = [finset(*(f"x{i}" for i in range(draw(st.integers(1, 3))))) for _ in range(d + 1)]
+        bonds = tuple(FinSetMap(hi, lo, tuple((e, draw(st.sampled_from(lo.elements)))
+                                              for e in hi.elements))
+                      for lo, hi in zip(levels, levels[1:]))
+    else:
+        levels = [free_ab(draw(st.integers(0, 2))) for _ in range(d + 1)]
+        bonds = tuple(FinAbMap(hi, lo, tuple(tuple(draw(ENTRIES) for _ in range(hi.rank))
+                                             for _ in range(lo.rank)))
+                      for lo, hi in zip(levels, levels[1:]))
+    return Tower(tuple(levels), bonds)
+
+
+@st.composite
+def _split_towers(draw, category, d, torsion):
+    """A tower whose level j + 1 is level j times (finite sets) or plus
+    (abelian) a new factor, with the projections as bonds.  Returns the
+    tower and, for abelian values, the modulus of each top generator (0 for
+    a free one; all free unless `torsion`)."""
+    if category == FINSET:
+        levels = [finset(*(str(i) for i in range(draw(st.integers(1, 2)))))]
+        bonds = []
+        for _ in range(d):
+            lo, k = levels[-1], draw(st.integers(1, 2))
+            hi = finset(*(f"{e}.{i}" for e in lo.elements for i in range(k)))
+            levels.append(hi)
+            bonds.append(FinSetMap(hi, lo, tuple((f"{e}.{i}", e)
+                                                  for e in lo.elements for i in range(k))))
+        return Tower(tuple(levels), tuple(bonds)), ()
+    ranks = [draw(st.integers(0, 2))]
+    for _ in range(d):
+        ranks.append(ranks[-1] + draw(st.integers(0, 1)))
+    moduli = tuple(draw(st.sampled_from((0, 2, 3))) if torsion else 0 for _ in range(ranks[-1]))
+    torsion_gens = [i for i, n in enumerate(moduli) if n]
+    levels = [FinAbObj(r, tuple(tuple(moduli[i] if i == t else 0 for t in torsion_gens
+                                      if t < r) for i in range(r)))
+              for r in ranks]
+    bonds = tuple(FinAbMap(hi, lo, tuple(tuple(int(i == c) for c in range(hi.rank))
+                                         for i in range(lo.rank)))
+                  for lo, hi in zip(levels, levels[1:]))
+    return Tower(tuple(levels), bonds), moduli
+
+
+def _shifts(d):
+    return st.one_of(st.just(tuple(range(d + 1))),
+                     st.lists(st.integers(0, d), min_size=d + 1, max_size=d + 1)
+                     .map(lambda s: tuple(sorted(s))))
+
+
+def _killing_rows(bond, n):
+    """Rows with entries -2..2 that vanish modulo n (exactly, for n = 0) on
+    the image of `bond`."""
+    m, top = bond.matrix, bond.src.rank
+    return [v for v in itertools.product(range(-2, 3), repeat=bond.dst.rank)
+            if all((t % n if n else t) == 0
+                   for t in (sum(v[i] * m[i][c] for i in range(len(v))) for c in range(top)))]
+
+
+def _split_morphism(draw, x, target, shift, like=None):
+    """A level morphism x -> y into a split tower y = target[0], built
+    upward: component 0 is drawn, and component j + 1 is component j after
+    the source bond, paired with a drawn part in the new factor.  Returns
+    the morphism and its drawn parts.  Given the drawn parts of another
+    morphism as `like`, each drawn part agrees with that one on the image of
+    the top source level (abelian: up to a map that vanishes there modulo
+    the target relations), so the two are equal at every depth while their
+    lower components may differ."""
+    y, moduli = target
+    comps, parts = [], []
+    for j, s in enumerate(shift):
+        top = x.bond_composite(x.depth, s)
+        if isinstance(top, FinSetMap):
+            k = len(y.levels[j].elements) // (len(y.levels[j - 1].elements) if j else 1)
+            image = {top(e) for e in top.src.elements}
+            part = {e: like[j][e] if like and e in image else draw(st.integers(0, k - 1))
+                    for e in top.dst.elements}
+            if j:
+                below = compose(comps[-1], x.bond_composite(s, shift[j - 1]))
+                table = tuple((e, f"{below(e)}.{part[e]}") for e in top.dst.elements)
+            else:
+                table = tuple((e, str(part[e])) for e in top.dst.elements)
+            comps.append(FinSetMap(x.levels[s], y.levels[j], table))
+        else:
+            new = range(y.levels[j - 1].rank if j else 0, y.levels[j].rank)
+            if like:
+                part = tuple(tuple(a + b for a, b in zip(row, draw(st.sampled_from(
+                    _killing_rows(top, moduli[g])))))
+                    for g, row in zip(new, like[j]))
+            else:
+                part = tuple(tuple(draw(ENTRIES) for _ in range(x.levels[s].rank))
+                             for _ in new)
+            below = (compose(comps[-1], x.bond_composite(s, shift[j - 1])).matrix if j
+                     else ())
+            comps.append(FinAbMap(x.levels[s], y.levels[j], tuple(below) + part))
+        parts.append(part)
+    return LevelMorphism(x, y, shift, tuple(comps)), parts
+
+
+@st.composite
+def _endomorphisms(draw, target):
+    """The identity, a bond shift (equal to the identity at every depth), or
+    a drawn split morphism, strict or shifted."""
+    x, d = target[0], target[0].depth
+    kind = draw(st.sampled_from(["identity", "bonds", "drawn"]))
+    if kind == "identity":
+        return LevelMorphism.identity(x)
+    shift = draw(_shifts(d))
+    if kind == "bonds":
+        shift = tuple(max(j, s) for j, s in enumerate(shift))
+        return LevelMorphism(x, x, shift, tuple(x.bond_composite(s, j) for j, s in enumerate(shift)))
+    return _split_morphism(draw, x, target, shift)[0]
+
+
+@st.composite
+def _chain_pairs(draw):
+    """Two chains with the same ends, an explicit depth or None, and whether
+    the chains are equal by construction.  The second chain is made of twins
+    of the first's morphisms, of fresh morphisms between the same towers, or
+    is the first's composite; a chain of endomorphisms of a split tower is
+    compared with the empty chain."""
+    category = draw(st.sampled_from([FINSET, FINAB]))
+    d = draw(st.integers(0, 3))
+    depth = draw(st.none() | st.integers(0, d + 1))
+    n = draw(st.integers(0, 2))
+    equal = False
+    if n == 0:
+        target = draw(_split_towers(category, d, torsion=False))
+        first = ()
+        second = tuple(draw(_endomorphisms(target)) for _ in range(draw(st.integers(1, 2))))
+    else:
+        src = (draw(_source_towers(category, d)) if draw(st.booleans())
+               else draw(_split_towers(category, d, torsion=False))[0])
+        targets = [draw(_split_towers(category, d, torsion=k == n - 1)) for k in range(n)]
+        sources = [src] + [t[0] for t in targets[:-1]]
+        shifts = [draw(_shifts(d)) for _ in range(n)]
+        built = [_split_morphism(draw, x, t, s) for x, t, s in zip(sources, targets, shifts)]
+        first = tuple(f for f, _ in built)
+        kind = draw(st.sampled_from(["twin", "fresh", "composite"]))
+        if kind == "twin":
+            second = tuple(_split_morphism(draw, x, t, s, parts)[0]
+                           for x, t, s, (_, parts) in zip(sources, targets, shifts, built))
+        elif kind == "fresh":
+            second = tuple(_split_morphism(draw, x, t, draw(_shifts(d)))[0]
+                           for x, t in zip(sources, targets))
+        else:
+            second = (functools.reduce(LevelMorphism.then, first),)
+        equal = kind != "fresh"
+    if draw(st.booleans()):
+        first, second = second, first
+    return first, second, depth, equal
+
+
+@settings(derandomize=True, deadline=None, max_examples=400, database=None)
+@given(_chain_pairs())
+def test_one_level_decides_as_the_per_level_oracle(case):
+    first, second, depth, equal = case
+    verdict = chains_equal_at_depth(first, second, depth)
+    assert verdict == _per_level_oracle(first, second, depth)
+    assert verdict or not equal
+
+
+def _two_level_site_towers():
+    """Constant point values on a <= b, and towers {0} <- {0, 1} with the
+    identity action."""
+    spec = SiteSpec(poset_category(("a", "b"), [("a", "b")]), Coverage({}))
+    point = Tower.constant(finset("p"), 1)
+    pair = Tower((finset("0"), finset("0", "1")),
+                 (finset_map(finset("0", "1"), finset("0"), {"0": "0", "1": "0"}),))
+    return spec, point, pair
+
+
+def test_a_naturality_break_at_the_top_level_is_found():
+    spec, point, pair = _two_level_site_towers()
+    src = Precosheaf(spec, FINSET, 1, {"a": point, "b": point},
+                     {m.id: LevelMorphism.identity(point) for m in spec.category.morphisms})
+    dst = Precosheaf(spec, FINSET, 1, {"a": pair, "b": pair},
+                     {m.id: LevelMorphism.identity(pair) for m in spec.category.morphisms})
+
+    def to(top):
+        return LevelMorphism.strict(point, pair, (finset_map(finset("p"), finset("0"), {"p": "0"}),
+                                                  finset_map(finset("p"), finset("0", "1"),
+                                                             {"p": top})))
+
+    PrecosheafMorphism(src, dst, {"a": to("1"), "b": to("1")})
+    # level 0 agrees (both land on "0"); only the top level tells them apart
+    with pytest.raises(EngineError, match="naturality fails on 'a<b'"):
+        PrecosheafMorphism(src, dst, {"a": to("0"), "b": to("1")})
+
+
+def test_a_failing_lower_square_is_found_when_the_morphism_is_built():
+    two = finset("0", "1")
+    x = Tower.constant(two, 2)
+    swap = finset_map(two, two, {"0": "1", "1": "0"})
+    # the top component is the identity's; the square at level 0 fails
+    with pytest.raises(EngineError, match="squares fail at level 0"):
+        LevelMorphism.strict(x, x, (swap, identity_map(two), identity_map(two)))
 
 
 # ---------------------------------------------------------------------------

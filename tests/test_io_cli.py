@@ -526,3 +526,23 @@ def test_site_constructor_errors_are_reported_at_a_pointer(tmp_path, capsys, sit
     assert main(["validate", str(path)]) == 2
     assert json.loads(capsys.readouterr().out)["witnesses"] == [witness]
 
+
+
+@pytest.mark.parametrize("site,witness", [
+    (_one_object_site(objects=["a", ["x"]]), "/objects/1: object id must be a string"),
+    (_one_object_site(poset=True, objects=[7]), "/objects/0: object id must be a string"),
+    (_one_object_site(morphisms=[{"id": ["x"], "src": "a", "dst": "a"}]),
+     "/morphisms/0: morphism id must be a string"),
+    (_one_object_site(identity={"a": ["id:a"]}), "/identity/a: morphism id must be a string"),
+    (_one_object_site(composition=[[["x"], "id:a", "id:a"]]),
+     "/composition/0: morphism id must be a string"),
+    (_one_object_site(composition=[["id:a", "id:a", 7]]),
+     "/composition/0: morphism id must be a string"),
+], ids=["object", "poset object", "morphism id", "identity", "composition", "composite"])
+def test_non_string_ids_are_input_errors_at_a_pointer(tmp_path, capsys, site, witness):
+    path = tmp_path / "site.json"
+    path.write_text(io.dumps(site))
+    assert main(["validate", str(path)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["verdict"] == "INPUT-ERROR"
+    assert report["witnesses"] == [witness]

@@ -14,15 +14,16 @@ import random
 import pytest
 
 from finsite import cosheaf, towers, values
-from finsite.category import generated_sieves, poset_category
-from finsite.cosheaf import constant_precosheaf, cosheafify, tensor_with_sieve
+from finsite.category import (Cover, Coverage, CoverChain, SiteSpec, generated_sieves,
+                              poset_category)
+from finsite.cosheaf import Precosheaf, constant_precosheaf, cosheafify, tensor_with_sieve
 from finsite.errors import EngineError
 from finsite.randsuite import (random_finab_precosheaf, random_finset_precosheaf,
                                random_site)
 from finsite.spaces import converging_sequence_site, site_points
 from finsite.towers import LevelMorphism, Tower, tower_colimit
-from finsite.values import (FinAbMap, FinAbObj, FinSetMap, FinSetObj, finset, finset_map,
-                            free_ab, map_key)
+from finsite.values import (FINSET, FinAbMap, FinAbObj, FinSetMap, FinSetObj, finset,
+                            finset_map, free_ab, map_key)
 
 
 def _random_maps():
@@ -180,3 +181,88 @@ def test_cosheafify_of_the_point_counts(monkeypatch):
     assert result.report.verdict == "PASS"
     assert len(squares) <= 3000      # 4,396 when every repeated square was decided again
     assert len(maps_out) <= 1400     # 1,656 when every repeated level built its own
+
+
+def _counting_pushforward(monkeypatch):
+    calls = []
+    original = cosheaf._pushforward
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(cosheaf, "_pushforward", counting)
+    return calls
+
+
+@pytest.mark.parametrize("value", [finset("*"), free_ab(1)], ids=["point", "Z"])
+def test_plus_action_components_repeat_the_level_below(monkeypatch, value):
+    spec = converging_sequence_site(10)
+    a = constant_precosheaf(spec, value, 4, site_points(spec))
+    pushes = _counting_pushforward(monkeypatch)
+    p1 = cosheaf.plus_cosheaf(a, 4)
+    first = len(pushes)
+    p2 = cosheaf.plus_cosheaf(p1.precosheaf, 4)
+    monkeypatch.undo()
+    # 614 each when every distinct p built its own action components
+    assert (first, len(pushes) - first) == (374, 374)
+    cat = spec.category
+    reused = 0
+    for plus, source in ((p1, a), (p2, p1.precosheaf)):
+        for m in cat.morphisms:
+            comps = plus.precosheaf.action[m.id].components
+            for j, p in enumerate(plus.phi[1:], 1):
+                if comps[j] is not comps[j - 1]:
+                    continue
+                reused += 1
+                # a reused component is the one the level builds unshared
+                assert comps[j] == cosheaf._pushforward(
+                    source, tensor_with_sieve(source, plus.sieves[m.src][p]),
+                    tensor_with_sieve(source, plus.sieves[m.dst][p]), m.id, p)
+    assert reused
+
+
+
+def test_an_action_out_of_an_empty_sieve_follows_its_target_level():
+    # e has the empty cover, so its tensor is the same initial colimit at
+    # every level, with no cocone component to tell the levels apart; the
+    # target levels of x differ, so no component repeats the one below
+    spec = SiteSpec(poset_category(("e", "x"), [("e", "x")]),
+                    Coverage({"e": (Cover("e", ()),), "x": (Cover("x", ("x<x",)),)}))
+    levels = (finset("a"), finset("a", "b"), finset("a", "b", "c"))
+    grow = Tower(levels, (finset_map(levels[1], levels[0], {"a": "a", "b": "a"}),
+                          finset_map(levels[2], levels[1], {"a": "a", "b": "b", "c": "b"})))
+    point = Tower.constant(finset("a"), 2)
+    into = LevelMorphism.strict(point, grow, tuple(finset_map(finset("a"), level, {"a": "a"})
+                                                   for level in levels))
+    a = Precosheaf(spec, FINSET, 2, {"e": point, "x": grow},
+                   {"e<e": LevelMorphism.identity(point), "x<x": LevelMorphism.identity(grow),
+                    "e<x": into})
+    plus = cosheaf.plus_cosheaf(a, 2)
+    assert plus.phi == (0, 1, 2)
+    comps = plus.precosheaf.action["e<x"].components
+    assert [len(f.dst.elements) for f in comps] == [1, 2, 3]
+    assert [len(f.src.elements) for f in comps] == [0, 0, 0]
+
+
+def test_an_action_out_of_a_finer_sieve_is_built_again():
+    # T keeps its maximal sieve, so its plus levels, and the cocone
+    # components the action on U<T reads there, repeat level 0; U's sieve
+    # shrinks to {W1, W2} at level 1, so that action is built again there,
+    # while the one on W1<T, whose source sieve stays, repeats level 0
+    cat = poset_category(["T", "U", "W1", "W2"], [("W1", "U"), ("W2", "U"), ("U", "T")])
+
+    def cover(target, *pieces):
+        return Cover(target, tuple(f"{p}<{target}" for p in pieces), ())
+
+    chain = CoverChain("U", (cover("U", "U"), cover("U", "W1", "W2")),
+                       (((0, "W1<U"), (0, "W2<U")),))
+    spec = SiteSpec(cat, Coverage({u: (cover(u, u),) for u in cat.objects}, {"U": chain}),
+                    poset=True)
+    plus = cosheaf.plus_cosheaf(constant_precosheaf(spec, finset("*"), 1), 1)
+    assert plus.phi == (0, 1)
+    top = plus.precosheaf.values["T"].levels
+    assert top[1] is top[0]
+    action = plus.precosheaf.action
+    assert [len(f.src.elements) for f in action["U<T"].components] == [1, 2]
+    assert action["W1<T"].components[1] is action["W1<T"].components[0]
