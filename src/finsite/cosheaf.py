@@ -18,7 +18,7 @@ from .category import (Cover, FiniteCategory, PointFilter, Sieve, SiteSpec,
                        poset_category, refinement_search, sieve_from_cover, sieve_levels)
 from .errors import EngineError, InsufficientDepth, SiteError
 from .report import CheckReport
-from .towers import (LevelMorphism, Tower, TowerColimit, chain_components,
+from .towers import (LevelMorphism, Tower, TowerColimit, _levelwise, chain_components,
                      chains_equal_at_depth, is_epi_at_depth,
                      is_iso_at_depth, is_rudimentary_at_depth, tower_colimit,
                      tower_pro_zero)
@@ -156,19 +156,15 @@ class TensorResult:
 def _map_out(col: TowerColimit, dst: Tower, routes) -> LevelMorphism:
     """Strict tower map out of a tower colimit of strict edges, from one
     chain of level morphisms per node into dst (listed in the order they
-    apply; the composite of each is never built).  A level whose colimit,
-    target level and chain components are the objects of the level below
-    reuses that level's component."""
-    comps = []
-    below = None
-    for j, colim in enumerate(col.levels):
-        chains = [chain_components(chain, j)[1] for chain in routes.values()]
-        if (j and colim is col.levels[j - 1] and dst.levels[j] is dst.levels[j - 1]
-                and all(f is g for c, b in zip(chains, below) for f, g in zip(c, b))):
-            comps.append(comps[-1])
-        else:
-            comps.append(out_map(colim, dict(zip(routes, chains)), dst.levels[j]))
-        below = chains
+    apply; the composite of each is never built).  Components follow
+    `towers._levelwise`, keyed by the colimit level, the target level and
+    the chain components."""
+    chains = [[chain_components(chain, j)[1] for chain in routes.values()]
+              for j in range(len(col.levels))]
+    comps = _levelwise(
+        ((colim, dst.levels[j], *(f for c in chains[j] for f in c))
+         for j, colim in enumerate(col.levels)),
+        lambda j: out_map(col.levels[j], dict(zip(routes, chains[j])), dst.levels[j]))
     return LevelMorphism.strict(col.tower, dst, tuple(comps))
 
 
@@ -196,10 +192,9 @@ def _pushforward(a: Precosheaf, src_tensor: TensorResult, dst_tensor: TensorResu
 
     Requires alpha ∘ S ⊆ R, which the refinement search guarantees."""
     cat = a.site.category
-    return out_map(src_tensor.colimit.levels[j],
-                   {g: dst_tensor.colimit.cocone[cat.compose(alpha, g)].components[j]
-                    for g in sorted(src_tensor.colimit.cocone)},
-                   dst_tensor.tower.levels[j])
+    src, dst = src_tensor.colimit.levels[j], dst_tensor.colimit.levels[j]
+    return out_map(src, {g: dst.cocone[cat.compose(alpha, g)] for g in sorted(src.cocone)},
+                   dst.obj)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +423,8 @@ def _normalize_with_reindex(a, sieves, shifts):
     strict, from tensors at the distinct sieve levels of phi only: plus
     level j is level phi[j] of the tensor at sieve level phi[j], and at
     p = phi[j] every shift is p, so action component j is the pushforward
-    at level p.  Returns the plus precosheaf, phi and those tensors."""
+    at level p, which reads two level-p colimits alone: its key for
+    `towers._levelwise`.  Returns the plus precosheaf, phi and those tensors."""
     phi = _stable_reindex(list(shifts.values()), a.depth)
     cat = a.site.category
     tensors = {u: {p: tensor_with_sieve(a, s[p]) for p in dict.fromkeys(phi)}
@@ -444,22 +440,11 @@ def _normalize_with_reindex(a, sieves, shifts):
         towers[u] = Tower(tuple(at[p].tower.levels[p] for p in phi), tuple(bonds))
     action = {}
     for m in cat.morphisms:
-        # a component whose source colimit level, target level and target
-        # cocone components are the objects used at the previous p, q, is
-        # the component built there
-        push, q = {}, None
-        for p in tensors[m.src]:
-            src_t, dst_t = tensors[m.src][p], tensors[m.dst][p]
-            colim, was = src_t.colimit.levels[p], tensors[m.dst].get(q)
-            if (was is None or colim is not tensors[m.src][q].colimit.levels[q]
-                    or dst_t.tower.levels[p] is not was.tower.levels[q]
-                    or any(dst_t.colimit.cocone[h].components[p]
-                           is not was.colimit.cocone[h].components[q]
-                           for h in (cat.compose(m.id, g) for g in colim.cocone))):
-                built = _pushforward(a, src_t, dst_t, m.id, p)
-            push[p], q = built, p
-        action[m.id] = LevelMorphism.strict(towers[m.src], towers[m.dst],
-                                            tuple(push[p] for p in phi))
+        src_at, dst_at = tensors[m.src], tensors[m.dst]
+        comps = _levelwise(
+            ((src_at[p].colimit.levels[p], dst_at[p].colimit.levels[p]) for p in phi),
+            lambda j: _pushforward(a, src_at[phi[j]], dst_at[phi[j]], m.id, phi[j]))
+        action[m.id] = LevelMorphism.strict(towers[m.src], towers[m.dst], comps)
     return (Precosheaf(a.site, a.category, a.depth, towers, action, a.points,
                        _colimits=a._colimits), phi, tensors)
 

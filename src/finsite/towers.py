@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import is_
 from typing import Mapping
 
 from . import values
@@ -91,6 +92,19 @@ def _strict_shift(length: int) -> tuple[int, ...]:
     return tuple(range(length))
 
 
+def _levelwise(keys, build) -> list:
+    """build(j) for each level j, except that a level whose key objects are
+    all the very objects (`is`) of the previous level's key takes the
+    previous level's result: it is the same construction on the same inputs.
+    No key is hashed or compared by value."""
+    out, below = [], None
+    for j, key in enumerate(keys):
+        same = j and len(key) == len(below) and all(map(is_, key, below))
+        out.append(out[-1] if same else build(j))
+        below = key
+    return out
+
+
 @dataclass(frozen=True)
 class LevelMorphism:
     """A morphism of towers: components f_j : X_{shift[j]} -> Y_j with
@@ -115,17 +129,13 @@ class LevelMorphism:
             src, dst = self.src.levels[self.shift[j]], self.dst.levels[j]
             if (f.src is not src and f.src != src) or (f.dst is not dst and f.dst != dst):
                 raise EngineError(f"component {j} has wrong endpoints")
-        # a square whose four maps are the objects of the square just checked
-        # states the same equation, so it is decided once
-        last = (None,) * 4
-        for j in range(d):
-            g1, f1 = self.components[j], self.src.bond_composite(self.shift[j + 1], self.shift[j])
-            g2, f2 = self.dst.bonds[j], self.components[j + 1]
-            if g1 is last[0] and f1 is last[1] and g2 is last[2] and f2 is last[3]:
-                continue
-            if not commutes(g1, f1, g2, f2):
+        squares = [(self.components[j], self.src.bond_composite(self.shift[j + 1], self.shift[j]),
+                    self.dst.bonds[j], self.components[j + 1]) for j in range(d)]
+
+        def decide(j):
+            if not commutes(*squares[j]):
                 raise EngineError(f"level morphism squares fail at level {j}")
-            last = (g1, f1, g2, f2)
+        _levelwise(squares, decide)
 
     @staticmethod
     def strict(src: Tower, dst: Tower, components) -> "LevelMorphism":
@@ -426,11 +436,10 @@ def tower_colimit(shape: FiniteCategory, nodes: Mapping[str, Tower],
     too): a level whose diagram was colimited before, at another level or,
     when the caller passes one store for one shape, in another call, shares
     that ColimitResult.  So a constant diagram of towers costs one colimit,
-    not depth + 1.  A level whose edge maps are the very objects of the
-    level below shares its colimit without a key being built, and a bond
-    between such levels whose node bonds are the objects of the bond below
-    is that bond.  An empty diagram, given its `depth` and value `category`,
-    has the constant initial tower as its colimit.
+    not depth + 1.  Levels and bonds follow `_levelwise`, keyed by the
+    level's edge maps and by the two level colimits and the node bonds of a
+    bond.  An empty diagram, given its `depth` and value `category`, has the
+    constant initial tower as its colimit.
     """
     if nodes:
         category = next(iter(nodes.values())).category()
@@ -452,34 +461,23 @@ def tower_colimit(shape: FiniteCategory, nodes: Mapping[str, Tower],
     shape_edges = tuple(edges[mid] for mid in order)
     if store is None:
         store = {}
-    results = []
-    maps_below = None
-    for p in range(d + 1):
-        maps = tuple(e.components[p] for e in shape_edges)
-        if maps_below is None or any(f is not g for f, g in zip(maps, maps_below)):
-            key = tuple(map(map_key, maps))
-            hit = store.get(key)
-            if hit is None:
-                level_nodes = {u: nodes[u].levels[p] for u in shape.objects}
-                hit = store[key] = values.finite_colimit(
-                    FiniteDiagram(shape, level_nodes, dict(zip(order, maps)), trusted=True),
-                    category)
-        results.append(hit)
-        maps_below = maps
+    level_maps = [tuple(e.components[p] for e in shape_edges) for p in range(d + 1)]
+
+    def level(p):
+        key = tuple(map(map_key, level_maps[p]))
+        hit = store.get(key)
+        if hit is None:
+            hit = store[key] = values.finite_colimit(
+                FiniteDiagram(shape, {u: nodes[u].levels[p] for u in shape.objects},
+                              dict(zip(order, level_maps[p])), trusted=True), category)
+        return hit
+    results = _levelwise(level_maps, level)
     # class(u, x at j + 1) goes to class(u, bond(x)) at level j
-    bonds = []
-    node_bonds_below = None
-    for j in range(d):
-        node_bonds = tuple(nodes[u].bonds[j] for u in shape.objects)
-        if (j and results[j + 1] is results[j] and results[j] is results[j - 1]
-                and all(f is g for f, g in zip(node_bonds, node_bonds_below))):
-            bonds.append(bonds[-1])
-        else:
-            bonds.append(out_map(results[j + 1],
-                                 {u: (b, results[j].cocone[u])
-                                  for u, b in zip(shape.objects, node_bonds)},
-                                 results[j].obj))
-        node_bonds_below = node_bonds
+    bonds = _levelwise(
+        ((results[j + 1], results[j], *(nodes[u].bonds[j] for u in shape.objects))
+         for j in range(d)),
+        lambda j: out_map(results[j + 1], {u: (nodes[u].bonds[j], results[j].cocone[u])
+                                           for u in shape.objects}, results[j].obj))
     tower = Tower(tuple(r.obj for r in results), tuple(bonds))
     cocone = {u: LevelMorphism.strict(nodes[u], tower, tuple(r.cocone[u] for r in results))
               for u in shape.objects}

@@ -524,14 +524,16 @@ def out_map(colim: ColimitResult, node_maps: Mapping[str, object], dst):
 
     A node's map may be given as a chain, a tuple of composable maps in the
     order they apply, whose composite is then never built.  The node maps
-    must form a cocone over the colimit's diagram."""
+    must form a cocone over the colimit's diagram; on finite sets a class
+    given two different images is refused."""
     chains = {u: f if isinstance(f, tuple) else (f,) for u, f in node_maps.items()}
     if isinstance(colim.obj, FinSetObj):
         table = {}
         for u, chain in chains.items():
             inj = colim.cocone[u]._lookup
             for x, y in zip(chain[0].src.elements, _images(chain)):
-                table[inj[x]] = y
+                if table.setdefault(inj[x], y) != y:
+                    raise EngineError(f"node maps do not form a cocone at {u!r}")
         return FinSetMap(colim.obj, dst, tuple(table.items()))
     blocks = [[0] * colim.unreduced_rank for _ in range(dst.rank)]
     for u, chain in chains.items():

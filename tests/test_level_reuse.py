@@ -4,9 +4,11 @@ Constant precosheaves give towers whose levels repeat the level below, as the
 very same objects.  `tower_colimit` keys its level colimits on plain tuples
 (`values.map_key`) and shares a level, or a bond, whose maps are the objects
 of the one below; `_map_out` shares a component the same way; and a level
-morphism decides a square that repeats the one before it once.  Each test
-pins the shared result to what the unshared construction gives, or pins how
-much work is left.
+morphism decides a square that repeats the one before it once.  All of
+these, and the plus action components, follow the one rule of
+`towers._levelwise`, which is also tested on its own.  Each test pins the
+shared result to what the unshared construction gives, or pins how much
+work is left.
 """
 
 import random
@@ -266,3 +268,66 @@ def test_an_action_out_of_a_finer_sieve_is_built_again():
     action = plus.precosheaf.action
     assert [len(f.src.elements) for f in action["U<T"].components] == [1, 2]
     assert action["W1<T"].components[1] is action["W1<T"].components[0]
+
+
+def _recording(built):
+    def build(j):
+        built.append(j)
+        return ["level", j]
+    return build
+
+
+def test_levelwise_always_builds_level_zero():
+    a = object()
+    for keys in ([(a,)], [()], [(a, a)]):
+        built = []
+        assert towers._levelwise(keys, _recording(built)) == [["level", 0]]
+        assert built == [0]
+    assert towers._levelwise([], _recording([])) == []
+
+
+def test_levelwise_builds_once_per_run_of_repeated_keys():
+    a, b = object(), object()
+    built = []
+    keys = [(a, b), (a, b), (b, a), (b, a), (b, a), (a, b), (a, b, a)]
+    out = towers._levelwise(iter(keys), _recording(built))
+    assert built == [0, 2, 5, 6]
+    assert [r[1] for r in out] == [0, 0, 2, 2, 2, 5, 6]
+    assert out[1] is out[0] and out[3] is out[2] and out[4] is out[2]
+
+
+def test_levelwise_rebuilds_on_equal_but_distinct_objects():
+    built = []
+    keys = [(finset("a"), free_ab(1)), (finset("a"), free_ab(1))]
+    assert keys[0] == keys[1] and keys[0][0] is not keys[1][0]
+    towers._levelwise(keys, _recording(built))
+    assert built == [0, 1]
+    # one distinct object among repeated ones is enough
+    point = finset("a")
+    built = []
+    towers._levelwise([(point, point), (point, finset("a"))], _recording(built))
+    assert built == [0, 1]
+
+
+@pytest.mark.parametrize("value", [finset("0", "1"), free_ab(2)], ids=["finset", "finab"])
+def test_map_out_and_plus_actions_hash_no_map(monkeypatch, value):
+    spec = converging_sequence_site(4)
+    expected = cosheaf.plus_cosheaf(constant_precosheaf(spec, value, 3, site_points(spec)), 3)
+    fresh = constant_precosheaf(spec, value, 3, site_points(spec))
+    monkeypatch.setattr(FinSetMap, "__hash__", _raise)
+    monkeypatch.setattr(FinAbMap, "__hash__", _raise)
+    res = cosheaf.plus_cosheaf(fresh, 3)
+    monkeypatch.undo()
+    assert res.phi == expected.phi
+    assert res.precosheaf.values == expected.precosheaf.values
+    assert res.precosheaf.action == expected.precosheaf.action
+    assert res.counit.components == expected.counit.components
+
+
+def test_a_failing_abelian_square_after_repeated_ones_is_named(monkeypatch):
+    z = free_ab(1)
+    one, two = values.identity_map(z), values.finab_map(z, z, [[2]])
+    calls = _counting(monkeypatch, "commutes", (towers,))
+    with pytest.raises(EngineError, match="squares fail at level 2"):
+        LevelMorphism.strict(Tower.constant(z, 3), Tower.constant(z, 3), (one, one, one, two))
+    assert len(calls) == 2
