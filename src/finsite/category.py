@@ -102,35 +102,51 @@ class FiniteCategory:
         return self._hom.get((src, dst), ())
 
     def check_axioms(self) -> list[str]:
-        """Exhaustive associativity/identity/totality check; returns failure strings."""
-        bad = []
-        for f in self.morphisms:
-            for g in self.morphisms:
-                if f.dst != g.src:
-                    if (g.id, f.id) in self.composition:
-                        bad.append(f"composition defined on non-composable ({g.id},{f.id})")
-                    continue
+        """Exhaustive associativity/identity/totality check; returns failure strings.
+
+        Totality walks the composable pairs through `_out_of`, and each key of
+        the composition table is checked for composability once; failures
+        come in (f, g) order, f first, each in `morphisms` order.  The
+        identity and associativity laws then read the composites found."""
+        position = {m.id: i for i, m in enumerate(self.morphisms)}
+        found = []
+        for g_id, f_id in self.composition:
+            g, f = self._by_id.get(g_id), self._by_id.get(f_id)
+            if g is not None and f is not None and f.dst != g.src:
+                found.append(((position[f_id], position[g_id]),
+                              f"composition defined on non-composable ({g_id},{f_id})"))
+        comp = {}
+        for i, f in enumerate(self.morphisms):
+            for g in self._out_of.get(f.dst, ()):
                 try:
-                    gf = self.compose(g.id, f.id)
+                    gf = comp[g.id, f.id] = self.compose(g.id, f.id)
                 except InvalidCategory:
-                    bad.append(f"composition missing on ({g.id},{f.id})")
+                    found.append(((i, position[g.id]), f"composition missing on ({g.id},{f.id})"))
                     continue
                 m = self._by_id.get(gf)
                 if m is None or m.src != f.src or m.dst != g.dst:
-                    bad.append(f"composite of ({g.id},{f.id}) has wrong endpoints")
-        if bad:
-            return bad
+                    found.append(((i, position[g.id]),
+                                  f"composite of ({g.id},{f.id}) has wrong endpoints"))
+        if found:
+            return [line for _, line in sorted(found, key=lambda pair: pair[0])]
+        bad = []
         for f in self.morphisms:
-            if self.compose(self.identity[f.dst], f.id) != f.id:
+            if comp[self.identity[f.dst], f.id] != f.id:
                 bad.append(f"left identity fails on {f.id}")
-            if self.compose(f.id, self.identity[f.src]) != f.id:
+            if comp[f.id, self.identity[f.src]] != f.id:
                 bad.append(f"right identity fails on {f.id}")
+        # a triple with an identity factor composes by `compose`'s identity
+        # rule on both sides, so only triples of non-identities can fail
+        ids = set(self.identity.values())
         for f in self.morphisms:
+            if f.id in ids:
+                continue
             for g in self._out_of.get(f.dst, ()):
+                if g.id in ids:
+                    continue
+                gf = comp[g.id, f.id]
                 for h in self._out_of.get(g.dst, ()):
-                    left = self.compose(h.id, self.compose(g.id, f.id))
-                    right = self.compose(self.compose(h.id, g.id), f.id)
-                    if left != right:
+                    if h.id not in ids and comp[h.id, gf] != comp[comp[h.id, g.id], f.id]:
                         bad.append(f"associativity fails on ({h.id},{g.id},{f.id})")
         return bad
 
@@ -255,14 +271,18 @@ class SiteSpec:
     # in their points are equal
     points: tuple[PointFilter, ...] = field(default=(), compare=False)
     # sieve_from_cover results by cover key, refinement_search results by
-    # argument and comma_of_sieve results by sieve; a pickled copy starts with
-    # all three empty
+    # argument, comma_of_sieve results and their opposites (see
+    # sheaf.hom_with_sieve) by sieve, and common-refinement sieves by object;
+    # a pickled copy starts with all five empty
     _sieves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _refinements: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _commas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _opposite_commas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _common_sieves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __getstate__(self):
-        return {**self.__dict__, "_sieves": {}, "_refinements": {}, "_commas": {}}
+        return {**self.__dict__, "_sieves": {}, "_refinements": {}, "_commas": {},
+                "_opposite_commas": {}, "_common_sieves": {}}
 
     def declared_covers(self, u: str) -> tuple[Cover, ...]:
         return self.coverage.covers.get(u, ())
@@ -497,6 +517,14 @@ def common_refinement(spec: SiteSpec, u: str) -> Cover:
     return current
 
 
+def common_sieve(spec: SiteSpec, u: str) -> Sieve:
+    """The sieve of u's common refinement, memoized on the site by object."""
+    hit = spec._common_sieves.get(u)
+    if hit is None:
+        hit = spec._common_sieves[u] = sieve_from_cover(spec, common_refinement(spec, u))
+    return hit
+
+
 def sieve_levels(spec: SiteSpec, u: str, depth: int) -> list[Sieve]:
     """The descending sieve presentation of u, one sieve per level 0..depth.
 
@@ -507,8 +535,7 @@ def sieve_levels(spec: SiteSpec, u: str, depth: int) -> list[Sieve]:
     if chain is None:
         if not spec.declared_covers(u):
             raise SiteError(f"no cofinal presentation for {u!r}")
-        s = sieve_from_cover(spec, common_refinement(spec, u))
-        return [s] * (depth + 1)
+        return [common_sieve(spec, u)] * (depth + 1)
     out = [sieve_from_cover(spec, chain.cover_at(level)) for level in range(depth + 1)]
     for k in range(depth):
         if not out[k + 1].members <= out[k].members:

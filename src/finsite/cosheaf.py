@@ -170,16 +170,23 @@ def _map_out(col: TowerColimit, dst: Tower, routes) -> LevelMorphism:
 
 def tensor_with_sieve(a: Precosheaf, sieve: Sieve) -> TensorResult:
     """Colimit of the precosheaf over the sieve's comma category, with the
-    canonical comparison map into the value at the sieve target."""
+    canonical comparison map into the value at the sieve target.  The empty
+    sieve's comma category is empty and is not built: its one level diagram
+    is empty, and its store holds the shared initial colimit."""
     key = (sieve.target, sieve.members)
     hit = a._tensor_cache.get(key)
     if hit is not None:
         return hit
-    comma = comma_of_sieve(a.site, sieve)
+    store = a._colimits.setdefault(key, {})
+    if sieve.members:
+        comma = comma_of_sieve(a.site, sieve)
+    else:
+        comma = _shape(())
+        store.setdefault((), values.initial_colimit(a.category))
     site_cat = a.site.category
     nodes = {m: a.values[site_cat.morphism(m).src] for m in comma.objects}
     edges = {cm.id: a.action[_comma_base(cm)] for cm in comma.morphisms}
-    col = tower_colimit(comma, nodes, edges, a.depth, a._colimits.setdefault(key, {}), a.category)
+    col = tower_colimit(comma, nodes, edges, a.depth, store, a.category)
     out = TensorResult(col, _map_out(col, a.values[sieve.target],
                                      {m: (a.action[m],) for m in comma.objects}))
     a._tensor_cache[key] = out
@@ -250,7 +257,9 @@ def _fast_defect(a: Precosheaf, cover: Cover) -> FastDefect:
         routes[node] = (a.action[member],)
     shape = _shape(nodes, arrows)
     edges.update({shape.id_of(v): LevelMorphism.identity(t) for v, t in nodes.items()})
-    col = tower_colimit(shape, nodes, edges, a.depth, category=a.category)
+    # an empty cover's one level diagram is empty: the shared initial colimit
+    store = None if nodes else {(): values.initial_colimit(a.category)}
+    col = tower_colimit(shape, nodes, edges, a.depth, store, a.category)
     return FastDefect(col, _map_out(col, a.values[cover.target], routes), tuple(pair_routes))
 
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from . import values
 from .category import (FiniteCategory, Morphism, PointFilter, Sieve, SiteSpec,
-                       _comma_base, _generating_pairs, comma_of_sieve, common_refinement,
+                       _comma_base, _generating_pairs, comma_of_sieve, common_sieve,
                        distinct_covers, sieve_from_cover, sieve_levels)
 from .cosheaf import Precosheaf
 from .errors import EngineError, SiteError
@@ -81,16 +81,21 @@ class HomResult:
 
 
 def hom_with_sieve(a: Presheaf, sieve: Sieve) -> HomResult:
-    """Limit of the presheaf over the sieve's comma category, with the
-    canonical restriction map from the value at the target.  Over the empty
-    sieve the limit is the terminal value."""
-    site_cat = a.site.category
-    comma = comma_of_sieve(a.site, sieve)
-    shape = opposite_category(comma)
-    nodes = {m: a.values[site_cat.morphism(m).src] for m in shape.objects}
-    edges = {cm.id: a.action[_comma_base(cm)] for cm in comma.morphisms}
-    diagram = FiniteDiagram(shape, nodes, edges, trusted=True)
-    limit = values.finite_limit(diagram, a.category)
+    """Limit of the presheaf over the opposite of the sieve's comma category
+    (built once per sieve and kept on the site), with the canonical
+    restriction map from the value at the target.  Over the empty sieve the
+    limit is the shared terminal value."""
+    if sieve.members:
+        key = (sieve.target, sieve.members)
+        shape = a.site._opposite_commas.get(key)
+        if shape is None:
+            shape = a.site._opposite_commas[key] = opposite_category(comma_of_sieve(a.site, sieve))
+        site_cat = a.site.category
+        nodes = {m: a.values[site_cat.morphism(m).src] for m in shape.objects}
+        edges = {cm.id: a.action[_comma_base(cm)] for cm in shape.morphisms}
+        limit = values.finite_limit(FiniteDiagram(shape, nodes, edges, trusted=True), a.category)
+    else:
+        limit = values.terminal_limit(a.category)
     restriction = into_limit(limit, a.values[sieve.target], {m: a.action[m] for m in sieve.members})
     return HomResult(limit.obj, restriction, limit)
 
@@ -138,7 +143,7 @@ def plus_sheaf(a: Presheaf, depth: int = 6) -> SheafPlusResult:
     for u in site.category.objects:
         chain = site.chain_of(u)
         if chain is None:
-            sieves[u] = sieve_from_cover(site, common_refinement(site, u))
+            sieves[u] = common_sieve(site, u)
         else:
             sieves[u] = sieve_levels(site, u, depth)[depth]
             truncated = True

@@ -7,7 +7,6 @@ sets, so the minimal open neighborhood of x is its down-set.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -39,14 +38,29 @@ class FiniteSpace:
         return frozenset(p for p in self.points if self.leq(p, x))
 
     def opens(self) -> list[frozenset[str]]:
-        """All down-closed subsets, smallest first, deterministic."""
+        """All down-closed subsets, smallest first, then lexicographic in
+        their sorted points.
+
+        Enumerated by output: the points are decided in a linear extension
+        of the order, and a point may join only once everything below it
+        has, so every branch ends in a distinct down-set."""
+        below = {x: [p for p in self.points if p != x and self.leq(p, x)] for x in self.points}
+        order = sorted(self.points, key=lambda x: (len(below[x]), x))
         out = []
-        pts = sorted(self.points)
-        for r in range(len(pts) + 1):
-            for combo in itertools.combinations(pts, r):
-                s = frozenset(combo)
-                if all(q in s for p in s for q in pts if self.leq(q, p)):
-                    out.append(s)
+
+        def grow(i, chosen):
+            if i == len(order):
+                out.append(frozenset(chosen))
+                return
+            grow(i + 1, chosen)
+            x = order[i]
+            if all(p in chosen for p in below[x]):
+                chosen.add(x)
+                grow(i + 1, chosen)
+                chosen.discard(x)
+
+        grow(0, set())
+        out.sort(key=lambda s: (len(s), sorted(s)))
         return out
 
     def comparability_components(self, subset: frozenset[str]) -> list[frozenset[str]]:
@@ -121,7 +135,13 @@ def site_points(spec: SiteSpec) -> tuple[PointFilter, ...]:
 
 
 def _covering_families(space, opens, u, policy):
-    nonempty = [v for v in opens if v and v <= u]
+    """The declared covers of the open u, sorted by size, then by their
+    pieces' sorted points.
+
+    "all-irredundant": every antichain of nonempty opens inside u whose
+    union is u, found by backtracking over the opens in order; an open
+    comparable with one already chosen is skipped, and a branch ends when
+    the opens left cannot reach u."""
     if policy == "generated":
         minimal = []
         for x in sorted(u):
@@ -134,15 +154,27 @@ def _covering_families(space, opens, u, policy):
         return [tuple(sorted(f, key=sorted)) for f in out]
     if policy != "all-irredundant":
         raise SiteError(f"unknown cover policy {policy!r}")
+    nonempty = [v for v in opens if v and v <= u]
+    # reach[i]: the union of the opens from i on, which bounds what any
+    # extension by them can still cover
+    reach = [frozenset()] * (len(nonempty) + 1)
+    for i in range(len(nonempty) - 1, -1, -1):
+        reach[i] = reach[i + 1] | nonempty[i]
     out = []
-    for r in range(1, len(nonempty) + 1):
-        for combo in itertools.combinations(nonempty, r):
-            union = frozenset().union(*combo)
-            if union != u:
-                continue
-            if any(a < b or b < a for a in combo for b in combo if a is not b):
-                continue
-            out.append(tuple(sorted(combo, key=sorted)))
+
+    def extend(i, chosen, covered):
+        if chosen and covered == u:
+            out.append(tuple(sorted(chosen, key=sorted)))
+        for j in range(i, len(nonempty)):
+            if covered | reach[j] != u:
+                return
+            v = nonempty[j]
+            if not any(v <= w or w <= v for w in chosen):
+                chosen.append(v)
+                extend(j + 1, chosen, covered | v)
+                chosen.pop()
+
+    extend(0, [], frozenset())
     out.sort(key=lambda fam: (len(fam), [sorted(v) for v in fam]))
     return out
 

@@ -7,6 +7,7 @@ Smith-normal-form kernels and cokernels on the abelian side.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -431,15 +432,27 @@ def image_invariants(f):
     return FinAbObj(f.src.rank, kernel(f)[1].matrix).invariants()
 
 
+@functools.cache
+def initial_colimit(category: str) -> ColimitResult:
+    """The colimit of the empty diagram, built once per value category."""
+    return finite_colimit(_diagram({}), category)
+
+
+@functools.cache
+def terminal_limit(category: str) -> LimitResult:
+    """The limit of the empty diagram, built once per value category; in
+    finite sets its one element is labelled "*"."""
+    return finite_limit(_diagram({}), category)
+
+
 def unique_map_from_initial(category: str, dst):
     """The map out of the colimit of the empty diagram."""
-    return out_map(finite_colimit(_diagram({}), category), {}, dst)
+    return out_map(initial_colimit(category), {}, dst)
 
 
 def unique_map_to_terminal(category: str, src):
-    """The map into the limit of the empty diagram, whose one element (in
-    finite sets) is labelled "*"."""
-    return into_limit(finite_limit(_diagram({}), category), src, {})
+    """The map into the limit of the empty diagram."""
+    return into_limit(terminal_limit(category), src, {})
 
 
 @dataclass(frozen=True)
@@ -670,38 +683,49 @@ def finite_colimit(diagram: FiniteDiagram, category: str | None = None) -> Colim
 def _matching_families(diagram: FiniteDiagram, nodes):
     """Compatible families, enumerated output-sensitively.
 
-    Assignments propagate along edges (functional constraints force targets),
-    branching only on genuinely free nodes, so the cost scales with the size
-    of the limit rather than with the full product."""
-    edges = diagram.edges
-    morphisms = diagram.shape.morphisms
+    Branches only on nodes with no incoming non-identity edge, in `nodes`
+    order, and on the least unassigned node once every unassigned node has
+    one.  Each assignment is propagated along the out-edges of the nodes it
+    fixes, with a worklist: an edge is checked once its source is assigned,
+    which then assigns or tests its target, so every non-identity edge
+    (endomorphisms included) holds on each family yielded."""
+    shape = diagram.shape
+    out_edges = {u: [] for u in nodes}
+    has_in = set()
+    for m in shape.morphisms:
+        if m.id != shape.id_of(m.src):
+            out_edges[m.src].append((diagram.edges[m.id]._lookup, m.dst))
+            has_in.add(m.dst)
+    order = sorted(nodes, key=lambda u: u in has_in)   # stable: sources first
 
-    def expand(assign):
-        assign = dict(assign)
-        changed = True
-        while changed:
-            changed = False
-            for m in morphisms:
-                if m.src in assign:
-                    want = edges[m.id](assign[m.src])
-                    have = assign.get(m.dst)
-                    if have is None:
-                        assign[m.dst] = want
-                        changed = True
-                    elif have != want:
-                        return
-        free = [u for u in nodes if u not in assign]
-        if not free:
+    def propagate(assign, u):
+        work = [u]
+        while work:
+            v = work.pop()
+            x = assign[v]
+            for lookup, w in out_edges[v]:
+                want = lookup[x]
+                have = assign.get(w)
+                if have is None:
+                    assign[w] = want
+                    work.append(w)
+                elif have != want:
+                    return False
+        return True
+
+    def expand(assign, i):
+        while i < len(order) and order[i] in assign:
+            i += 1
+        if i == len(order):
             yield assign
             return
-        u = free[0]
+        u = order[i]
         for x in diagram.nodes[u].elements:
-            yield from expand({**assign, u: x})
+            branch = {**assign, u: x}
+            if propagate(branch, u):
+                yield from expand(branch, i + 1)
 
-    if not nodes:
-        yield {}
-        return
-    yield from expand({})
+    yield from expand({}, 0)
 
 
 def finite_limit(diagram: FiniteDiagram, category: str | None = None) -> LimitResult:
