@@ -106,15 +106,24 @@ class FiniteCategory:
 
         Totality walks the composable pairs through `_out_of`, and each key of
         the composition table is checked for composability once; failures
-        come in (f, g) order, f first, each in `morphisms` order.  The
-        identity and associativity laws then read the composites found."""
+        come in (f, g) order, f first, each in `morphisms` order.  A key with
+        an identity factor must hold what `compose`'s identity rule answers.
+        The associativity law then reads the composites found."""
         position = {m.id: i for i, m in enumerate(self.morphisms)}
+        ids = set(self.identity.values())
         found = []
-        for g_id, f_id in self.composition:
+        for (g_id, f_id), gf in self.composition.items():
             g, f = self._by_id.get(g_id), self._by_id.get(f_id)
-            if g is not None and f is not None and f.dst != g.src:
-                found.append(((position[f_id], position[g_id]),
-                              f"composition defined on non-composable ({g_id},{f_id})"))
+            if g is None or f is None:
+                continue
+            at = (position[f_id], position[g_id])
+            if f.dst != g.src:
+                found.append((at, f"composition defined on non-composable ({g_id},{f_id})"))
+            # `compose` answers an identity factor by rule, never reading the entry
+            elif g_id in ids and gf != f_id:
+                found.append((at, f"left identity fails on {f_id}"))
+            elif f_id in ids and gf != g_id:
+                found.append((at, f"right identity fails on {g_id}"))
         comp = {}
         for i, f in enumerate(self.morphisms):
             for g in self._out_of.get(f.dst, ()):
@@ -130,14 +139,8 @@ class FiniteCategory:
         if found:
             return [line for _, line in sorted(found, key=lambda pair: pair[0])]
         bad = []
-        for f in self.morphisms:
-            if comp[self.identity[f.dst], f.id] != f.id:
-                bad.append(f"left identity fails on {f.id}")
-            if comp[f.id, self.identity[f.src]] != f.id:
-                bad.append(f"right identity fails on {f.id}")
         # a triple with an identity factor composes by `compose`'s identity
         # rule on both sides, so only triples of non-identities can fail
-        ids = set(self.identity.values())
         for f in self.morphisms:
             if f.id in ids:
                 continue

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import values
-from .category import (Cover, FiniteCategory, PointFilter, Sieve, SiteSpec,
-                       _comma_base, _generating_pairs, comma_of_sieve, distinct_covers,
+from .category import (Cover, FiniteCategory, PointFilter, Sieve, SiteSpec, _comma_base,
+                       _generating_pairs, _refinement, comma_of_sieve, distinct_covers,
                        poset_category, refinement_search, sieve_from_cover, sieve_levels)
 from .errors import EngineError, InsufficientDepth, SiteError
 from .report import CheckReport
@@ -275,40 +275,23 @@ def defect_agreement(a: Precosheaf, cover: Cover) -> bool:
     sieve = sieve_from_cover(a.site, cover)
     slow = tensor_with_sieve(a, sieve)
     fast = _fast_defect(a, cover)
-    cat = a.site.category
-    # phi: fast -> slow via pieces-as-members
-    to_slow = {f"p{i}": (slow.colimit.cocone[p],) for i, p in enumerate(cover.pieces)}
-    for node, member in fast.pair_routes:
-        to_slow[node] = (slow.colimit.cocone[member],)
-    # psi: slow -> fast via each member's lex-smallest factorization
-    to_fast = {}
-    for g in sorted(sieve.members):
-        mg = cat.morphism(g)
-        placed = None
-        for i, p in enumerate(cover.pieces):
-            mp = cat.morphism(p)
-            for beta in sorted(m.id for m in cat.hom(mg.src, mp.src)):
-                if cat.compose(p, beta) == g:
-                    placed = (a.action[beta], fast.colimit.cocone[f"p{i}"])
-                    break
-            if placed:
-                break
-        to_fast[g] = placed
-    phi = _map_out(fast.colimit, slow.tower, to_slow).components
-    psi = _map_out(slow.colimit, fast.colimit.tower, to_fast).components
-    ok = True
-    for j in range(a.depth + 1):
-        idf = identity_map(fast.colimit.tower.levels[j])
-        ids = identity_map(slow.tower.levels[j])
-        if not chains_equal((phi[j], psi[j]), (idf,)):
-            ok = False
-        if not chains_equal((psi[j], phi[j]), (ids,)):
-            ok = False
-        if not chains_equal((phi[j], slow.compare.components[j]), (fast.compare.components[j],)):
-            ok = False
-        if not chains_equal((psi[j], fast.compare.components[j]), (slow.compare.components[j],)):
-            ok = False
-    return ok
+    members = sorted(sieve.members)
+    # psi places each member at its lex-smallest (piece, factor)
+    placed = _refinement(a.site.category, Cover(cover.target, tuple(members)), cover)
+    for j, (fast_j, slow_j) in enumerate(zip(fast.colimit.levels, slow.colimit.levels)):
+        # phi: fast -> slow via pieces-as-members
+        to_slow = {f"p{i}": slow_j.cocone[p] for i, p in enumerate(cover.pieces)}
+        to_slow.update((node, slow_j.cocone[member]) for node, member in fast.pair_routes)
+        phi = out_map(fast_j, to_slow, slow_j.obj)
+        psi = out_map(slow_j, {g: (a.action[beta].components[j], fast_j.cocone[f"p{i}"])
+                               for g, (i, beta) in zip(members, placed)}, fast_j.obj)
+        fast_c, slow_c = fast.compare.components[j], slow.compare.components[j]
+        if not (chains_equal((phi, psi), (identity_map(fast_j.obj),))
+                and chains_equal((psi, phi), (identity_map(slow_j.obj),))
+                and chains_equal((phi, slow_c), (fast_c,))
+                and chains_equal((psi, fast_c), (slow_c,))):
+            return False
+    return True
 
 
 def check_cosheaf(a: Precosheaf, depth: int | None = None) -> CheckReport:
@@ -471,7 +454,7 @@ def plus_map(f: PrecosheafMorphism, plus_src: PlusResult, plus_dst: PlusResult) 
             dst_t = tensor_with_sieve(plus_dst.counit.dst, s)
             node_maps = {
                 g: (f.components[site.category.morphism(g).src].components[p],
-                    dst_t.colimit.cocone[g].components[p])
+                    dst_t.colimit.levels[p].cocone[g])
                 for g in sorted(s.members)}
             per_level[p] = out_map(src_t.colimit.levels[p], node_maps, dst_t.tower.levels[p])
         comps[u] = LevelMorphism.strict(plus_src.precosheaf.values[u],
@@ -725,10 +708,13 @@ def coproduct(a: Precosheaf, b: Precosheaf) -> Precosheaf:
         nodes = {"a": a.values[u], "b": b.values[u]}
         edges = {pair.id_of(v): LevelMorphism.identity(t) for v, t in nodes.items()}
         sums[u] = tower_colimit(pair, nodes, edges, a.depth, store)
-    action = {m.id: _map_out(sums[m.src], sums[m.dst].tower,
-                             {"a": (a.action[m.id], sums[m.dst].cocone["a"]),
-                              "b": (b.action[m.id], sums[m.dst].cocone["b"])})
-              for m in a.site.category.morphisms}
+    action = {}
+    for m in a.site.category.morphisms:
+        src, dst = sums[m.src], sums[m.dst]
+        action[m.id] = LevelMorphism.strict(src.tower, dst.tower, tuple(
+            out_map(s, {"a": (a.action[m.id].components[j], t.cocone["a"]),
+                        "b": (b.action[m.id].components[j], t.cocone["b"])}, t.obj)
+            for j, (s, t) in enumerate(zip(src.levels, dst.levels))))
     return Precosheaf(a.site, a.category, a.depth, {u: s.tower for u, s in sums.items()},
                       action, a.points)
 

@@ -418,8 +418,7 @@ def is_rudimentary_at_depth(x: Tower, depth: int | None = None, window: int = 3)
 @dataclass(frozen=True)
 class TowerColimit:
     tower: Tower
-    cocone: Mapping[str, LevelMorphism]
-    levels: tuple = ()   # per-level ColimitResult
+    levels: tuple   # per-level ColimitResult; the cocone at level j is levels[j].cocone
 
 
 def tower_colimit(shape: FiniteCategory, nodes: Mapping[str, Tower],
@@ -478,7 +477,4 @@ def tower_colimit(shape: FiniteCategory, nodes: Mapping[str, Tower],
          for j in range(d)),
         lambda j: out_map(results[j + 1], {u: (nodes[u].bonds[j], results[j].cocone[u])
                                            for u in shape.objects}, results[j].obj))
-    tower = Tower(tuple(r.obj for r in results), tuple(bonds))
-    cocone = {u: LevelMorphism.strict(nodes[u], tower, tuple(r.cocone[u] for r in results))
-              for u in shape.objects}
-    return TowerColimit(tower, cocone, tuple(results))
+    return TowerColimit(Tower(tuple(r.obj for r in results), tuple(bonds)), tuple(results))

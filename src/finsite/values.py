@@ -107,8 +107,6 @@ class FinAbObj:
         rel = intmat.freeze(self.relations) if self.relations else ()
         if rel and len(rel) != self.rank:
             raise EngineError("relation matrix must have one row per generator")
-        if rel and self.rank == 0:
-            rel = ()
         if rel:
             rel = intmat.column_lattice_basis(intmat.prune_columns(rel))
             if rel and not rel[0]:
