@@ -23,10 +23,12 @@ class Morphism(NamedTuple):
 
 @dataclass(frozen=True)
 class FiniteCategory:
-    """A finite category given by an explicit composition table.
+    """A finite category given by a composition table.
 
     `composition` maps (second, first) to the composite: composition[(g, f)]
-    is g∘f, defined exactly when src(g) == dst(f).
+    is g∘f, defined exactly when src(g) == dst(f).  A `_ThinComposition`
+    table makes the category thin: it stores nothing, and g∘f is the one
+    morphism from src(f) to dst(g).
     """
 
     objects: tuple[str, ...]
@@ -40,6 +42,7 @@ class FiniteCategory:
     _out_of: Mapping[str, tuple[Morphism, ...]] = field(init=False, repr=False, compare=False)
     _hom: Mapping[tuple[str, str], tuple[Morphism, ...]] | None = field(
         default=None, init=False, repr=False, compare=False)
+    thin: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         objects = set(self.objects)
@@ -62,6 +65,9 @@ class FiniteCategory:
                 raise InvalidCategory(f"object {u!r} lacks an identity morphism")
             if by_id[i].src != u or by_id[i].dst != u:
                 raise InvalidCategory(f"identity of {u!r} has wrong endpoints")
+        object.__setattr__(self, "thin", isinstance(self.composition, _ThinComposition))
+        if isinstance(self.composition, _LazyComposition):
+            self.composition._bind(self)
 
     def morphism(self, mid: str) -> Morphism:
         return self._by_id[mid]
@@ -74,6 +80,10 @@ class FiniteCategory:
         mf, mg = self._by_id[f], self._by_id[g]
         if mf.dst != mg.src:
             raise InvalidCategory(f"morphisms {g!r}∘{f!r} are not composable")
+        if self.thin:
+            for m in (self._hom or self._index_hom()).get((mf.src, mg.dst), ()):
+                return m.id
+            raise InvalidCategory(f"no morphism {mf.src!r} -> {mg.dst!r} composes ({g!r}, {f!r})")
         if mg.id == self.identity[mg.src]:
             return f
         if mf.id == self.identity[mf.dst]:
@@ -94,12 +104,14 @@ class FiniteCategory:
 
     def hom(self, src: str, dst: str) -> tuple[Morphism, ...]:
         """The morphisms src -> dst, in `morphisms` order."""
-        if self._hom is None:
-            hom = {}
-            for m in self.morphisms:
-                hom.setdefault((m.src, m.dst), []).append(m)
-            object.__setattr__(self, "_hom", {k: tuple(ms) for k, ms in hom.items()})
-        return self._hom.get((src, dst), ())
+        return (self._hom or self._index_hom()).get((src, dst), ())
+
+    def _index_hom(self):
+        hom = {}
+        for m in self.morphisms:
+            hom.setdefault((m.src, m.dst), []).append(m)
+        object.__setattr__(self, "_hom", {k: tuple(ms) for k, ms in hom.items()})
+        return self._hom
 
     def check_axioms(self) -> list[str]:
         """Exhaustive associativity/identity/totality check; returns failure strings.
@@ -109,6 +121,8 @@ class FiniteCategory:
         come in (f, g) order, f first, each in `morphisms` order.  A key with
         an identity factor must hold what `compose`'s identity rule answers.
         The associativity law then reads the composites found."""
+        if self.thin:
+            return self._thin_axioms()
         position = {m.id: i for i, m in enumerate(self.morphisms)}
         ids = set(self.identity.values())
         found = []
@@ -153,6 +167,24 @@ class FiniteCategory:
                         bad.append(f"associativity fails on ({h.id},{g.id},{f.id})")
         return bad
 
+    def _thin_axioms(self) -> list[str]:
+        """The axioms of a thin category, by two checks: every hom-set holds at
+        most one morphism, and every composable pair f, g has a morphism
+        src(f) -> dst(g).  Then the laws hold by uniqueness: id∘f and f∘id are
+        morphisms with f's endpoints, so they are f, and both bracketings of
+        h∘g∘f are morphisms src(f) -> dst(h), so they agree.  The second check
+        compares, for each f, the objects above dst(f) with those above
+        src(f); failures come in (f, g) order, each in `morphisms` order."""
+        bad = [f"thin category has parallel morphisms {ms[0].id},{m.id}"
+               for ms in (self._hom or self._index_hom()).values() for m in ms[1:]]
+        above = {u: {m.dst for m in ms} for u, ms in self._out_of.items()}
+        for f in self.morphisms:
+            ups = above[f.src]
+            if not above[f.dst] <= ups:
+                bad.extend(f"composition missing on ({g.id},{f.id})"
+                           for g in self._out_of[f.dst] if g.dst not in ups)
+        return bad
+
 
 def order_closure(elements, pairs) -> set[tuple[str, str]]:
     """The reflexive-transitive closure of `pairs`: reflexive on `elements`,
@@ -167,8 +199,52 @@ def order_closure(elements, pairs) -> set[tuple[str, str]]:
     return {(a, b) for a, ups in above.items() for b in ups}
 
 
+class _LazyComposition(Mapping):
+    """A composition table computed on demand from its category's indexes.
+
+    The category binds its table once built (`FiniteCategory.__post_init__`).
+    The table holds the indexes, not the category: without a reference cycle
+    a dropped site frees its categories at once.  Keys iterate in the order
+    an eager table would list them: for each morphism g, every f into src(g).
+    """
+
+    def _bind(self, cat: FiniteCategory):
+        self._by_id, self._into, self._morphisms = cat._by_id, cat._into, cat.morphisms
+
+    def __iter__(self):
+        for g in self._morphisms:
+            for f in self._into.get(g.src, ()):
+                yield g.id, f.id
+
+    def __len__(self):
+        return sum(len(self._into.get(g.src, ())) for g in self._morphisms)
+
+
+class _ThinComposition(_LazyComposition):
+    """The composition table of a thin category: g∘f is the one morphism from
+    src(f) to dst(g).  `FiniteCategory.compose` answers by the same rule
+    without reading the table."""
+
+    def __getitem__(self, key):
+        g, f = key
+        mg, mf = self._by_id[g], self._by_id[f]
+        if mf.dst == mg.src:
+            for m in self._into.get(mg.dst, ()):
+                if m.src == mf.src:
+                    return m.id
+        raise KeyError(key)
+
+    def __eq__(self, other):
+        # two thin tables with the same morphisms are the same table
+        if isinstance(other, _ThinComposition):
+            return self._by_id == other._by_id
+        return super().__eq__(other)
+
+
 def poset_category(objects, leq_pairs) -> FiniteCategory:
-    """Category of a poset: one morphism `a<b` per related pair, ids `a<a`."""
+    """Category of a poset: one morphism `a<b` per related pair, ids `a<a`.
+
+    The category is thin, so it stores no composition table."""
     objs = tuple(sorted(objects))
     rel = order_closure(objs, leq_pairs)
     for a, b in sorted(rel):
@@ -178,12 +254,7 @@ def poset_category(objects, leq_pairs) -> FiniteCategory:
         return f"{a}<{b}"
     morphisms = tuple(Morphism(mid(a, b), a, b) for a, b in sorted(rel))
     identity = {a: mid(a, a) for a in objs}
-    comp = {}
-    for a, b in rel:
-        for c in objs:
-            if (b, c) in rel:
-                comp[(mid(b, c), mid(a, b))] = mid(a, c)
-    return FiniteCategory(objs, morphisms, identity, comp)
+    return FiniteCategory(objs, morphisms, identity, _ThinComposition())
 
 
 @dataclass(frozen=True)
@@ -322,22 +393,14 @@ def _generated_sieve(cat: FiniteCategory, cover: Cover) -> Sieve:
     return Sieve(cover.target, frozenset(members))
 
 
-class _CommaComposition(Mapping):
+class _CommaComposition(_LazyComposition):
     """The composition table of a comma category, read off the base category.
 
     A comma morphism `b|m1>m2` names its base morphism b, so g∘f is the comma
-    morphism over b_g∘b_f from src(f) to dst(g): no table is stored.  Keys
-    iterate in the order an eager table would list them: for each comma
-    morphism g, every f into src(g)."""
+    morphism over b_g∘b_f from src(f) to dst(g): no table is stored."""
 
     def __init__(self, base: FiniteCategory):
         self._base = base
-
-    def _bind(self, comma: FiniteCategory):
-        """Read the comma's own indexes, once it is built.  They are held,
-        not the comma itself: without a reference cycle a dropped site frees
-        its comma categories at once."""
-        self._by_id, self._into, self._morphisms = comma._by_id, comma._into, comma.morphisms
 
     def __getitem__(self, key):
         g, f = key
@@ -348,14 +411,6 @@ class _CommaComposition(Mapping):
         if out not in self._by_id:
             raise KeyError(key)
         return out
-
-    def __iter__(self):
-        for g in self._morphisms:
-            for f in self._into.get(g.src, ()):
-                yield g.id, f.id
-
-    def __len__(self):
-        return sum(len(self._into.get(g.src, ())) for g in self._morphisms)
 
 
 def _comma_base(m: Morphism) -> str:
@@ -380,36 +435,41 @@ def comma_of_sieve(spec: SiteSpec, sieve: Sieve) -> FiniteCategory:
 def _comma_category(cat: FiniteCategory, sieve: Sieve) -> FiniteCategory:
     """One pass: for each member m2 and each b into src(m2), m1 = m2∘b is both
     the sieve's closure-under-precomposition check and the comma morphism
-    `b|m1>m2`.  Members are checked in sorted order, every target first."""
+    `b|m1>m2`.  Members are checked in sorted order, every target first.
+
+    On a thin base, m1 is the member from src(b), if there is one, so no
+    composite is taken.  The comma is then thin too, `b|m1>m2` being the one
+    morphism m1 -> m2, and closed under composition by the base's
+    transitivity; over any other base the closure is checked."""
     members = tuple(sorted(sieve.members))
     for m in members:
         if cat.morphism(m).dst != sieve.target:
             raise SiteError(f"sieve member {m!r} does not land in {sieve.target!r}")
     src_of = {m: cat.morphism(m).src for m in members}
+    thin = cat.thin
+    member_at = {s: m for m, s in src_of.items()} if thin else None
     identity = {m: f"{cat.identity[src_of[m]]}|{m}>{m}" for m in members}
-    morphisms, base = [], {}
+    morphisms = []
     for m2 in members:
         for beta in cat._into.get(src_of[m2], ()):
-            m1 = cat.compose(m2, beta.id)
+            m1 = member_at.get(beta.src) if thin else cat.compose(m2, beta.id)
             if m1 not in src_of:
                 raise SiteError(f"sieve not closed under precomposition at {m2!r}")
             if src_of[m1] == beta.src:   # else a malformed table: no comma morphism
-                mid = f"{beta.id}|{m1}>{m2}"
-                morphisms.append(Morphism(mid, m1, m2))
-                base[mid] = beta.id
+                morphisms.append(Morphism(f"{beta.id}|{m1}>{m2}", m1, m2))
     morphisms.sort(key=lambda m: m.src)   # stable: by m1, then m2, then b
-    comp = _CommaComposition(cat)
-    comma = FiniteCategory(members, tuple(morphisms), identity, comp)
-    comp._bind(comma)
+    if thin:
+        return FiniteCategory(members, tuple(morphisms), identity, _ThinComposition())
+    comma = FiniteCategory(members, tuple(morphisms), identity, _CommaComposition(cat))
     # a pair with an identity factor composes by FiniteCategory.compose's
     # identity rule, never through the table, so only the others are checked
     for g in comma.morphisms:
         id_g = identity[g.src]
         if g.id != id_g:
-            bg = base[g.id]
+            bg = _comma_base(g)
             for f in comma._into.get(g.src, ()):
                 if f.id != id_g:
-                    c = f"{cat.compose(bg, base[f.id])}|{f.src}>{g.dst}"
+                    c = f"{cat.compose(bg, _comma_base(f))}|{f.src}>{g.dst}"
                     if not comma.has_morphism(c):
                         raise SiteError(f"comma category not closed: missing {c!r}")
     return comma
@@ -554,9 +614,10 @@ def _generating_pairs(site: SiteSpec):
     general square follows by induction on the factorization length.  On
     arbitrary sites all composable pairs are checked."""
     cat = site.category
-    nonid = [m for m in cat.morphisms if m.id != cat.id_of(m.src)]
+    ids = set(cat.identity.values())
+    nonid = [m for m in cat.morphisms if m.id not in ids]
     if not site.poset:
-        return [(g.id, f.id) for g in nonid for f in nonid if f.dst == g.src]
+        return [(g.id, f.id) for g in nonid for f in cat.into(g.src) if f.id not in ids]
     strictly_below = {}
     for m in nonid:
         strictly_below.setdefault(m.dst, set()).add(m.src)
@@ -565,7 +626,7 @@ def _generating_pairs(site: SiteSpec):
         between = strictly_below.get(m.dst, set())
         if not any(m.src in strictly_below.get(w, ()) for w in between):
             hasse.append(m)
-    return [(g.id, f.id) for f in hasse for g in nonid if g.src == f.dst]
+    return [(g.id, f.id) for f in hasse for g in cat.out_of(f.dst) if g.id not in ids]
 
 
 def validate_site(spec: SiteSpec, depth: int = 4):

@@ -9,8 +9,8 @@ from dataclasses import dataclass
 
 from . import values
 from .category import (FiniteCategory, Morphism, PointFilter, Sieve, SiteSpec,
-                       _comma_base, _generating_pairs, comma_of_sieve, common_sieve,
-                       distinct_covers, sieve_from_cover, sieve_levels)
+                       _ThinComposition, _comma_base, _generating_pairs, comma_of_sieve,
+                       common_sieve, distinct_covers, sieve_from_cover, sieve_levels)
 from .cosheaf import Precosheaf
 from .errors import EngineError, SiteError
 from .report import CheckReport
@@ -68,9 +68,10 @@ class _OppositeComposition(Mapping):
 
 
 def opposite_category(cat: FiniteCategory) -> FiniteCategory:
+    """The opposite category; the opposite of a thin category is thin."""
     morphs = tuple(Morphism(m.id, m.dst, m.src) for m in cat.morphisms)
-    return FiniteCategory(cat.objects, morphs, dict(cat.identity),
-                          _OppositeComposition(cat.composition))
+    table = _ThinComposition() if cat.thin else _OppositeComposition(cat.composition)
+    return FiniteCategory(cat.objects, morphs, dict(cat.identity), table)
 
 
 @dataclass(frozen=True)

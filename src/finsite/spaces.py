@@ -90,8 +90,14 @@ def _inclusion(src: frozenset, dst: frozenset) -> str:
     return f"{open_label(src)}<{open_label(dst)}"
 
 
+# the open lattice is bounded as well as the points: at most the 2^10 opens
+# any 10-point space has, which admits the 12-point fence (377 opens) but not
+# the 11-point antichain (2,048)
+MAX_OPENS = 2 ** 10
+
+
 def open_site(space: FiniteSpace, cover_policy: str = "all-irredundant",
-              bound: int = 10) -> SiteSpec:
+              bound: int = 12) -> SiteSpec:
     """The open-set site: objects are the down-sets, morphisms the inclusions.
 
     Policies: "all-irredundant" declares every inclusion-irredundant family
@@ -101,6 +107,9 @@ def open_site(space: FiniteSpace, cover_policy: str = "all-irredundant",
     if len(space.points) > bound:
         raise SiteError(f"space exceeds the open-lattice bound ({bound} points)")
     opens = space.opens()
+    if len(opens) > MAX_OPENS:
+        raise SiteError(f"space exceeds the open-lattice bound ({len(opens)} opens, "
+                        f"at most {MAX_OPENS})")
     labels = {s: open_label(s) for s in opens}
     leq_pairs = [(labels[a], labels[b]) for a in opens for b in opens if a <= b]
     cat = poset_category(sorted(labels.values()), leq_pairs)
