@@ -738,9 +738,4 @@ def validate_site(spec: SiteSpec, depth: int = 4):
     ok = ok and local
     trace.append("axiom (c) local character: " + ("pass" if local else "fail"))
 
-    return CheckReport(
-        depth=depth if spec.has_chains() else None,
-        classification="valid site" if ok else "invalid site",
-        witnesses=tuple(witnesses),
-        trace=tuple(trace),
-    )
+    return CheckReport.on(spec, depth, "valid site" if ok else "invalid site", witnesses, trace)

@@ -154,12 +154,8 @@ def main(argv=None) -> int:
             p = a.point_filter(args.point)
             tower = costalk(a, p, args.depth)
             rv = is_rudimentary_at_depth(tower, args.depth)
-            report = CheckReport(
-                depth=tower.depth if a.site.has_chains() else None,
-                classification=rv.verdict,
-                trace=tuple(f"level {k}: {line}" for k, line in enumerate(_tower_profile(tower))),
-            )
-            return _emit(report)
+            trace = [f"level {k}: {line}" for k, line in enumerate(_tower_profile(tower))]
+            return _emit(CheckReport.on(a.site, tower.depth, rv.verdict, trace=trace))
 
         if args.command == "smooth":
             return _emit(is_smooth(_load(args.precosheaf, Precosheaf, args.depth), args.depth))
@@ -182,17 +178,14 @@ def main(argv=None) -> int:
                 matched = actual in ("SEPARATED", "NOT-SEPARATED")
             else:
                 matched = actual == demo.expected
-            witnesses = ()
-            if not matched:
-                witnesses = inner.witnesses or (
-                    f"verdict mismatch: expected {demo.expected}, got {actual}",)
-            report = CheckReport(
+            witnesses = () if matched else inner.witnesses or (
+                f"verdict mismatch: expected {demo.expected}, got {actual}",)
+            return _emit(CheckReport(
                 depth=inner.depth,
                 classification=actual,
                 witnesses=witnesses,
                 trace=(f"expected: {demo.expected}", f"actual: {actual}", *inner.trace),
-            )
-            return _emit(report)
+            ))
 
         if args.command == "oracle-suite":
             report = randsuite.oracle_suite(args.seed, args.cases)

@@ -66,7 +66,7 @@ class Precosheaf:
         return all(t.is_constant() for t in self.values.values())
 
     def point_filter(self, label: str) -> PointFilter:
-        for p in self.points:
+        for p in self.site.points:
             if p.label == label:
                 return p
         raise EngineError(f"unknown point {label!r}")
@@ -322,12 +322,8 @@ def check_cosheaf(a: Precosheaf, depth: int | None = None) -> CheckReport:
         classification = "COSEPARATED"
     else:
         classification = "NOT-COSEPARATED"
-    return CheckReport(
-        depth=d if a.site.has_chains() else None,
-        classification=classification,
-        witnesses=tuple(witnesses),
-        trace=(f"classification: {classification}",),
-    )
+    return CheckReport.on(a.site, d, classification, witnesses,
+                          (f"classification: {classification}",))
 
 
 # ---------------------------------------------------------------------------
@@ -478,19 +474,9 @@ def cosheafify(a: Precosheaf, depth: int | None = None) -> CosheafifyResult:
     p1 = plus_cosheaf(a, depth)
     p2 = plus_cosheaf(p1.precosheaf, depth)
     counit = p2.counit.then(p1.counit)
-    r1 = check_cosheaf(p1.precosheaf, depth)
-    r2 = check_cosheaf(p2.precosheaf, depth)
-    ok = r1.classification in ("COSEPARATED", "COSHEAF") and r2.classification == "COSHEAF"
-    witnesses = tuple() if ok else tuple([*r1.witnesses, *r2.witnesses]) or ("postcondition failed",)
-    report = CheckReport(
-        depth=r1.depth,
-        classification="coreflection postconditions",
-        witnesses=witnesses,
-        trace=(
-            f"single plus classification: {r1.classification}",
-            f"double plus classification: {r2.classification}",
-        ),
-    )
+    report = CheckReport.postconditions(
+        "coreflection postconditions", check_cosheaf(p1.precosheaf, depth),
+        check_cosheaf(p2.precosheaf, depth), ("COSEPARATED", "COSHEAF"), "COSHEAF")
     return CosheafifyResult(p2.precosheaf, counit, report, p1, p2)
 
 
@@ -542,13 +528,8 @@ def strong_local_iso_check(f: PrecosheafMorphism, points, depth: int | None = No
         if not verdict.iso:
             witnesses.append({"point": p.label, "obstruction": verdict.obstruction,
                               "detail": verdict.detail})
-    return CheckReport(
-        depth=d if f.src.site.has_chains() else None,
-        classification=("not a strong local isomorphism" if witnesses
-                        else "strong local isomorphism"),
-        witnesses=tuple(witnesses),
-        trace=tuple(trace),
-    )
+    classification = "not a strong local isomorphism" if witnesses else "strong local isomorphism"
+    return CheckReport.on(f.src.site, d, classification, witnesses, trace)
 
 
 def is_locally_zero(a: Precosheaf, points, depth: int | None = None, margin: int = 3) -> CheckReport:
@@ -564,12 +545,8 @@ def is_locally_zero(a: Precosheaf, points, depth: int | None = None, margin: int
         trace.append(f"point {p.label}: {'pro-zero' if ok else 'not pro-zero'}")
         if not ok:
             witnesses.append({"point": p.label, "level": obstruction})
-    return CheckReport(
-        depth=d if a.site.has_chains() else None,
-        classification="not locally zero" if witnesses else "locally zero",
-        witnesses=tuple(witnesses),
-        trace=tuple(trace),
-    )
+    classification = "not locally zero" if witnesses else "locally zero"
+    return CheckReport.on(a.site, d, classification, witnesses, trace)
 
 
 def is_smooth(a: Precosheaf, depth: int | None = None) -> CheckReport:
@@ -579,9 +556,8 @@ def is_smooth(a: Precosheaf, depth: int | None = None) -> CheckReport:
     reports of `cosheafify` are built."""
     d = a.depth if depth is None else min(depth, a.depth)
     if not a.is_rudimentary_valued():
-        return CheckReport(
-            depth=d if a.site.has_chains() else None, classification="SMOOTH",
-            trace=("tower-valued input: smooth by construction (trivial pass)",))
+        return CheckReport.on(a.site, d, "SMOOTH",
+                              trace=("tower-valued input: smooth by construction (trivial pass)",))
     top = plus_cosheaf(plus_cosheaf(a, d).precosheaf, d).precosheaf
     witnesses = []
     trace = []
@@ -590,12 +566,7 @@ def is_smooth(a: Precosheaf, depth: int | None = None) -> CheckReport:
         trace.append(f"{u}: {rv.verdict} profile {list(rv.profile)}")
         if not rv.rudimentary:
             witnesses.append({"object": u, "growth_profile": list(map(str, rv.profile))})
-    return CheckReport(
-        depth=d if a.site.has_chains() else None,
-        classification="NOT-SMOOTH" if witnesses else "SMOOTH",
-        witnesses=tuple(witnesses),
-        trace=tuple(trace),
-    )
+    return CheckReport.on(a.site, d, "NOT-SMOOTH" if witnesses else "SMOOTH", witnesses, trace)
 
 
 # ---------------------------------------------------------------------------
@@ -685,8 +656,8 @@ def universal_factorization_check(a: Precosheaf, b: Precosheaf, f: PrecosheafMor
     return CheckReport(
         depth=ca.report.depth,
         classification="unique factorization" if ok else "factorization failure",
-        witnesses=tuple(witnesses),
-        trace=tuple(trace),
+        witnesses=witnesses,
+        trace=trace,
     )
 
 

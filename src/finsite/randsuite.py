@@ -199,6 +199,6 @@ def oracle_suite(seed: int = 0, cases: int = 25):
     trace.append(f"{cases} cases, {len(failures)} failures")
     return CheckReport(
         classification="oracle suite",
-        witnesses=tuple(failures[:10]),
-        trace=tuple(trace),
+        witnesses=failures[:10],
+        trace=trace,
     )

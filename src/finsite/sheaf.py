@@ -117,12 +117,8 @@ def check_sheaf(a: Presheaf, depth: int = 6) -> CheckReport:
                 all_iso = False
                 witnesses.append({"object": u, "cover": list(cover.pieces), "failed": "iso"})
     classification = "SHEAF" if all_iso else ("SEPARATED" if all_mono else "NOT-SEPARATED")
-    return CheckReport(
-        depth=depth if a.site.has_chains() else None,
-        classification=classification,
-        witnesses=tuple(witnesses),
-        trace=(f"classification: {classification}",),
-    )
+    return CheckReport.on(a.site, depth, classification, witnesses,
+                          (f"classification: {classification}",))
 
 
 @dataclass
@@ -182,18 +178,9 @@ def sheafify(a: Presheaf, depth: int = 6) -> SheafifyResult:
     p1 = plus_sheaf(a, depth)
     p2 = plus_sheaf(p1.presheaf, depth)
     unit = {u: compose(p2.unit[u], p1.unit[u]) for u in a.site.category.objects}
-    r1 = check_sheaf(p1.presheaf, depth)
-    r2 = check_sheaf(p2.presheaf, depth)
-    ok = r1.classification in ("SEPARATED", "SHEAF") and r2.classification == "SHEAF"
-    report = CheckReport(
-        depth=depth if a.site.has_chains() else None,
-        classification="reflection postconditions",
-        witnesses=tuple() if ok else tuple([*r1.witnesses, *r2.witnesses]) or ("postcondition failed",),
-        trace=(
-            f"single plus classification: {r1.classification}",
-            f"double plus classification: {r2.classification}",
-        ),
-    )
+    report = CheckReport.postconditions(
+        "reflection postconditions", check_sheaf(p1.presheaf, depth),
+        check_sheaf(p2.presheaf, depth), ("SEPARATED", "SHEAF"), "SHEAF")
     return SheafifyResult(p2.presheaf, unit, report, p1, p2)
 
 

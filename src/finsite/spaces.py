@@ -94,6 +94,9 @@ def _inclusion(src: frozenset, dst: frozenset) -> str:
 # any 10-point space has, which admits the 12-point fence (377 opens) but not
 # the 11-point antichain (2,048)
 MAX_OPENS = 2 ** 10
+# and so are the declared covers of each open: the 8-point fence's largest
+# open has 36,555, the 6-point antichain's top open far more
+MAX_COVERS = 2 ** 16
 
 
 def open_site(space: FiniteSpace, cover_policy: str = "all-irredundant",
@@ -174,6 +177,8 @@ def _covering_families(space, opens, u, policy):
     def extend(i, chosen, covered):
         if chosen and covered == u:
             out.append(tuple(sorted(chosen, key=sorted)))
+            if len(out) > MAX_COVERS:
+                raise SiteError(f"open {open_label(u)} exceeds the cover bound ({MAX_COVERS})")
         for j in range(i, len(nonempty)):
             if covered | reach[j] != u:
                 return

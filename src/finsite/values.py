@@ -764,12 +764,9 @@ def finite_limit(diagram: FiniteDiagram, category: str | None = None) -> LimitRe
     delta = FinAbMap(prod, tgt, intmat.freeze(rows))
     k, incl = kernel(delta)
     cone = {}
-    for u in nodes:
-        mtx = [[0] * total for _ in range(diagram.nodes[u].rank)]
-        for i in range(diagram.nodes[u].rank):
-            mtx[i][offsets[u] + i] = 1
-        proj = FinAbMap(prod, diagram.nodes[u], intmat.freeze(mtx))
-        cone[u] = compose(proj, incl)
+    for u in nodes:  # the projection after the inclusion: the inclusion's rows in u's block
+        x = diagram.nodes[u]
+        cone[u] = FinAbMap(k, x, incl.matrix[offsets[u]:offsets[u] + x.rank])
     return LimitResult(k, cone, incl=incl, product=prod)
 
 
