@@ -36,10 +36,9 @@ class FiniteCategory:
     identity: Mapping[str, str]
     composition: Mapping[tuple[str, str], str]
     _by_id: Mapping[str, Morphism] = field(init=False, repr=False, compare=False)
-    # morphisms by dst, by src and (built on first use) by (src, dst), each in
-    # `morphisms` order
-    _into: Mapping[str, tuple[Morphism, ...]] = field(init=False, repr=False, compare=False)
-    _out_of: Mapping[str, tuple[Morphism, ...]] = field(init=False, repr=False, compare=False)
+    # morphisms by dst and by src (shared with a lazy table) and by (src, dst),
+    # each in `morphisms` order and built on first use
+    _arrows: _ArrowIndex = field(init=False, repr=False, compare=False)
     _hom: Mapping[tuple[str, str], tuple[Morphism, ...]] | None = field(
         default=None, init=False, repr=False, compare=False)
     thin: bool = field(init=False, repr=False, compare=False)
@@ -47,18 +46,14 @@ class FiniteCategory:
     def __post_init__(self):
         objects = set(self.objects)
         by_id = {}
-        into, out_of = {}, {}
         for m in self.morphisms:
             if m.id in by_id:
                 raise InvalidCategory(f"duplicate morphism id {m.id!r}")
             if m.src not in objects or m.dst not in objects:
                 raise InvalidCategory(f"morphism {m.id!r} has unknown endpoint")
             by_id[m.id] = m
-            into.setdefault(m.dst, []).append(m)
-            out_of.setdefault(m.src, []).append(m)
         object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_into", {u: tuple(ms) for u, ms in into.items()})
-        object.__setattr__(self, "_out_of", {u: tuple(ms) for u, ms in out_of.items()})
+        object.__setattr__(self, "_arrows", _ArrowIndex(self.morphisms))
         for u in self.objects:
             i = self.identity.get(u)
             if i is None or i not in by_id:
@@ -97,10 +92,10 @@ class FiniteCategory:
         return self.identity[u]
 
     def into(self, u: str) -> tuple[Morphism, ...]:
-        return self._into.get(u, ())
+        return self._arrows.ready().into.get(u, ())
 
     def out_of(self, u: str) -> tuple[Morphism, ...]:
-        return self._out_of.get(u, ())
+        return self._arrows.ready().out_of.get(u, ())
 
     def hom(self, src: str, dst: str) -> tuple[Morphism, ...]:
         """The morphisms src -> dst, in `morphisms` order."""
@@ -116,7 +111,7 @@ class FiniteCategory:
     def check_axioms(self) -> list[str]:
         """Exhaustive associativity/identity/totality check; returns failure strings.
 
-        Totality walks the composable pairs through `_out_of`, and each key of
+        Totality walks the composable pairs by source, and each key of
         the composition table is checked for composability once; failures
         come in (f, g) order, f first, each in `morphisms` order.  A key with
         an identity factor must hold what `compose`'s identity rule answers.
@@ -138,9 +133,10 @@ class FiniteCategory:
                 found.append((at, f"left identity fails on {f_id}"))
             elif f_id in ids and gf != g_id:
                 found.append((at, f"right identity fails on {g_id}"))
+        out_of = self._arrows.ready().out_of
         comp = {}
         for i, f in enumerate(self.morphisms):
-            for g in self._out_of.get(f.dst, ()):
+            for g in out_of.get(f.dst, ()):
                 try:
                     gf = comp[g.id, f.id] = self.compose(g.id, f.id)
                 except InvalidCategory:
@@ -158,11 +154,11 @@ class FiniteCategory:
         for f in self.morphisms:
             if f.id in ids:
                 continue
-            for g in self._out_of.get(f.dst, ()):
+            for g in out_of.get(f.dst, ()):
                 if g.id in ids:
                     continue
                 gf = comp[g.id, f.id]
-                for h in self._out_of.get(g.dst, ()):
+                for h in out_of.get(g.dst, ()):
                     if h.id not in ids and comp[h.id, gf] != comp[comp[h.id, g.id], f.id]:
                         bad.append(f"associativity fails on ({h.id},{g.id},{f.id})")
         return bad
@@ -177,12 +173,13 @@ class FiniteCategory:
         src(f); failures come in (f, g) order, each in `morphisms` order."""
         bad = [f"thin category has parallel morphisms {ms[0].id},{m.id}"
                for ms in (self._hom or self._index_hom()).values() for m in ms[1:]]
-        above = {u: {m.dst for m in ms} for u, ms in self._out_of.items()}
+        out_of = self._arrows.ready().out_of
+        above = {u: {m.dst for m in ms} for u, ms in out_of.items()}
         for f in self.morphisms:
             ups = above[f.src]
             if not above[f.dst] <= ups:
                 bad.extend(f"composition missing on ({g.id},{f.id})"
-                           for g in self._out_of[f.dst] if g.dst not in ups)
+                           for g in out_of[f.dst] if g.dst not in ups)
         return bad
 
 
@@ -199,25 +196,53 @@ def order_closure(elements, pairs) -> set[tuple[str, str]]:
     return {(a, b) for a, ups in above.items() for b in ups}
 
 
+class _ArrowIndex:
+    """A category's morphisms by dst (`into`) and by src (`out_of`), each in
+    `morphisms` order, built together on first use: an engine path that
+    reads a comma category only through `objects`, `morphisms` and
+    `morphism()` never builds them.  The category and its lazy table share
+    one index, which holds the morphisms and not the category."""
+
+    __slots__ = ("morphisms", "into", "out_of")
+
+    def __init__(self, morphisms: tuple[Morphism, ...]):
+        self.morphisms, self.into, self.out_of = morphisms, None, None
+
+    def ready(self) -> _ArrowIndex:
+        """This index, its two maps built on the first call."""
+        if self.into is None:
+            into, out_of = {}, {}
+            for m in self.morphisms:
+                into.setdefault(m.dst, []).append(m)
+                out_of.setdefault(m.src, []).append(m)
+            self.into = {u: tuple(ms) for u, ms in into.items()}
+            self.out_of = {u: tuple(ms) for u, ms in out_of.items()}
+        return self
+
+
 class _LazyComposition(Mapping):
     """A composition table computed on demand from its category's indexes.
 
     The category binds its table once built (`FiniteCategory.__post_init__`).
     The table holds the indexes, not the category: without a reference cycle
-    a dropped site frees its categories at once.  Keys iterate in the order
-    an eager table would list them: for each morphism g, every f into src(g).
+    a dropped site frees its categories at once.  It shares the category's
+    `_ArrowIndex`, so whichever of the two reads it first builds it for both.
+    Keys iterate in the order an eager table would list them: for each
+    morphism g, every f into src(g).
     """
 
     def _bind(self, cat: FiniteCategory):
-        self._by_id, self._into, self._morphisms = cat._by_id, cat._into, cat.morphisms
+        self._by_id, self._arrows = cat._by_id, cat._arrows
 
     def __iter__(self):
-        for g in self._morphisms:
-            for f in self._into.get(g.src, ()):
+        into = self._arrows.ready().into
+        for g in self._arrows.morphisms:
+            for f in into.get(g.src, ()):
                 yield g.id, f.id
 
     def __len__(self):
-        return sum(len(self._into.get(g.src, ())) for g in self._morphisms)
+        into = self._arrows.ready().into
+        return sum(len(into.get(g.src, ())) for g in self._arrows.morphisms)
 
 
 class _ThinComposition(_LazyComposition):
@@ -229,7 +254,7 @@ class _ThinComposition(_LazyComposition):
         g, f = key
         mg, mf = self._by_id[g], self._by_id[f]
         if mf.dst == mg.src:
-            for m in self._into.get(mg.dst, ()):
+            for m in self._arrows.ready().into.get(mg.dst, ()):
                 if m.src == mf.src:
                     return m.id
         raise KeyError(key)
@@ -345,9 +370,10 @@ class SiteSpec:
     # in their points are equal
     points: tuple[PointFilter, ...] = field(default=(), compare=False)
     # sieve_from_cover results by cover key, refinement_search results by
-    # argument, comma_of_sieve results and their opposites (see
-    # sheaf.hom_with_sieve) by sieve, and common-refinement sieves by object;
-    # a pickled copy starts with all five empty
+    # argument, comma_of_sieve results with their base ids (one (comma,
+    # bases) entry) and their opposites (see sheaf.hom_with_sieve) by sieve,
+    # and common-refinement sieves by object; a pickled copy starts with all
+    # five empty
     _sieves: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _refinements: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _commas: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -396,26 +422,22 @@ def _generated_sieve(cat: FiniteCategory, cover: Cover) -> Sieve:
 class _CommaComposition(_LazyComposition):
     """The composition table of a comma category, read off the base category.
 
-    A comma morphism `b|m1>m2` names its base morphism b, so g∘f is the comma
-    morphism over b_g∘b_f from src(f) to dst(g): no table is stored."""
+    A comma morphism `b|m1>m2` lies over the base morphism b, recorded in
+    `base_of` when the comma is built, so g∘f is the comma morphism over
+    b_g∘b_f from src(f) to dst(g): no table is stored."""
 
-    def __init__(self, base: FiniteCategory):
-        self._base = base
+    def __init__(self, base: FiniteCategory, base_of: Mapping[str, str]):
+        self._base, self._base_of = base, base_of
 
     def __getitem__(self, key):
         g, f = key
         mg, mf = self._by_id[g], self._by_id[f]
         if mf.dst != mg.src:
             raise KeyError(key)
-        out = f"{self._base.compose(_comma_base(mg), _comma_base(mf))}|{mf.src}>{mg.dst}"
+        out = f"{self._base.compose(self._base_of[g], self._base_of[f])}|{mf.src}>{mg.dst}"
         if out not in self._by_id:
             raise KeyError(key)
         return out
-
-
-def _comma_base(m: Morphism) -> str:
-    """The base morphism b of a comma morphism `b|m1>m2`."""
-    return m.id[:len(m.id) - len(m.src) - len(m.dst) - 2]
 
 
 def comma_of_sieve(spec: SiteSpec, sieve: Sieve) -> FiniteCategory:
@@ -423,8 +445,21 @@ def comma_of_sieve(spec: SiteSpec, sieve: Sieve) -> FiniteCategory:
 
     Object ids are the member morphism ids; a morphism `b|m1>m2` is a base
     morphism b with member2 ∘ b = member1.  Memoized on the site by
-    (target, members); composites are read off the site category on demand.
+    (target, members), together with its base ids (`_comma_bases`);
+    composites are read off the site category on demand.
     """
+    return _comma_entry(spec, sieve)[0]
+
+
+def _comma_bases(spec: SiteSpec, sieve: Sieve) -> tuple[str, ...]:
+    """The base morphism b of each comma morphism `b|m1>m2` of the sieve's
+    comma category, in its `morphisms` order, as the site's own id strings.
+    The opposite comma keeps these morphism ids in this order, so it reads
+    the same tuple."""
+    return _comma_entry(spec, sieve)[1]
+
+
+def _comma_entry(spec: SiteSpec, sieve: Sieve) -> tuple[FiniteCategory, tuple[str, ...]]:
     key = (sieve.target, sieve.members)
     hit = spec._commas.get(key)
     if hit is None:
@@ -432,8 +467,11 @@ def comma_of_sieve(spec: SiteSpec, sieve: Sieve) -> FiniteCategory:
     return hit
 
 
-def _comma_category(cat: FiniteCategory, sieve: Sieve) -> FiniteCategory:
-    """One pass: for each member m2 and each b into src(m2), m1 = m2∘b is both
+def _comma_category(cat: FiniteCategory, sieve: Sieve) -> tuple[FiniteCategory, tuple[str, ...]]:
+    """The comma category of the sieve and the base id of each of its
+    morphisms, in `morphisms` order.
+
+    One pass: for each member m2 and each b into src(m2), m1 = m2∘b is both
     the sieve's closure-under-precomposition check and the comma morphism
     `b|m1>m2`.  Members are checked in sorted order, every target first.
 
@@ -449,30 +487,36 @@ def _comma_category(cat: FiniteCategory, sieve: Sieve) -> FiniteCategory:
     thin = cat.thin
     member_at = {s: m for m, s in src_of.items()} if thin else None
     identity = {m: f"{cat.identity[src_of[m]]}|{m}>{m}" for m in members}
-    morphisms = []
+    into = cat._arrows.ready().into
+    morphisms, base_of = [], {}
     for m2 in members:
-        for beta in cat._into.get(src_of[m2], ()):
+        for beta in into.get(src_of[m2], ()):
             m1 = member_at.get(beta.src) if thin else cat.compose(m2, beta.id)
             if m1 not in src_of:
                 raise SiteError(f"sieve not closed under precomposition at {m2!r}")
             if src_of[m1] == beta.src:   # else a malformed table: no comma morphism
-                morphisms.append(Morphism(f"{beta.id}|{m1}>{m2}", m1, m2))
+                mid = f"{beta.id}|{m1}>{m2}"
+                morphisms.append(Morphism(mid, m1, m2))
+                base_of[mid] = beta.id
     morphisms.sort(key=lambda m: m.src)   # stable: by m1, then m2, then b
+    morphisms = tuple(morphisms)
+    bases = tuple(base_of[m.id] for m in morphisms)
     if thin:
-        return FiniteCategory(members, tuple(morphisms), identity, _ThinComposition())
-    comma = FiniteCategory(members, tuple(morphisms), identity, _CommaComposition(cat))
+        return FiniteCategory(members, morphisms, identity, _ThinComposition()), bases
+    comma = FiniteCategory(members, morphisms, identity, _CommaComposition(cat, base_of))
     # a pair with an identity factor composes by FiniteCategory.compose's
     # identity rule, never through the table, so only the others are checked
+    comma_into = comma._arrows.ready().into
     for g in comma.morphisms:
         id_g = identity[g.src]
         if g.id != id_g:
-            bg = _comma_base(g)
-            for f in comma._into.get(g.src, ()):
+            bg = base_of[g.id]
+            for f in comma_into.get(g.src, ()):
                 if f.id != id_g:
-                    c = f"{cat.compose(bg, _comma_base(f))}|{f.src}>{g.dst}"
+                    c = f"{cat.compose(bg, base_of[f.id])}|{f.src}>{g.dst}"
                     if not comma.has_morphism(c):
                         raise SiteError(f"comma category not closed: missing {c!r}")
-    return comma
+    return comma, bases
 
 
 def find_refinement(spec: SiteSpec, fine: Cover, coarse: Cover) -> RefinementAssignment | None:

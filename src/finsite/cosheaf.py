@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from . import values
-from .category import (Cover, FiniteCategory, PointFilter, Sieve, SiteSpec, _comma_base,
+from .category import (Cover, FiniteCategory, PointFilter, Sieve, SiteSpec, _comma_bases,
                        _generating_pairs, _refinement, comma_of_sieve, distinct_covers,
                        poset_category, refinement_search, sieve_from_cover, sieve_levels)
 from .errors import EngineError, InsufficientDepth, SiteError
@@ -179,13 +179,13 @@ def tensor_with_sieve(a: Precosheaf, sieve: Sieve) -> TensorResult:
         return hit
     store = a._colimits.setdefault(key, {})
     if sieve.members:
-        comma = comma_of_sieve(a.site, sieve)
+        comma, bases = comma_of_sieve(a.site, sieve), _comma_bases(a.site, sieve)
     else:
-        comma = _shape(())
+        comma, bases = _shape(()), ()
         store.setdefault((), values.initial_colimit(a.category))
     site_cat = a.site.category
     nodes = {m: a.values[site_cat.morphism(m).src] for m in comma.objects}
-    edges = {cm.id: a.action[_comma_base(cm)] for cm in comma.morphisms}
+    edges = {cm.id: a.action[b] for cm, b in zip(comma.morphisms, bases)}
     col = tower_colimit(comma, nodes, edges, a.depth, store, a.category)
     out = TensorResult(col, _map_out(col, a.values[sieve.target],
                                      {m: (a.action[m],) for m in comma.objects}))

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 from . import values
 from .category import (FiniteCategory, Morphism, PointFilter, Sieve, SiteSpec,
-                       _ThinComposition, _comma_base, _generating_pairs, comma_of_sieve,
+                       _ThinComposition, _comma_bases, _generating_pairs, comma_of_sieve,
                        common_sieve, distinct_covers, sieve_from_cover, sieve_levels)
 from .cosheaf import Precosheaf
 from .errors import EngineError, SiteError
@@ -93,7 +93,7 @@ def hom_with_sieve(a: Presheaf, sieve: Sieve) -> HomResult:
             shape = a.site._opposite_commas[key] = opposite_category(comma_of_sieve(a.site, sieve))
         site_cat = a.site.category
         nodes = {m: a.values[site_cat.morphism(m).src] for m in shape.objects}
-        edges = {cm.id: a.action[_comma_base(cm)] for cm in shape.morphisms}
+        edges = {cm.id: a.action[b] for cm, b in zip(shape.morphisms, _comma_bases(a.site, sieve))}
         limit = values.finite_limit(FiniteDiagram(shape, nodes, edges, trusted=True), a.category)
     else:
         limit = values.terminal_limit(a.category)

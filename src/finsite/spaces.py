@@ -172,9 +172,13 @@ def _covering_families(space, opens, u, policy):
     reach = [frozenset()] * (len(nonempty) + 1)
     for i in range(len(nonempty) - 1, -1, -1):
         reach[i] = reach[i + 1] | nonempty[i]
+    # comparable[j]: bit k set when nonempty[k] and nonempty[j] are comparable
+    comparable = [sum(1 << k for k, w in enumerate(nonempty) if v <= w or w <= v)
+                  for v in nonempty]
     out = []
 
-    def extend(i, chosen, covered):
+    def extend(i, chosen, covered, excluded):
+        # excluded: a bit for each open comparable with one already chosen
         if chosen and covered == u:
             out.append(tuple(sorted(chosen, key=sorted)))
             if len(out) > MAX_COVERS:
@@ -182,13 +186,12 @@ def _covering_families(space, opens, u, policy):
         for j in range(i, len(nonempty)):
             if covered | reach[j] != u:
                 return
-            v = nonempty[j]
-            if not any(v <= w or w <= v for w in chosen):
-                chosen.append(v)
-                extend(j + 1, chosen, covered | v)
+            if not excluded >> j & 1:
+                chosen.append(nonempty[j])
+                extend(j + 1, chosen, covered | nonempty[j], excluded | comparable[j])
                 chosen.pop()
 
-    extend(0, [], frozenset())
+    extend(0, [], frozenset(), 0)
     out.sort(key=lambda fam: (len(fam), [sorted(v) for v in fam]))
     return out
 

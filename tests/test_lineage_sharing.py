@@ -7,12 +7,14 @@ plus keep one store of them.  Each test pins the shared result to what the
 unshared construction gives, or pins who may share with whom.
 """
 
+import gc
 import itertools
 import os
 import pickle
 import random
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -20,13 +22,14 @@ import pytest
 import finsite
 from finsite import towers, values
 from finsite.category import (Cover, Coverage, FiniteCategory, Morphism, Sieve, SiteSpec,
-                              comma_of_sieve, generated_sieves, poset_category)
+                              _comma_bases, comma_of_sieve, generated_sieves, poset_category)
 from finsite.cosheaf import (constant_precosheaf, cosheafify, plus_cosheaf,
                              tensor_with_sieve, truncate_precosheaf)
 from finsite.errors import EngineError, SiteError
 from finsite.randsuite import random_site
 from finsite.sheaf import Presheaf, hom_with_sieve, opposite_category
-from finsite.spaces import FiniteSpace, converging_sequence_site, open_site, site_points
+from finsite.spaces import (FiniteSpace, converging_sequence_site, open_site, pseudocircle,
+                            site_points)
 from finsite.towers import LevelMorphism, Tower, is_iso_at_depth, tower_colimit
 from finsite.values import FINSET, finset, finset_map, free_ab, hom_set
 
@@ -132,6 +135,16 @@ def _assert_eager(spec, sieve):
     assert list(comma.composition) == list(comp)
     assert dict(comma.composition) == comp
     assert comma.check_axioms() == []
+    # the arrow index, built on first use, scans `morphisms` in order
+    for u in comma.objects:
+        assert comma.into(u) == tuple(m for m in comma.morphisms if m.dst == u)
+        assert comma.out_of(u) == tuple(m for m in comma.morphisms if m.src == u)
+    # one base id per comma morphism, in order, each the site's own id string
+    bases = _comma_bases(spec, sieve)
+    assert len(bases) == len(comma.morphisms)
+    for m, b in zip(comma.morphisms, bases):
+        assert m.id == f"{b}|{m.src}>{m.dst}"
+        assert spec.category.morphism(b).id is b
     return comma
 
 
@@ -198,6 +211,36 @@ def test_comma_skips_a_composite_with_the_wrong_source():
                          {"t": "1t", "x": "1x", "y": "1y"}, {("p", "r"): "p"})
     comma = _assert_eager(SiteSpec(cat, Coverage({})), Sieve("t", frozenset({"p", "q"})))
     assert [m.id for m in comma.morphisms] == ["1x|p>p", "1y|q>q"]
+
+
+def _open_site_sieves():
+    spec = open_site(pseudocircle())
+    return spec, _nonempty_sieves(spec, 0)
+
+
+def _monoid_sieves():
+    spec = SiteSpec(_idempotent_monoid(), Coverage({}))
+    return spec, _all_sieves(spec.category, "*")
+
+
+@pytest.mark.parametrize("build", [_open_site_sieves, _monoid_sieves])
+def test_a_dropped_site_frees_its_categories_without_the_collector(build):
+    # a lazy table holds its category's indexes, never the category, so
+    # reference counting alone frees a site once it is dropped
+    gc.disable()
+    try:
+        spec, sieves = build()
+        a = constant_precosheaf(spec, free_ab(1), 0)
+        commas = [comma_of_sieve(spec, s) for s in sieves]
+        for s in sieves:
+            tensor_with_sieve(a, s)
+        assert spec.category.check_axioms() == []
+        assert all(comma.check_axioms() == [] for comma in commas)
+        refs = [weakref.ref(spec.category), weakref.ref(commas[-1])]
+        del spec, sieves, a, commas
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
 
 
 def _spaces():

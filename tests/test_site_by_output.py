@@ -332,6 +332,18 @@ def test_a_pickled_site_starts_with_every_memo_empty():
     assert all(getattr(spec, name) for name in memos)   # the original keeps them
 
 
+def test_cosheafify_and_sheafify_build_no_comma_arrow_index():
+    # tensors and Hom-with-sieve read a comma only through its objects,
+    # morphisms and recorded base ids, so `into`/`out_of` are never built
+    spec = _pseudocircle_site()
+    sheafify(_constant_presheaf(spec))
+    cosheafify(constant_precosheaf(spec, free_ab(1), 0, site_points(spec)), 0)
+    shapes = [comma for comma, _ in spec._commas.values()] + list(spec._opposite_commas.values())
+    assert spec._commas and spec._opposite_commas
+    assert all(shape._arrows.into is None for shape in shapes)
+    assert spec.category._arrows.into is not None
+
+
 # ---------------------------------------------------------------------------
 # one empty colimit and one empty limit per value category
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 from finsite import intmat  # noqa: E402
 from finsite.category import comma_of_sieve, generated_sieves, poset_category  # noqa: E402
-from finsite.cosheaf import _comma_base  # noqa: E402
+from finsite.category import _comma_bases  # noqa: E402
 from finsite.randsuite import random_finab_precosheaf, random_site  # noqa: E402
 from finsite.spaces import converging_sequence_site  # noqa: E402
 from finsite.values import (FINAB, FinAbMap, FinAbObj, FiniteDiagram,  # noqa: E402
@@ -227,7 +227,7 @@ def _randsuite_colimits():
                 comma = comma_of_sieve(spec, sieve)
                 cat = spec.category
                 nodes = {m: a.values[cat.morphism(m).src].levels[0] for m in comma.objects}
-                edges = {cm.id: a.action[_comma_base(cm)].components[0] for cm in comma.morphisms}
+                edges = {cm.id: a.action[b].components[0] for cm, b in zip(comma.morphisms, _comma_bases(spec, sieve))}
                 yield FiniteDiagram(comma, nodes, edges)
 
 
