@@ -98,7 +98,7 @@ def precosheaf_from_tables(site: SiteSpec, category: str, value_tables: Mapping,
             f = raw if isinstance(raw, FinSetMap) else values.finset_map(objs[m.src], objs[m.dst], raw)
         else:
             f = raw if isinstance(raw, FinAbMap) else values.finab_map(objs[m.src], objs[m.dst], raw)
-        action[m.id] = LevelMorphism.strict(towers[m.src], towers[m.dst], (f,) * (depth + 1))
+        action[m.id] = LevelMorphism(towers[m.src], towers[m.dst], (f,) * (depth + 1))
     return Precosheaf(site, category, depth, towers, action, points)
 
 
@@ -154,18 +154,17 @@ class TensorResult:
 
 
 def _map_out(col: TowerColimit, dst: Tower, routes) -> LevelMorphism:
-    """Strict tower map out of a tower colimit of strict edges, from one
-    chain of level morphisms per node into dst (listed in the order they
-    apply; the composite of each is never built).  Components follow
-    `towers._levelwise`, keyed by the colimit level, the target level and
-    the chain components."""
-    chains = [[chain_components(chain, j)[1] for chain in routes.values()]
+    """Tower map out of a tower colimit, from one chain of level morphisms
+    per node into dst (listed in the order they apply; the composite of each
+    is never built).  Components follow `towers._levelwise`, keyed by the
+    colimit level, the target level and the chain components."""
+    chains = [[chain_components(chain, j) for chain in routes.values()]
               for j in range(len(col.levels))]
     comps = _levelwise(
         ((colim, dst.levels[j], *(f for c in chains[j] for f in c))
          for j, colim in enumerate(col.levels)),
         lambda j: out_map(col.levels[j], dict(zip(routes, chains[j])), dst.levels[j]))
-    return LevelMorphism.strict(col.tower, dst, tuple(comps))
+    return LevelMorphism(col.tower, dst, tuple(comps))
 
 
 def tensor_with_sieve(a: Precosheaf, sieve: Sieve) -> TensorResult:
@@ -346,8 +345,8 @@ def truncate_precosheaf(a: Precosheaf, depth: int) -> Precosheaf:
     action = {}
     for mid, lm in a.action.items():
         m = a.site.category.morphism(mid)
-        action[mid] = LevelMorphism.strict(towers[m.src], towers[m.dst],
-                                           lm.components[: depth + 1])
+        action[mid] = LevelMorphism(towers[m.src], towers[m.dst],
+                                    lm.components[: depth + 1])
     return Precosheaf(a.site, a.category, depth, towers, action, a.points,
                       _colimits=a._colimits)
 
@@ -388,7 +387,7 @@ def plus_cosheaf(a: Precosheaf, depth: int | None = None) -> PlusResult:
         comps = tuple(tensors[u][p].compare.components[p] if p == k else
                       compose(t.bond_composite(p, k), tensors[u][p].compare.components[p])
                       for k, p in enumerate(phi))
-        counit_components[u] = LevelMorphism.strict(plus.values[u], t, comps)
+        counit_components[u] = LevelMorphism(plus.values[u], t, comps)
     counit = PrecosheafMorphism(plus, a, counit_components)
     return PlusResult(plus, counit, sieves, phi)
 
@@ -432,7 +431,7 @@ def _normalize_with_reindex(a, sieves, shifts):
         comps = _levelwise(
             ((src_at[p].colimit.levels[p], dst_at[p].colimit.levels[p]) for p in phi),
             lambda j: _pushforward(a, src_at[phi[j]], dst_at[phi[j]], m.id, phi[j]))
-        action[m.id] = LevelMorphism.strict(towers[m.src], towers[m.dst], comps)
+        action[m.id] = LevelMorphism(towers[m.src], towers[m.dst], tuple(comps))
     return (Precosheaf(a.site, a.category, a.depth, towers, action, a.points,
                        _colimits=a._colimits), phi, tensors)
 
@@ -453,9 +452,9 @@ def plus_map(f: PrecosheafMorphism, plus_src: PlusResult, plus_dst: PlusResult) 
                     dst_t.colimit.levels[p].cocone[g])
                 for g in sorted(s.members)}
             per_level[p] = out_map(src_t.colimit.levels[p], node_maps, dst_t.tower.levels[p])
-        comps[u] = LevelMorphism.strict(plus_src.precosheaf.values[u],
-                                        plus_dst.precosheaf.values[u],
-                                        tuple(per_level[p] for p in plus_src.phi))
+        comps[u] = LevelMorphism(plus_src.precosheaf.values[u],
+                                 plus_dst.precosheaf.values[u],
+                                 tuple(per_level[p] for p in plus_src.phi))
     return PrecosheafMorphism(plus_src.precosheaf, plus_dst.precosheaf, comps)
 
 
@@ -514,7 +513,7 @@ def costalk_map(f: PrecosheafMorphism, p: PointFilter, depth: int | None = None)
     src = costalk(f.src, p, d)
     dst = costalk(f.dst, p, d)
     comps = tuple(f.components[chain[k]].components[k] for k in range(d + 1))
-    return LevelMorphism.strict(src, dst, comps)
+    return LevelMorphism(src, dst, comps)
 
 
 def strong_local_iso_check(f: PrecosheafMorphism, points, depth: int | None = None) -> CheckReport:
@@ -574,9 +573,9 @@ def is_smooth(a: Precosheaf, depth: int | None = None) -> CheckReport:
 
 
 def invert_counit(result: PlusResult | CosheafifyResult) -> PrecosheafMorphism:
-    """Exact inverse of a levelwise isomorphic counit (counits are strict)."""
+    """Exact inverse of a levelwise isomorphic counit."""
     counit = result.counit
-    comps = {u: LevelMorphism.strict(lm.dst, lm.src, tuple(map(values.inverse, lm.components)))
+    comps = {u: LevelMorphism(lm.dst, lm.src, tuple(map(values.inverse, lm.components)))
              for u, lm in counit.components.items()}
     return PrecosheafMorphism(counit.dst, counit.src, comps)
 
@@ -603,7 +602,7 @@ def enumerate_natural_transformations(b: Precosheaf, a: Precosheaf) -> list[Prec
         if not natural:
             continue
         comps = {
-            u: LevelMorphism.strict(
+            u: LevelMorphism(
                 b.values[u], a.values[u],
                 tuple(comp0[u] for _ in range(b.depth + 1)))
             for u in objs
@@ -682,7 +681,7 @@ def coproduct(a: Precosheaf, b: Precosheaf) -> Precosheaf:
     action = {}
     for m in a.site.category.morphisms:
         src, dst = sums[m.src], sums[m.dst]
-        action[m.id] = LevelMorphism.strict(src.tower, dst.tower, tuple(
+        action[m.id] = LevelMorphism(src.tower, dst.tower, tuple(
             out_map(s, {"a": (a.action[m.id].components[j], t.cocone["a"]),
                         "b": (b.action[m.id].components[j], t.cocone["b"])}, t.obj)
             for j, (s, t) in enumerate(zip(src.levels, dst.levels))))
@@ -721,7 +720,7 @@ def _objectwise(f: PrecosheafMorphism, part, carrier: Precosheaf, induced) -> Pr
     action = {}
     for m in site.category.morphisms:
         src, dst = towers[m.src], towers[m.dst]
-        action[m.id] = LevelMorphism.strict(src, dst, tuple(
+        action[m.id] = LevelMorphism(src, dst, tuple(
             FinAbMap(src.levels[j], dst.levels[j],
                      induced(carrier.action[m.id].components[j], maps[m.src][j], maps[m.dst][j]))
             for j in range(d + 1)))

@@ -315,7 +315,8 @@ def _tower_doc(t: Tower) -> dict:
 
 
 def _level_morphism_doc(lm: LevelMorphism) -> dict:
-    return {"shift": list(lm.shift), "components": [_map_doc(c) for c in lm.components]}
+    return {"shift": list(range(len(lm.components))),
+            "components": [_map_doc(c) for c in lm.components]}
 
 
 def _precosheaf_doc(a: Precosheaf) -> dict:
@@ -484,7 +485,7 @@ def _tower_precosheaf_from(site, category, vals_raw, action_raw, doc) -> Precosh
                       category, f"{ptr}/components/{j}")
             for j, c in enumerate(raw["components"])
         )
-        action[m.id] = LevelMorphism.strict(towers[m.src], towers[m.dst], comps)
+        action[m.id] = LevelMorphism(towers[m.src], towers[m.dst], comps)
     return Precosheaf(site, category, depth, towers, action, site.points)
 
 

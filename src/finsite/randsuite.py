@@ -137,7 +137,7 @@ def _diagonal(src: Precosheaf, dst: Precosheaf, n: int, depth: int) -> Precoshea
         gs, gd = src.values[u].levels[0], dst.values[u].levels[0]
         mtx = [[n if i == j else 0 for j in range(gs.rank)] for i in range(gd.rank)]
         f = values.finab_map(gs, gd, mtx)
-        comps[u] = LevelMorphism.strict(src.values[u], dst.values[u], (f,) * (depth + 1))
+        comps[u] = LevelMorphism(src.values[u], dst.values[u], (f,) * (depth + 1))
     return PrecosheafMorphism(src, dst, comps)
 
 

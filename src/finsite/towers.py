@@ -1,11 +1,14 @@
 """Towers (inverse sequences) over the value categories and their
 depth-qualified decision procedures.
 
-A tower X has levels X_0 .. X_d and bonds X_{k+1} -> X_k.  Every verdict
-here is relative to the truncation at the working depth, and says so.  The
-iso and rudimentary verdicts are one algorithm for both value categories:
-the category-specific facts are the value layer's kernel and image tests
-on chains of bonds (`values.kills_kernel`, `values.lands_in_image`) and
+A tower X has levels X_0 .. X_d and bonds X_{k+1} -> X_k.  A morphism of
+towers is a level morphism, component j mapping X_j to Y_j: once its source
+is reindexed, every morphism of pro-objects has that form (Mardešić and
+Segal, *Shape Theory*, ch. II).  Every verdict here is relative to the
+truncation at the working depth, and says so.  The iso and rudimentary
+verdicts are one algorithm for both value categories: the category-specific
+facts are the value layer's kernel and image tests on chains of bonds
+(`values.kills_kernel`, `values.lands_in_image`) and
 `values.image_invariants`.  Only report wording, the pro-hom enumeration
 and the epi witnesses differ by category.
 """
@@ -13,7 +16,6 @@ and the epi witnesses differ by category.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import is_
 from typing import Mapping
 
@@ -85,13 +87,6 @@ class Tower:
         return Tower((obj,) * (depth + 1), (identity_map(obj),) * depth)
 
 
-@lru_cache(maxsize=64)
-def _strict_shift(length: int) -> tuple[int, ...]:
-    """The shift of every strict level morphism into a tower of depth
-    length - 1, as one shared tuple."""
-    return tuple(range(length))
-
-
 def _levelwise(keys, build) -> list:
     """build(j) for each level j, except that a level whose key objects are
     all the very objects (`is`) of the previous level's key takes the
@@ -107,30 +102,25 @@ def _levelwise(keys, build) -> list:
 
 @dataclass(frozen=True)
 class LevelMorphism:
-    """A morphism of towers: components f_j : X_{shift[j]} -> Y_j with
-    commuting squares.  shift is nondecreasing; strict morphisms have
-    shift[j] == j."""
+    """A morphism of towers: components f_j : X_j -> Y_j, one per target
+    level, with commuting squares.  The source may be deeper than the target."""
 
     src: Tower
     dst: Tower
-    shift: tuple[int, ...]
     components: tuple
 
     def __post_init__(self):
         d = self.dst.depth
-        if len(self.shift) != d + 1 or len(self.components) != d + 1:
-            raise EngineError("one shift and one component per target level")
-        for j in range(d):
-            if self.shift[j] > self.shift[j + 1]:
-                raise EngineError("shift must be nondecreasing")
-        if self.shift[-1] > self.src.depth:
-            raise EngineError("shift exceeds the source depth")
+        if len(self.components) != d + 1:
+            raise EngineError("one component per target level")
+        if self.src.depth < d:
+            raise EngineError("the source is shallower than the target")
         for j, f in enumerate(self.components):
-            src, dst = self.src.levels[self.shift[j]], self.dst.levels[j]
+            src, dst = self.src.levels[j], self.dst.levels[j]
             if (f.src is not src and f.src != src) or (f.dst is not dst and f.dst != dst):
                 raise EngineError(f"component {j} has wrong endpoints")
-        squares = [(self.components[j], self.src.bond_composite(self.shift[j + 1], self.shift[j]),
-                    self.dst.bonds[j], self.components[j + 1]) for j in range(d)]
+        squares = [(self.components[j], self.src.bonds[j], self.dst.bonds[j], self.components[j + 1])
+                   for j in range(d)]
 
         def decide(j):
             if not commutes(*squares[j]):
@@ -138,30 +128,19 @@ class LevelMorphism:
         _levelwise(squares, decide)
 
     @staticmethod
-    def strict(src: Tower, dst: Tower, components) -> "LevelMorphism":
-        return LevelMorphism(src, dst, _strict_shift(dst.depth + 1), tuple(components))
-
-    @staticmethod
     def identity(t: Tower) -> "LevelMorphism":
-        return LevelMorphism.strict(t, t, tuple(identity_map(x) for x in t.levels))
-
-    def is_strict(self) -> bool:
-        return self.shift == _strict_shift(len(self.shift))
+        return LevelMorphism(t, t, tuple(identity_map(x) for x in t.levels))
 
     def component_from_depth(self, j: int):
         """The canonical representative X_depth -> Y_j."""
-        return compose(self.components[j], self.src.bond_composite(self.src.depth, self.shift[j]))
+        return compose(self.components[j], self.src.bond_composite(self.src.depth, j))
 
     def then(self, other: "LevelMorphism") -> "LevelMorphism":
         """other ∘ self."""
         if self.dst is not other.src and self.dst != other.src:
             raise EngineError("level morphisms are not composable")
-        shift = tuple(self.shift[other.shift[j]] for j in range(other.dst.depth + 1))
-        comps = tuple(
-            compose(other.components[j], self.components[other.shift[j]])
-            for j in range(other.dst.depth + 1)
-        )
-        return LevelMorphism(self.src, other.dst, shift, comps)
+        return LevelMorphism(self.src, other.dst,
+                             tuple(map(compose, other.components, self.components)))
 
 
 def equal_at_depth(f: LevelMorphism, g: LevelMorphism, depth: int | None = None) -> bool:
@@ -170,16 +149,10 @@ def equal_at_depth(f: LevelMorphism, g: LevelMorphism, depth: int | None = None)
 
 
 def chain_components(chain, j: int):
-    """The source level of a chain's composite at target level j, and the
-    components that composite passes through there, in the order they apply.
-
-    The chain lists its level morphisms in the order they apply; the result
-    is what `then` would give at level j, without building it."""
-    maps = []
-    for lm in reversed(chain):
-        maps.append(lm.components[j])
-        j = lm.shift[j]
-    return j, tuple(reversed(maps))
+    """The components at level j of a chain of level morphisms, listed in the
+    order they apply: their composite is what `then` would give at level j,
+    without building it."""
+    return tuple(lm.components[j] for lm in chain)
 
 
 def _chain_ends(chain, src: Tower):
@@ -201,39 +174,38 @@ def chains_equal_at_depth(first, second, depth: int | None = None) -> bool:
 
     One level decides.  Write rep_j for a chain's representative X_top -> Y_j
     at level j.  Every level morphism's squares commute (its constructor
-    checks each one), and the composite of level morphisms, shifted ones
-    too, keeps commuting squares; so rep_j = Y.bond_j ∘ rep_{j+1}, and two
-    chains whose representatives agree at level d agree at every level
-    below it.  For abelian values they agree modulo the relations of Y_d,
-    and the bonds are well defined on the quotients, so modulo those of
-    every Y_j."""
+    checks each one), and the composite of level morphisms keeps commuting
+    squares; so rep_j = Y.bond_j ∘ rep_{j+1}, and two chains whose
+    representatives agree at level d agree at every level below it.  For
+    abelian values they agree modulo the relations of Y_d, and the bonds are
+    well defined on the quotients, so modulo those of every Y_j."""
     src = (first or second)[0].src
     ends = _chain_ends(first, src)
     if ends != _chain_ends(second, src):
         raise EngineError("endpoint mismatch")
     d = ends[1].depth if depth is None else min(depth, ends[1].depth)
-    top = src.depth
-    i, left = chain_components(first, d)
-    k, right = chain_components(second, d)
-    return chains_equal((src.bond_composite(top, i), *left),
-                        (src.bond_composite(top, k), *right))
+    down = src.bond_composite(src.depth, d)
+    return chains_equal((down, *chain_components(first, d)), (down, *chain_components(second, d)))
 
 
 def pro_hom_at_depth(x: Tower, y: Tower, depth: int) -> tuple[LevelMorphism, ...]:
-    """Representatives of tower morphisms x -> y modulo bond-equalization,
-    with all shifts pushed to `depth`.  Finite sets only."""
+    """Representatives of tower morphisms x -> y modulo bond-equalization at
+    the working depth d, the least of `depth` and both tower depths: level
+    morphisms from the constant tower on X_d (x reindexed at d, pro-isomorphic
+    to x truncated at d) into y truncated at d.  Representatives of two calls
+    do not compose.  Finite sets only."""
     if x.category() != FINSET or y.category() != FINSET:
         raise EngineError("non-enumerable hom; use matrix predicates instead")
     d = min(depth, x.depth, y.depth)
     xd = x.levels[d]
-    trunc_x, trunc_y = x.reindexed(range(d + 1)), y.reindexed(range(d + 1))
+    at_d, trunc_y = x.reindexed((d,) * (d + 1)), y.reindexed(range(d + 1))
     out = []
     for top in values.hom_set(xd, y.levels[d]):
         comps = [None] * (d + 1)
         comps[d] = top
         for j in range(d - 1, -1, -1):
             comps[j] = compose(y.bonds[j], comps[j + 1])
-        out.append(LevelMorphism(trunc_x, trunc_y, (d,) * (d + 1), tuple(comps)))
+        out.append(LevelMorphism(at_d, trunc_y, tuple(comps)))
     return tuple(out)
 
 
@@ -251,19 +223,14 @@ class IsoVerdict:
         return "ISO" if self.iso else "NOT-ISO-AT-DEPTH"
 
 
-def _strict_at_depth(f: LevelMorphism, depth: int | None) -> LevelMorphism:
-    """The strict form of f at its working depth d, the least of `depth` and
-    both tower depths: source level j becomes level t(j) = max(j, shift[j]),
-    component j is precomposed with the source bonds from t(j) down to
-    shift[j], and the target is truncated at d.  A strict f between towers of
-    depth d is its own strict form."""
-    d = min(f.src.depth, f.dst.depth, f.dst.depth if depth is None else depth)
-    if f.src.depth == d == f.dst.depth and f.is_strict():
+def _truncated(f: LevelMorphism, depth: int | None) -> LevelMorphism:
+    """f truncated at its working depth d, the least of `depth` and the
+    target depth: both towers and the components up to level d."""
+    d = f.dst.depth if depth is None else min(depth, f.dst.depth)
+    if f.src.depth == d == f.dst.depth:
         return f
-    t = tuple(max(j, f.shift[j]) for j in range(d + 1))
-    comps = tuple(c if s == k else compose(c, f.src.bond_composite(k, s))
-                  for c, s, k in zip(f.components, f.shift, t))
-    return LevelMorphism.strict(f.src.reindexed(t), f.dst.reindexed(range(d + 1)), comps)
+    return LevelMorphism(f.src.reindexed(range(d + 1)), f.dst.reindexed(range(d + 1)),
+                         f.components[:d + 1])
 
 
 def _least_levels(d: int, ceiling: int, holds):
@@ -303,10 +270,10 @@ def is_iso_at_depth(f: LevelMorphism, depth: int | None = None, margin: int = 2)
     cokernel towers pro-zero, and the kernel is decided first.  On the
     margin levels the image condition needs no headroom: whatever survives
     the target bonds from the deepest level must already be hit.  It decides
-    on the strict form of f at the working depth, the least of `depth` and
+    on the truncation of f at the working depth, the least of `depth` and
     both tower depths.
     """
-    f = _strict_at_depth(f, depth)
+    f = _truncated(f, depth)
     x, y, comps, d = f.src, f.dst, f.components, f.dst.depth
     finset = x.category() == FINSET
     ceiling = max(0, d - margin)
@@ -364,9 +331,9 @@ def is_epi_at_depth(f: LevelMorphism, depth: int | None = None) -> EpiVerdict:
     failure.  On the abelian side injectivity for G says Hom(coker, G) = 0:
     Z detects free rank in the cokernel and Z/p a prime p dividing its
     torsion.  `failing` names the test objects that detect the failure.  It
-    decides on the strict form of f at the working depth, as is_iso_at_depth.
+    decides on the truncation of f at the working depth, as is_iso_at_depth.
     """
-    f = _strict_at_depth(f, depth)
+    f = _truncated(f, depth)
     d = f.dst.depth
     fdep = f.components[d]
     if f.src.category() == FINSET:
@@ -424,21 +391,19 @@ class TowerColimit:
 def tower_colimit(shape: FiniteCategory, nodes: Mapping[str, Tower],
                   edges: Mapping[str, LevelMorphism], depth: int | None = None,
                   store: dict | None = None, category: str | None = None) -> TowerColimit:
-    """Levelwise finite colimit of a finite diagram of towers with strict
-    edges.
+    """Levelwise finite colimit of a finite diagram of towers.
 
     The result keeps the input depth, with bonds induced on colimit classes.
-    A shifted edge is refused: shifts arise only in the plus construction,
-    which strictifies them before it builds a precosheaf.  Level colimits
-    are kept in `store`, keyed by the `map_key`s of the level's edge maps in
-    shape order (every object has its identity edge, so these fix the nodes
-    too): a level whose diagram was colimited before, at another level or,
-    when the caller passes one store for one shape, in another call, shares
-    that ColimitResult.  So a constant diagram of towers costs one colimit,
-    not depth + 1.  Levels and bonds follow `_levelwise`, keyed by the
-    level's edge maps and by the two level colimits and the node bonds of a
-    bond.  An empty diagram, given its `depth` and value `category`, has the
-    constant initial tower as its colimit.
+    Level colimits are kept in `store`, keyed by the `map_key`s of the
+    level's edge maps in shape order (every object has its identity edge, so
+    these fix the nodes too): a level whose diagram was colimited before, at
+    another level or, when the caller passes one store for one shape, in
+    another call, shares that ColimitResult.  So a constant diagram of
+    towers costs one colimit, not depth + 1.  Levels and bonds follow
+    `_levelwise`, keyed by the level's edge maps and by the two level
+    colimits and the node bonds of a bond.  An empty diagram, given its
+    `depth` and value `category`, has the constant initial tower as its
+    colimit.
     """
     if nodes:
         category = next(iter(nodes.values())).category()
@@ -451,8 +416,6 @@ def tower_colimit(shape: FiniteCategory, nodes: Mapping[str, Tower],
     for mid in order:
         if mid not in edges:  # map_key must never see a missing edge
             raise EngineError(f"diagram misses edge {mid!r}")
-        if not edges[mid].is_strict():
-            raise EngineError(f"edge {mid!r} is not strict")
     for u in shape.objects:
         mid = shape.id_of(u)
         if edges[mid].src is not nodes[u] and edges[mid].src != nodes[u]:

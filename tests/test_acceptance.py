@@ -24,7 +24,7 @@ from finsite.sheaf import check_sheaf, hom_into_presheaf, plus_sheaf, sheafify
 from finsite.spaces import (FiniteSpace, builtin_demos, converging_sequence_site,
                             h0_precosheaf, open_site, pi0_precosheaf,
                             pseudocircle, site_points)
-from finsite.towers import (LevelMorphism, Tower, equal_at_depth,
+from finsite.towers import (LevelMorphism, Tower, equal_at_depth, is_epi_at_depth,
                             is_iso_at_depth, is_rudimentary_at_depth,
                             pro_hom_at_depth)
 from finsite.values import (classify_map, compose, finab_map, finset,
@@ -151,7 +151,7 @@ def test_c03_dual_plus_laws():
 def _unique_collapse(b, target):
     comps = {}
     for u in b.site.category.objects:
-        comps[u] = LevelMorphism.strict(
+        comps[u] = LevelMorphism(
             b.values[u], target.values[u],
             tuple(finset_map(b.values[u].levels[j], target.values[u].levels[j],
                              {x: "*" for x in b.values[u].levels[j].elements})
@@ -224,7 +224,7 @@ def test_c05_constant_cosheaf_theorem():
         comps = {}
         for obj in spec.category.objects:
             n = h0.values[obj].levels[0].rank
-            comps[obj] = LevelMorphism.strict(
+            comps[obj] = LevelMorphism(
                 h0.values[obj], z.values[obj],
                 (finab_map(h0.values[obj].levels[0], z.values[obj].levels[0],
                            ((1,) * n,) if n else ((),)),))
@@ -428,28 +428,70 @@ def brute_force_pro_hom(x, y, depth):
     return len(seen)
 
 
-def test_c10_pro_hom_oracle():
+def c10_tower_pairs():
+    """The eight (x, y, depth) finite-set tower pairs of C10."""
     rng = random.Random(10)
-    checked = 0
-    for _ in range(8):
-        depth = rng.randint(1, 3) if checked < 6 else 4
+    pairs = []
+    for n in range(8):
+        depth = rng.randint(1, 3) if n < 6 else 4
         lx = [finset(*[f"x{i}" for i in range(rng.randint(1, 3))])
               for _ in range(depth + 1)]
         bx = [finset_map(lx[k + 1], lx[k],
                          {e: rng.choice(lx[k].elements) for e in lx[k + 1].elements})
               for k in range(depth)]
-        x = Tower(tuple(lx), tuple(bx))
         ly = [finset(*[f"y{i}" for i in range(rng.randint(1, 2))])
               for _ in range(depth + 1)]
         by = [finset_map(ly[k + 1], ly[k],
                          {e: rng.choice(ly[k].elements) for e in ly[k + 1].elements})
               for k in range(depth)]
-        y = Tower(tuple(ly), tuple(by))
+        pairs.append((Tower(tuple(lx), tuple(bx)), Tower(tuple(ly), tuple(by)), depth))
+    return pairs
+
+
+def test_c10_pro_hom_oracle():
+    checked = 0
+    for x, y, depth in c10_tower_pairs():
         fast = len(pro_hom_at_depth(x, y, depth))
         slow = brute_force_pro_hom(x, y, depth)
         assert fast == slow, (fast, slow, depth)
         checked += 1
     report("C10", True, f"pro-hom representatives equal brute force on {checked} towers")
+
+
+# For each pair and each k up to its depth, one row per k: for every
+# representative of pro_hom_at_depth(x, y, k), its is_iso_at_depth and
+# is_epi_at_depth verdicts at depths 0..k, "I" for ISO, "E" for EPI and "-"
+# for a failure.  Recorded when representatives still carried a shift.
+PRO_HOM_VERDICTS = [
+    ["-- --", "---- IEIE IEIE ----", "-----E", "-----E-E"],
+    ["-- IE IE --", "---E", "---E-- ---EIE ---EIE ---E--",
+     "---E---- ---E--IE ---E--IE ---E----"],
+    ["-- -E -E -E -E -E -E --", "---- IEIE IEIE ----", "----IE"],
+    ["IE", "IEIE", "IEIEIE"],
+    ["-- --", "---- ----", "----IE", "-----E-- -----EIE -----EIE -----E--"],
+    ["IE", "-E-E", "-E-E-E"],
+    ["IE", "IEIE", "-E-E-- -E-EIE -E-EIE -E-E--", "-E-E---- -E-E--IE -E-E--IE -E-E----",
+     "-E-E------ -E-E--IEIE -E-E--IEIE -E-E------"],
+    ["-- --", "---- --IE --IE ----", "----IE", "----IE-- ----IE--",
+     "-----E---- -----EIEIE -----EIEIE -----E----"],
+    # Tower.constant(finset("a", "b"), 3) with itself
+    ["-- IE IE --", "---- IEIE IEIE ----", "------ IEIEIE IEIEIE ------",
+     "-------- IEIEIEIE IEIEIEIE --------"],
+]
+
+
+def _verdict_rows(x, y, depth):
+    return [" ".join("".join(mark if ok else "-" for i in range(k + 1)
+                             for mark, ok in (("I", is_iso_at_depth(f, i).iso),
+                                              ("E", is_epi_at_depth(f, i).epi)))
+                     for f in pro_hom_at_depth(x, y, k))
+            for k in range(depth + 1)]
+
+
+def test_pro_hom_representatives_keep_their_iso_and_epi_verdicts():
+    two = Tower.constant(finset("a", "b"), 3)
+    pairs = c10_tower_pairs() + [(two, two, 3)]
+    assert [_verdict_rows(*pair) for pair in pairs] == PRO_HOM_VERDICTS
 
 
 def test_c11_empty_cover_law():

@@ -19,10 +19,10 @@ from finsite.cosheaf import (Precosheaf, PrecosheafMorphism, constant_precosheaf
 from finsite.errors import EngineError
 from finsite.randsuite import random_finab_precosheaf, random_finset_precosheaf, random_site
 from finsite.spaces import converging_sequence_site
-from finsite.towers import (LevelMorphism, Tower, chains_equal_at_depth, equal_at_depth,
-                            pro_hom_at_depth)
+from finsite.towers import LevelMorphism, Tower, chains_equal_at_depth, equal_at_depth
 from finsite.values import (FINAB, FINSET, FinAbMap, FinAbObj, FinSetMap, chains_equal, compose,
-                            cyclic, finset, finset_map, free_ab, identity_map, maps_equal)
+                            cyclic, finset, finset_map, free_ab, hom_set, identity_map,
+                            maps_equal)
 
 from test_square_checks import _plus_relations, _random_map
 
@@ -139,10 +139,31 @@ def _finset_towers():
     return x, y, z
 
 
+def _level_morphisms(x, y, pools):
+    """Every level morphism x -> y whose component j is drawn from pools[j]
+    (the squares decide which exist)."""
+    out = []
+    for comps in itertools.product(*pools):
+        try:
+            out.append(LevelMorphism(x, y, comps))
+        except EngineError:
+            pass
+    return out
+
+
+def _finset_morphisms(x, y):
+    return _level_morphisms(x, y, [hom_set(x.levels[j], y.levels[j]) for j in range(y.depth + 1)])
+
+
+def _finab_morphisms(x, y):
+    """Every level morphism x -> y whose components are the scalars 0..5."""
+    return _level_morphisms(x, y, [[FinAbMap(x.levels[j], y.levels[j], ((k,),)) for k in range(6)]
+                                   for j in range(y.depth + 1)])
+
+
 def test_chains_equal_at_depth_agrees_with_then_oracle():
     x, y, z = _finset_towers()
-    xy, yz = pro_hom_at_depth(x, y, 1), pro_hom_at_depth(y, z, 1)
-    pairs = list(itertools.product(xy, yz))
+    pairs = list(itertools.product(_finset_morphisms(x, y), _finset_morphisms(y, z)))
     seen = set()
     for (f1, g1), (f2, g2) in itertools.product(pairs, repeat=2):
         verdict = chains_equal_at_depth((f1, g1), (f2, g2))
@@ -152,51 +173,38 @@ def test_chains_equal_at_depth_agrees_with_then_oracle():
     assert seen == {True, False}
 
 
-def _finab_morphisms(x, y, shift):
-    """Every level morphism x -> y with the given shift whose components are
-    the scalars 0..5 (the squares decide which exist)."""
-    out = []
-    for scalars in itertools.product(range(6), repeat=len(shift)):
-        comps = tuple(FinAbMap(x.levels[s], y.levels[j], ((k,),))
-                      for j, (s, k) in enumerate(zip(shift, scalars)))
-        try:
-            out.append(LevelMorphism(x, y, shift, comps))
-        except EngineError:
-            pass
-    return out
-
-
 def test_chains_equal_at_depth_agrees_with_then_oracle_on_abelian_towers():
-    # X: Z <-2- Z <-3- Z, Y: Z/6 constant
-    x = Tower((Z, Z, Z), (FinAbMap(Z, Z, ((2,),)), FinAbMap(Z, Z, ((3,),))))
+    # X: Z <-2- Z <-5- Z, Y: Z/6 constant
+    x = Tower((Z, Z, Z), (FinAbMap(Z, Z, ((2,),)), FinAbMap(Z, Z, ((5,),))))
     y = Tower.constant(cyclic(6), 2)
-    firsts = _finab_morphisms(x, y, (0, 1, 2)) + _finab_morphisms(x, y, (1, 2, 2))
-    seconds = _finab_morphisms(y, y, (0, 1, 2))
+    pairs = list(itertools.product(_finab_morphisms(x, y), _finab_morphisms(y, y)))
     seen = set()
-    rng = random.Random(0)
-    pairs = list(itertools.product(firsts, seconds))
-    for (f1, g1), (f2, g2) in zip(rng.sample(pairs, 60), rng.sample(pairs, 60)):
+    for (f1, g1), (f2, g2) in itertools.product(pairs, repeat=2):
         verdict = chains_equal_at_depth((f1, g1), (f2, g2))
         assert verdict == equal_at_depth(f1.then(g1), f2.then(g2))
+        assert chains_equal_at_depth((f1, g1), (f2.then(g2),)) == verdict
         seen.add(verdict)
     assert seen == {True, False}
 
 
-def test_chains_equal_at_depth_on_shifted_and_identity_chains():
+def test_chains_equal_at_depth_on_identity_like_and_identity_chains():
+    """On x, the endomorphism whose level-1 component is the top bond is not
+    the identity, but it agrees with it on the image of the top level."""
     x, _, _ = _finset_towers()
     ident = LevelMorphism.identity(x)
-    shifted = LevelMorphism(x, x, (1, 2, 2), tuple(x.bond_composite(s, j)
-                                                    for j, s in enumerate((1, 2, 2))))
-    assert chains_equal_at_depth((shifted,), (ident,))
-    assert chains_equal_at_depth((shifted,), ())
-    assert chains_equal_at_depth((shifted, shifted), ())
-    assert chains_equal_at_depth((shifted, ident, shifted), (shifted.then(shifted),))
+    collapse = LevelMorphism(x, x, (ident.components[0], finset_map(
+        x.levels[1], x.levels[1], {"a": "a", "b": "c", "c": "c"}), ident.components[2]))
+    assert collapse != ident
+    assert chains_equal_at_depth((collapse,), (ident,))
+    assert chains_equal_at_depth((collapse,), ())
+    assert chains_equal_at_depth((collapse, collapse), ())
+    assert chains_equal_at_depth((collapse, ident, collapse), (collapse.then(collapse),))
     assert chains_equal_at_depth((), (ident,), 1)
 
 
 def test_chains_equal_at_depth_keeps_the_errors_of_then():
     x, y, z = _finset_towers()
-    f, g = pro_hom_at_depth(x, y, 1)[0], pro_hom_at_depth(y, z, 1)[0]
+    f, g = _finset_morphisms(x, y)[0], _finset_morphisms(y, z)[0]
     with pytest.raises(EngineError, match="not composable"):
         chains_equal_at_depth((g, f), (g, f))
     with pytest.raises(EngineError, match="endpoint mismatch"):
@@ -271,12 +279,6 @@ def _split_towers(draw, category, d, torsion):
     return Tower(tuple(levels), bonds), moduli
 
 
-def _shifts(d):
-    return st.one_of(st.just(tuple(range(d + 1))),
-                     st.lists(st.integers(0, d), min_size=d + 1, max_size=d + 1)
-                     .map(lambda s: tuple(sorted(s))))
-
-
 def _killing_rows(bond, n):
     """Rows with entries -2..2 that vanish modulo n (exactly, for n = 0) on
     the image of `bond`."""
@@ -286,7 +288,7 @@ def _killing_rows(bond, n):
                    for t in (sum(v[i] * m[i][c] for i in range(len(v))) for c in range(top)))]
 
 
-def _split_morphism(draw, x, target, shift, like=None):
+def _split_morphism(draw, x, target, like=None):
     """A level morphism x -> y into a split tower y = target[0], built
     upward: component 0 is drawn, and component j + 1 is component j after
     the source bond, paired with a drawn part in the new factor.  Returns
@@ -297,19 +299,19 @@ def _split_morphism(draw, x, target, shift, like=None):
     lower components may differ."""
     y, moduli = target
     comps, parts = [], []
-    for j, s in enumerate(shift):
-        top = x.bond_composite(x.depth, s)
+    for j in range(y.depth + 1):
+        top = x.bond_composite(x.depth, j)
         if isinstance(top, FinSetMap):
             k = len(y.levels[j].elements) // (len(y.levels[j - 1].elements) if j else 1)
             image = {top(e) for e in top.src.elements}
             part = {e: like[j][e] if like and e in image else draw(st.integers(0, k - 1))
                     for e in top.dst.elements}
             if j:
-                below = compose(comps[-1], x.bond_composite(s, shift[j - 1]))
+                below = compose(comps[-1], x.bonds[j - 1])
                 table = tuple((e, f"{below(e)}.{part[e]}") for e in top.dst.elements)
             else:
                 table = tuple((e, str(part[e])) for e in top.dst.elements)
-            comps.append(FinSetMap(x.levels[s], y.levels[j], table))
+            comps.append(FinSetMap(x.levels[j], y.levels[j], table))
         else:
             new = range(y.levels[j - 1].rank if j else 0, y.levels[j].rank)
             if like:
@@ -317,28 +319,20 @@ def _split_morphism(draw, x, target, shift, like=None):
                     _killing_rows(top, moduli[g])))))
                     for g, row in zip(new, like[j]))
             else:
-                part = tuple(tuple(draw(ENTRIES) for _ in range(x.levels[s].rank))
+                part = tuple(tuple(draw(ENTRIES) for _ in range(x.levels[j].rank))
                              for _ in new)
-            below = (compose(comps[-1], x.bond_composite(s, shift[j - 1])).matrix if j
-                     else ())
-            comps.append(FinAbMap(x.levels[s], y.levels[j], tuple(below) + part))
+            below = compose(comps[-1], x.bonds[j - 1]).matrix if j else ()
+            comps.append(FinAbMap(x.levels[j], y.levels[j], tuple(below) + part))
         parts.append(part)
-    return LevelMorphism(x, y, shift, tuple(comps)), parts
+    return LevelMorphism(x, y, tuple(comps)), parts
 
 
 @st.composite
 def _endomorphisms(draw, target):
-    """The identity, a bond shift (equal to the identity at every depth), or
-    a drawn split morphism, strict or shifted."""
-    x, d = target[0], target[0].depth
-    kind = draw(st.sampled_from(["identity", "bonds", "drawn"]))
-    if kind == "identity":
-        return LevelMorphism.identity(x)
-    shift = draw(_shifts(d))
-    if kind == "bonds":
-        shift = tuple(max(j, s) for j, s in enumerate(shift))
-        return LevelMorphism(x, x, shift, tuple(x.bond_composite(s, j) for j, s in enumerate(shift)))
-    return _split_morphism(draw, x, target, shift)[0]
+    """The identity or a drawn split morphism."""
+    if draw(st.booleans()):
+        return LevelMorphism.identity(target[0])
+    return _split_morphism(draw, target[0], target)[0]
 
 
 @st.composite
@@ -362,16 +356,14 @@ def _chain_pairs(draw):
                else draw(_split_towers(category, d, torsion=False))[0])
         targets = [draw(_split_towers(category, d, torsion=k == n - 1)) for k in range(n)]
         sources = [src] + [t[0] for t in targets[:-1]]
-        shifts = [draw(_shifts(d)) for _ in range(n)]
-        built = [_split_morphism(draw, x, t, s) for x, t, s in zip(sources, targets, shifts)]
+        built = [_split_morphism(draw, x, t) for x, t in zip(sources, targets)]
         first = tuple(f for f, _ in built)
         kind = draw(st.sampled_from(["twin", "fresh", "composite"]))
         if kind == "twin":
-            second = tuple(_split_morphism(draw, x, t, s, parts)[0]
-                           for x, t, s, (_, parts) in zip(sources, targets, shifts, built))
+            second = tuple(_split_morphism(draw, x, t, parts)[0]
+                           for x, t, (_, parts) in zip(sources, targets, built))
         elif kind == "fresh":
-            second = tuple(_split_morphism(draw, x, t, draw(_shifts(d)))[0]
-                           for x, t in zip(sources, targets))
+            second = tuple(_split_morphism(draw, x, t)[0] for x, t in zip(sources, targets))
         else:
             second = (functools.reduce(LevelMorphism.then, first),)
         equal = kind != "fresh"
@@ -380,13 +372,21 @@ def _chain_pairs(draw):
     return first, second, depth, equal
 
 
-@settings(derandomize=True, deadline=None, max_examples=400, database=None)
-@given(_chain_pairs())
-def test_one_level_decides_as_the_per_level_oracle(case):
-    first, second, depth, equal = case
-    verdict = chains_equal_at_depth(first, second, depth)
-    assert verdict == _per_level_oracle(first, second, depth)
-    assert verdict or not equal
+def test_one_level_decides_as_the_per_level_oracle():
+    seen = set()
+
+    @settings(derandomize=True, deadline=None, max_examples=400, database=None)
+    @given(_chain_pairs())
+    def decides(case):
+        first, second, depth, equal = case
+        verdict = chains_equal_at_depth(first, second, depth)
+        assert verdict == _per_level_oracle(first, second, depth)
+        assert verdict or not equal
+        seen.add((max(len(first), len(second)), verdict))
+
+    decides()
+    # both verdicts on chains of either length
+    assert seen == {(n, v) for n in (1, 2) for v in (True, False)}
 
 
 def _two_level_site_towers():
@@ -407,9 +407,9 @@ def test_a_naturality_break_at_the_top_level_is_found():
                      {m.id: LevelMorphism.identity(pair) for m in spec.category.morphisms})
 
     def to(top):
-        return LevelMorphism.strict(point, pair, (finset_map(finset("p"), finset("0"), {"p": "0"}),
-                                                  finset_map(finset("p"), finset("0", "1"),
-                                                             {"p": top})))
+        return LevelMorphism(point, pair, (finset_map(finset("p"), finset("0"), {"p": "0"}),
+                                           finset_map(finset("p"), finset("0", "1"),
+                                                      {"p": top})))
 
     PrecosheafMorphism(src, dst, {"a": to("1"), "b": to("1")})
     # level 0 agrees (both land on "0"); only the top level tells them apart
@@ -423,7 +423,7 @@ def test_a_failing_lower_square_is_found_when_the_morphism_is_built():
     swap = finset_map(two, two, {"0": "1", "1": "0"})
     # the top component is the identity's; the square at level 0 fails
     with pytest.raises(EngineError, match="squares fail at level 0"):
-        LevelMorphism.strict(x, x, (swap, identity_map(two), identity_map(two)))
+        LevelMorphism(x, x, (swap, identity_map(two), identity_map(two)))
 
 
 # ---------------------------------------------------------------------------

@@ -298,7 +298,7 @@ def test_collapse_of_cosheafification_onto_point_is_strong_local_iso(conv, conv_
     comps = {}
     for u in conv.category.objects:
         tower = big.values[u]
-        comps[u] = LevelMorphism.strict(
+        comps[u] = LevelMorphism(
             tower, conv_pt.values[u],
             tuple(finset_map(tower.levels[j], conv_pt.values[u].levels[j],
                              {e: "*" for e in tower.levels[j].elements})
@@ -322,7 +322,7 @@ def test_tail_indicator_inclusion_fails_exactly_at_limit_point(conv, conv_pt):
         action[m.id] = table
     b = precosheaf_from_tables(conv, "finset", tables, action, 6, site_points(conv))
     comps = {
-        u: LevelMorphism.strict(
+        u: LevelMorphism(
             conv_pt.values[u], b.values[u],
             tuple(finset_map(conv_pt.values[u].levels[j], b.values[u].levels[j], {"*": "*"})
                   for j in range(7)))
@@ -347,7 +347,7 @@ def test_naturality_is_enforced(circle_pi0):
             table = {"c:a": "c:b", "c:b": "c:a"}
         else:
             table = {x: x for x in lv.elements}
-        comps[u] = LevelMorphism.strict(
+        comps[u] = LevelMorphism(
             circle_pi0.values[u], circle_pi0.values[u],
             (finset_map(lv, lv, table),))
     with pytest.raises(EngineError):
@@ -446,7 +446,7 @@ def test_cosheafified_constant_equals_tensor_with_pi0(circle):
 def _unique_map_to_pt(b, pt):
     comps = {}
     for u in b.site.category.objects:
-        comps[u] = LevelMorphism.strict(
+        comps[u] = LevelMorphism(
             b.values[u], pt.values[u],
             tuple(finset_map(b.values[u].levels[j], pt.values[u].levels[j],
                              {x: "*" for x in b.values[u].levels[j].elements})
@@ -473,7 +473,7 @@ def test_factorization_through_initial_cosheaf(circle, circle_pt):
     empty = constant_precosheaf(spec, finset(), 0, site_points(spec))
     # all-empty values form a cosheaf (every tensor is initial); unique map in
     assert check_cosheaf(empty).classification == "COSHEAF"
-    comps = {u: LevelMorphism.strict(
+    comps = {u: LevelMorphism(
         empty.values[u], circle_pt.values[u],
         (finset_map(finset(), circle_pt.values[u].levels[0], {}),))
         for u in spec.category.objects}
@@ -561,7 +561,6 @@ def test_plus_on_lagging_chain_reindexes_shifts(tmp_path, monkeypatch, name):
     a = constant_precosheaf(_lagging_chain_site(), g, 3)
     plus = plus_cosheaf(a)
     assert phis == [(0, 2, 2, 3)]
-    assert all(lm.is_strict() for lm in plus.precosheaf.action.values())
     path = tmp_path / "plus.json"
     io.save(plus.precosheaf, path)
     counit = repr([(u, [c.table if isinstance(c, FinSetMap) else c.matrix

@@ -91,7 +91,7 @@ def _wedge(value, depth):
     nodes = {"s": Tower.constant(value, depth), "w": Tower.constant(point, depth)}
     edges = {"s<s": LevelMorphism.identity(nodes["s"]),
              "w<w": LevelMorphism.identity(nodes["w"]),
-             "w<s": LevelMorphism.strict(nodes["w"], nodes["s"], (leg,) * (depth + 1))}
+             "w<s": LevelMorphism(nodes["w"], nodes["s"], (leg,) * (depth + 1))}
     return shape, nodes, edges
 
 
@@ -160,7 +160,7 @@ def test_a_constant_tower_morphism_checks_one_square(monkeypatch):
     two, three = finset("0", "1"), finset("a", "b", "c")
     f = finset_map(two, three, {"0": "a", "1": "b"})
     calls = _counting(monkeypatch, "commutes", (towers,))
-    LevelMorphism.strict(Tower.constant(two, 5), Tower.constant(three, 5), (f,) * 6)
+    LevelMorphism(Tower.constant(two, 5), Tower.constant(three, 5), (f,) * 6)
     assert len(calls) == 1
 
 
@@ -170,7 +170,7 @@ def test_a_distinct_failing_square_after_repeated_ones_is_named(monkeypatch):
     g = finset_map(two, three, {"0": "a", "1": "c"})
     calls = _counting(monkeypatch, "commutes", (towers,))
     with pytest.raises(EngineError, match="squares fail at level 2"):
-        LevelMorphism.strict(Tower.constant(two, 3), Tower.constant(three, 3), (f, f, f, g))
+        LevelMorphism(Tower.constant(two, 3), Tower.constant(three, 3), (f, f, f, g))
     assert len(calls) == 2
 
 
@@ -235,8 +235,8 @@ def test_an_action_out_of_an_empty_sieve_follows_its_target_level():
     grow = Tower(levels, (finset_map(levels[1], levels[0], {"a": "a", "b": "a"}),
                           finset_map(levels[2], levels[1], {"a": "a", "b": "b", "c": "b"})))
     point = Tower.constant(finset("a"), 2)
-    into = LevelMorphism.strict(point, grow, tuple(finset_map(finset("a"), level, {"a": "a"})
-                                                   for level in levels))
+    into = LevelMorphism(point, grow, tuple(finset_map(finset("a"), level, {"a": "a"})
+                                            for level in levels))
     a = Precosheaf(spec, FINSET, 2, {"e": point, "x": grow},
                    {"e<e": LevelMorphism.identity(point), "x<x": LevelMorphism.identity(grow),
                     "e<x": into})
@@ -329,5 +329,5 @@ def test_a_failing_abelian_square_after_repeated_ones_is_named(monkeypatch):
     one, two = values.identity_map(z), values.finab_map(z, z, [[2]])
     calls = _counting(monkeypatch, "commutes", (towers,))
     with pytest.raises(EngineError, match="squares fail at level 2"):
-        LevelMorphism.strict(Tower.constant(z, 3), Tower.constant(z, 3), (one, one, one, two))
+        LevelMorphism(Tower.constant(z, 3), Tower.constant(z, 3), (one, one, one, two))
     assert len(calls) == 2

@@ -373,8 +373,8 @@ def _wedge(depth):
     nodes = {"s": Tower.constant(two, depth), "w": Tower.constant(point, depth)}
     edges = {"s<s": LevelMorphism.identity(nodes["s"]),
              "w<w": LevelMorphism.identity(nodes["w"]),
-             "w<s": LevelMorphism.strict(nodes["w"], nodes["s"],
-                                         (finset_map(point, two, {"*": "0"}),) * (depth + 1))}
+             "w<s": LevelMorphism(nodes["w"], nodes["s"],
+                                  (finset_map(point, two, {"*": "0"}),) * (depth + 1))}
     return shape, nodes, edges
 
 
@@ -404,27 +404,23 @@ def test_tower_colimit_needs_the_identity_edges():
 # the finite-set iso search builds its composites once per level
 
 
-def _lagging(depth, shifted):
+def _lagging(depth):
     """X_k = {0..k} with bonds x -> max(x - 2, 0), into the constant point:
     the image of X_i in X_j is one point exactly when i >= 2j, so the span
-    search for level j runs through j + 1 candidates.  Shifted, component k
-    starts at level k - 1, so each strict component is a composite."""
+    search for level j runs through j + 1 candidates."""
     levels = tuple(finset(*map(str, range(k + 1))) for k in range(depth + 1))
     bonds = tuple(finset_map(levels[k + 1], levels[k],
                              {str(x): str(max(x - 2, 0)) for x in range(k + 2)})
                   for k in range(depth))
-    x = Tower(levels, bonds)
     point = finset("*")
-    y = Tower.constant(point, depth)
-    shift = tuple(max(k - 1, 0) for k in range(depth + 1)) if shifted else tuple(range(depth + 1))
-    return LevelMorphism(x, y, shift, tuple(finset_map(levels[s], point, {e: "*" for e in levels[s].elements})
-                                            for s in shift))
+    return LevelMorphism(Tower(levels, bonds), Tower.constant(point, depth),
+                         tuple(finset_map(lv, point, {e: "*" for e in lv.elements})
+                               for lv in levels))
 
 
-@pytest.mark.parametrize("shifted", [False, True], ids=["strict", "shifted"])
-def test_finset_iso_search_compose_calls_grow_linearly(monkeypatch, shifted):
+def test_finset_iso_search_compose_calls_grow_linearly(monkeypatch):
     for d in (6, 12, 24):
-        f = _lagging(d, shifted)
+        f = _lagging(d)
         calls = []
         original = towers.compose
 
@@ -485,7 +481,7 @@ def _random_strict_morphisms(rng, x, y):
         if not fits:
             return None
         comps.append(rng.choice(fits))
-    return LevelMorphism.strict(x, y, tuple(comps))
+    return LevelMorphism(x, y, tuple(comps))
 
 
 def test_finset_iso_verdicts_match_brute_force():

@@ -8,6 +8,7 @@ ones only for a deliberate change of output, and say so in the change log.
 
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +21,7 @@ from finsite.spaces import (converging_sequence_site, demo_by_name, h0_precoshea
 from finsite.values import finset, free_ab
 
 DEPTH = 4
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def _pi0():
@@ -44,6 +46,10 @@ COSHEAFIFY_DIGESTS = {
                        "913faa2a45c3d52cc53e24e1a692d88c53410bec8f93cf22c8dac9b49a237810"),
     "Z-converging8": (lambda: _constant(free_ab(1)),
                       "faadda1fe020ac3d161a05f7b980ce7f69ecad919fd5183f9326483272c14ba3"),
+    # a depth-3 document whose plus reindexes (phi = (0, 2, 2, 3)); recorded
+    # when level morphisms still carried a shift field
+    "lagging-chain-point": (lambda: io.load(DATA / "lagging_chain_point.json"),
+                            "da29e24e1344e24c7b689663ada8ebda8bd714465483e3e4674eccf7ca64a7ec"),
 }
 
 ORACLE_SUITE_SEED0 = "f3ce4429afd6cb33f451cf33e7a0ad3a5ab0da7fde49076bd9063aa7db4922d2"

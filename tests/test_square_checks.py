@@ -35,27 +35,29 @@ def test_non_commuting_level_morphism_names_the_level(category):
                        else (Z, identity_map(Z), _scalar(Z, Z, 2)))
     t = Tower.constant(obj, 2)
     with pytest.raises(EngineError, match="level morphism squares fail at level 1"):
-        LevelMorphism.strict(t, t, (ident, ident, bad))
+        LevelMorphism(t, t, (ident, ident, bad))
 
 
 @pytest.mark.parametrize("category", [FINSET, FINAB])
-def test_shifted_level_morphism_squares_are_checked(category):
-    obj, ident, bad = ((TWO, identity_map(TWO), SWAP) if category == FINSET
-                       else (Z, identity_map(Z), _scalar(Z, Z, 3)))
-    t = Tower.constant(obj, 2)
-    assert LevelMorphism(t, t, (1, 2, 2), (ident, ident, ident)).shift == (1, 2, 2)
-    with pytest.raises(EngineError, match="level morphism squares fail at level 0"):
-        LevelMorphism(t, t, (1, 2, 2), (bad, ident, ident))
+def test_level_morphism_needs_one_component_per_target_level_and_a_deep_enough_source(category):
+    ident = identity_map(TWO if category == FINSET else Z)
+    shallow, deep = Tower.constant(ident.src, 1), Tower.constant(ident.src, 2)
+    assert LevelMorphism(deep, shallow, (ident, ident)).components == (ident, ident)
+    for comps in ((ident,), (ident,) * 3):
+        with pytest.raises(EngineError, match="one component per target level"):
+            LevelMorphism(deep, shallow, comps)
+    with pytest.raises(EngineError, match="source is shallower than the target"):
+        LevelMorphism(shallow, deep, (ident,) * 3)
 
 
 def test_square_commuting_modulo_target_relations_is_accepted():
     # 1 and 3 differ by 2, which is zero in the Z/2 target
     src, dst = Tower.constant(Z, 1), Tower.constant(cyclic(2), 1)
-    f = LevelMorphism.strict(src, dst, (_scalar(Z, cyclic(2), 1), _scalar(Z, cyclic(2), 3)))
+    f = LevelMorphism(src, dst, (_scalar(Z, cyclic(2), 1), _scalar(Z, cyclic(2), 3)))
     assert f.components[1].matrix == ((3,),)
     with pytest.raises(EngineError, match="level morphism squares fail at level 0"):
-        LevelMorphism.strict(Tower.constant(Z, 1), Tower.constant(cyclic(3), 1),
-                             (_scalar(Z, cyclic(3), 1), _scalar(Z, cyclic(3), 3)))
+        LevelMorphism(Tower.constant(Z, 1), Tower.constant(cyclic(3), 1),
+                      (_scalar(Z, cyclic(3), 1), _scalar(Z, cyclic(3), 3)))
 
 
 def test_square_through_a_rank_zero_level_is_accepted():
@@ -63,9 +65,9 @@ def test_square_through_a_rank_zero_level_is_accepted():
     src = Tower((Z, ZERO, Z), (FinAbMap(ZERO, Z, ((),)), FinAbMap(Z, ZERO, ())))
     dst = Tower.constant(Z, 2)
     comps = (identity_map(Z), FinAbMap(ZERO, Z, ((),)), _scalar(Z, Z, 0))
-    assert LevelMorphism.strict(src, dst, comps).components == comps
+    assert LevelMorphism(src, dst, comps).components == comps
     with pytest.raises(EngineError, match="level morphism squares fail at level 1"):
-        LevelMorphism.strict(src, dst, comps[:2] + (_scalar(Z, Z, 5),))
+        LevelMorphism(src, dst, comps[:2] + (_scalar(Z, Z, 5),))
 
 
 def test_square_through_an_empty_level_is_accepted():
@@ -74,7 +76,8 @@ def test_square_through_an_empty_level_is_accepted():
                 (FinSetMap(empty, finset("a"), ()), identity_map(empty)))
     dst = Tower.constant(finset("a"), 2)
     into = FinSetMap(empty, finset("a"), ())
-    assert LevelMorphism.strict(src, dst, (identity_map(finset("a")), into, into)).is_strict()
+    comps = (identity_map(finset("a")), into, into)
+    assert LevelMorphism(src, dst, comps).components == comps
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +138,8 @@ def test_bad_precosheaf_morphism_fails_naturality(category):
     t = a.values["a"]
 
     def morphism(at_a):
-        comps = {u: LevelMorphism.strict(t, t, (ident,) * 3) for u in "bc"}
-        comps["a"] = LevelMorphism.strict(t, t, (at_a,) * 3)
+        comps = {u: LevelMorphism(t, t, (ident,) * 3) for u in "bc"}
+        comps["a"] = LevelMorphism(t, t, (at_a,) * 3)
         return PrecosheafMorphism(a, a, comps)
 
     assert morphism(ident).components["a"].components[0] == ident

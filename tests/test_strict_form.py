@@ -1,12 +1,10 @@
-"""Tower-morphism verdicts decide on one strict form at their working depth,
+"""Tower-morphism verdicts decide on the truncation at their working depth,
 and a report fails exactly when it carries a witness.
 
-A level morphism with a shift is isomorphic, as a map of pro-objects, to a
-strict one once its source is reindexed.  `is_iso_at_depth` and
-`is_epi_at_depth` decide on that strict form, truncated at the least of the
-requested depth and both tower depths.  So on a strict morphism their
-verdicts at depth d are the verdicts on its truncation at d, whatever the
-tower depths, and a forward shift neither raises nor hides an iso."""
+`is_iso_at_depth` and `is_epi_at_depth` decide on the level morphism
+truncated at the least of the requested depth and both tower depths.  So
+their verdicts at depth d are the verdicts on its truncation at d, whatever
+the tower depths."""
 
 import json
 import random
@@ -18,8 +16,7 @@ from finsite.cli import main
 from finsite.report import CheckReport
 from finsite.towers import (LevelMorphism, Tower, equal_at_depth, is_epi_at_depth,
                             is_iso_at_depth, pro_hom_at_depth)
-from finsite.values import (FinAbMap, commutes, compose, cyclic, finset, finset_map, free_ab,
-                            hom_set)
+from finsite.values import FinAbMap, commutes, cyclic, finset, finset_map, free_ab, hom_set
 
 DATA = Path(__file__).resolve().parent / "data"
 Z = free_ab(1)
@@ -44,19 +41,17 @@ def _random_tower(rng, finab, depth):
     return Tower(tuple(levels), tuple(bonds))
 
 
-def _random_morphism(rng, x, y, shift):
-    """A level morphism x -> y with the given shift, its components drawn
-    level by level among those that close the square below; None when no
-    component does."""
-    comps = [rng.choice(_homs(x.levels[shift[0]], y.levels[0]))]
+def _random_morphism(rng, x, y):
+    """A level morphism x -> y, its components drawn level by level among
+    those that close the square below; None when no component does."""
+    comps = [rng.choice(_homs(x.levels[0], y.levels[0]))]
     for j in range(y.depth):
-        down = x.bond_composite(shift[j + 1], shift[j])
-        fits = [g for g in _homs(x.levels[shift[j + 1]], y.levels[j + 1])
-                if commutes(comps[j], down, y.bonds[j], g)]
+        fits = [g for g in _homs(x.levels[j + 1], y.levels[j + 1])
+                if commutes(comps[j], x.bonds[j], y.bonds[j], g)]
         if not fits:
             return None
         comps.append(rng.choice(fits))
-    return LevelMorphism(x, y, tuple(shift), tuple(comps))
+    return LevelMorphism(x, y, tuple(comps))
 
 
 def _cut(t, d):
@@ -64,8 +59,8 @@ def _cut(t, d):
 
 
 def _truncation(f, d):
-    """A strict f cut at level d by hand."""
-    return LevelMorphism.strict(_cut(f.src, d), _cut(f.dst, d), f.components[: d + 1])
+    """f cut at level d by hand."""
+    return LevelMorphism(_cut(f.src, d), _cut(f.dst, d), f.components[: d + 1])
 
 
 @pytest.mark.parametrize("finab", [False, True], ids=["finset", "finab"])
@@ -76,7 +71,7 @@ def test_verdicts_at_depth_are_the_verdicts_on_the_truncation(finab):
         depth = rng.randint(1, 4)
         x = _random_tower(rng, finab, depth)
         y = x if rng.random() < 0.3 else _random_tower(rng, finab, depth)
-        f = _random_morphism(rng, x, y, range(depth + 1))
+        f = _random_morphism(rng, x, y)
         if f is None:
             continue
         for d in range(depth + 1):
@@ -99,10 +94,10 @@ def test_depth_below_the_source_depth_reads_the_levels_at_that_depth():
         assert is_iso_at_depth(ident, d).iso and is_epi_at_depth(ident, d).epi
 
 
-def test_forward_shifted_classes_of_bijections_are_iso():
+def test_classes_out_of_the_deepest_level_are_iso_exactly_when_bijective():
     x = Tower.constant(finset("a", "b"), 3)
     classes = pro_hom_at_depth(x, x, 3)
-    assert all(h.shift == (3, 3, 3, 3) for h in classes)
+    assert all(h.src == x.reindexed((3,) * 4) for h in classes)
     bijective = [len({h.components[3](e) for e in "ab"}) == 2 for h in classes]
     assert sum(bijective) == 2   # the identity and the swap
     assert sum(equal_at_depth(h, LevelMorphism.identity(h.src)) for h in classes) == 1
@@ -111,56 +106,14 @@ def test_forward_shifted_classes_of_bijections_are_iso():
         assert is_epi_at_depth(h).epi == bij
 
 
-@pytest.mark.parametrize("shift", [(1, 2, 3, 3), (3, 3, 3, 3), (0, 2, 2, 3)])
-def test_forward_shifted_abelian_identity_is_iso(shift):
-    two = FinAbMap(Z, Z, ((2,),))
-    t = Tower((Z,) * 4, (two,) * 3)
-    f = LevelMorphism(t, t, shift, tuple(t.bond_composite(s, j) for j, s in enumerate(shift)))
-    assert equal_at_depth(f, LevelMorphism.identity(t))
-    for d in (None, 3):
-        assert is_iso_at_depth(f, d).iso and is_epi_at_depth(f, d).epi
-
-
-def _strict_form(f, d):
-    """The strict form at depth d built by hand: source level j is level
-    t(j) = max(j, shift[j]), and component j reads it through the source
-    bonds down to shift[j]."""
-    t = [max(j, f.shift[j]) for j in range(d + 1)]
-    x = Tower(tuple(f.src.levels[p] for p in t),
-              tuple(f.src.bond_composite(t[j + 1], t[j]) for j in range(d)))
-    comps = tuple(compose(f.components[j], f.src.bond_composite(t[j], f.shift[j]))
-                  for j in range(d + 1))
-    return LevelMorphism.strict(x, _cut(f.dst, d), comps)
-
-
 @pytest.mark.parametrize("finab", [False, True], ids=["finset", "finab"])
-def test_shifted_verdicts_are_the_verdicts_on_the_strict_form(finab):
-    rng = random.Random(3)
-    pairs, seen = 0, set()
-    while pairs < 400:
-        depth = rng.randint(1, 4)
-        x, y = _random_tower(rng, finab, depth), _random_tower(rng, finab, depth)
-        f = _random_morphism(rng, x, y, sorted(rng.randint(0, depth) for _ in range(depth + 1)))
-        if f is None:
-            continue
-        for d in range(depth + 1):
-            strict = _strict_form(f, d)
-            assert is_iso_at_depth(f, d) == is_iso_at_depth(strict), (pairs, d)
-            assert is_epi_at_depth(f, d) == is_epi_at_depth(strict), (pairs, d)
-            seen.add(any(s > j for j, s in enumerate(f.shift[: d + 1])))
-            pairs += 1
-    assert seen == {True, False}   # forward shifts among them
-
-
-@pytest.mark.parametrize("finab", [False, True], ids=["finset", "finab"])
-def test_a_shallower_source_sets_the_working_depth(finab):
+def test_a_deeper_source_leaves_the_working_depth_at_the_target(finab):
     rng = random.Random(7)
     cases = 0
     while cases < 200:
         low, high = sorted(rng.sample(range(5), 2))
-        x, y = _random_tower(rng, finab, low), _random_tower(rng, finab, high)
-        shift = sorted(rng.randint(0, low) for _ in range(high + 1))
-        f = _random_morphism(rng, x, y, shift)
+        x, y = _random_tower(rng, finab, high), _random_tower(rng, finab, low)
+        f = _random_morphism(rng, x, y)
         if f is None:
             continue
         assert is_iso_at_depth(f) == is_iso_at_depth(f, low) == is_iso_at_depth(f, high)

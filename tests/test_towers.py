@@ -6,7 +6,7 @@ import random
 import pytest
 
 from finsite.category import poset_category
-from finsite.errors import EngineError
+from finsite.errors import EngineError, InsufficientDepth
 from finsite.towers import (LevelMorphism, Tower, equal_at_depth,
                             is_epi_at_depth, is_iso_at_depth,
                             is_rudimentary_at_depth, pro_hom_at_depth,
@@ -118,10 +118,10 @@ def test_equal_at_depth_structural_and_shallow():
 def test_equal_at_depth_distinct_constants():
     x = merge_tower(2)
     y = two_point_rudimentary(2)
-    const0 = LevelMorphism.strict(
+    const0 = LevelMorphism(
         x, y, tuple(finset_map(x.levels[j], y.levels[0], {e: "0" for e in x.levels[j].elements})
                     for j in range(3)))
-    const1 = LevelMorphism.strict(
+    const1 = LevelMorphism(
         x, y, tuple(finset_map(x.levels[j], y.levels[0], {e: "1" for e in x.levels[j].elements})
                     for j in range(3)))
     assert not equal_at_depth(const0, const1, 2)
@@ -136,14 +136,14 @@ def test_iso_rudimentary_matches_classify():
     a = finset("x", "y")
     b = finset("p", "q")
     for table in hom_set(a, b):
-        lm = LevelMorphism.strict(Tower.constant(a, 0), Tower.constant(b, 0), (table,))
+        lm = LevelMorphism(Tower.constant(a, 0), Tower.constant(b, 0), (table,))
         assert is_iso_at_depth(lm, 0).iso == classify_map(table).iso
 
 
 def test_growing_tower_not_iso_to_singleton():
     x = merge_tower(4)
     y = Tower.constant(finset("*"), 4)
-    f = LevelMorphism.strict(
+    f = LevelMorphism(
         x, y, tuple(finset_map(x.levels[j], y.levels[0], {e: "*" for e in x.levels[j].elements})
                     for j in range(5)))
     verdict = is_iso_at_depth(f, 4)
@@ -157,7 +157,7 @@ def test_collapsing_tower_is_iso_to_singleton():
     bonds = [finset_map(levels[k + 1], levels[k], {"s": "s", "t": "s"}) for k in range(4)]
     x = Tower(tuple(levels), tuple(bonds))
     y = Tower.constant(finset("*"), 4)
-    f = LevelMorphism.strict(
+    f = LevelMorphism(
         x, y, tuple(finset_map(x.levels[j], y.levels[0], {"s": "*", "t": "*"})
                     for j in range(5)))
     assert is_iso_at_depth(f, 4).iso
@@ -171,7 +171,7 @@ def test_epi_levelwise_surjection():
              for k in range(3)]
     x = Tower(tuple(levels), tuple(bonds))
     y = Tower.constant(finset("u", "v"), 3)
-    f = LevelMorphism.strict(
+    f = LevelMorphism(
         x, y, tuple(finset_map(x.levels[j], y.levels[0],
                                {e: ("u" if e == "1" else "v") for e in x.levels[j].elements})
                     for j in range(4)))
@@ -181,14 +181,14 @@ def test_epi_levelwise_surjection():
 def test_epi_fails_for_inclusion():
     a = Tower.constant(finset("x"), 0)
     b = Tower.constant(finset("x", "y"), 0)
-    f = LevelMorphism.strict(a, b, (finset_map(a.levels[0], b.levels[0], {"x": "x"}),))
+    f = LevelMorphism(a, b, (finset_map(a.levels[0], b.levels[0], {"x": "x"}),))
     verdict = is_epi_at_depth(f, 0)
     assert not verdict.epi
 
 
 def test_epi_times_two_fails_via_z2():
     z = Tower.constant(free_ab(1), 0)
-    f = LevelMorphism.strict(z, z, (finab_map(free_ab(1), free_ab(1), ((2,),)),))
+    f = LevelMorphism(z, z, (finab_map(free_ab(1), free_ab(1), ((2,),)),))
     verdict = is_epi_at_depth(f, 0)
     assert not verdict.epi
     assert "Z/2" in verdict.failing
@@ -267,7 +267,7 @@ def test_tower_colimit_levelwise_oracle():
     y = merge_tower(2)
     f = LevelMorphism.identity(x)
     # g collapses everything to the least element at each level
-    g = LevelMorphism.strict(
+    g = LevelMorphism(
         x, y, tuple(finset_map(x.levels[j], y.levels[j],
                                {e: "1" for e in x.levels[j].elements})
                     for j in range(3)))
@@ -291,7 +291,7 @@ def test_level_morphism_square_validation():
         finset_map(x.levels[1], y.levels[1], {"1": "1", "2": "1"}),
     ]
     with pytest.raises(EngineError):
-        LevelMorphism.strict(x, y, tuple(bad))
+        LevelMorphism(x, y, tuple(bad))
 
 
 def test_pro_hom_cardinality_monotone_on_builtin_family():
@@ -306,7 +306,7 @@ def test_epi_agrees_with_classify_on_rudimentary():
     a = finset("x", "y")
     b = finset("p", "q")
     for table in hom_set(a, b):
-        lm = LevelMorphism.strict(Tower.constant(a, 2), Tower.constant(b, 2), (table,) * 3)
+        lm = LevelMorphism(Tower.constant(a, 2), Tower.constant(b, 2), (table,) * 3)
         assert is_epi_at_depth(lm, 2).epi == classify_map(table).epi
 
 
@@ -324,8 +324,8 @@ def test_finab_epi_and_iso_agree_with_classify_on_rudimentary():
         finab_map(z2, direct_sum([z2, z]), ((1,), (0,))),
     ]
     for f in cases:
-        lm = LevelMorphism.strict(Tower.constant(f.src, 2), Tower.constant(f.dst, 2),
-                                  (f,) * 3)
+        lm = LevelMorphism(Tower.constant(f.src, 2), Tower.constant(f.dst, 2),
+                           (f,) * 3)
         flags = classify_map(f)
         verdict = is_epi_at_depth(lm, 2)
         assert verdict.epi == flags.epi, f
@@ -338,15 +338,11 @@ def test_finab_epi_and_iso_agree_with_classify_on_rudimentary():
 
 
 def test_tower_colimit_insufficient_depth():
-    """Tower colimits take strict edges only, whether a shift would exceed
-    the working depth or stay within it: the plus construction strictifies
-    its shifted actions before anything is colimited."""
+    """A node shallower than the requested depth is refused."""
     shape = poset_category(["u"], [])
-    for depth, shift in ((3, (3, 3, 3, 3)), (2, (0, 1, 1))):
-        t = Tower.constant(finset("a"), depth)
-        shifted = LevelMorphism(t, t, shift, (identity_map(t.levels[0]),) * (depth + 1))
-        with pytest.raises(EngineError, match="not strict"):
-            tower_colimit(shape, {"u": t}, {"u<u": shifted}, 2)
+    t = Tower.constant(finset("a"), 1)
+    with pytest.raises(InsufficientDepth):
+        tower_colimit(shape, {"u": t}, {"u<u": LevelMorphism.identity(t)}, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +387,7 @@ def _wedge_diagram(category, s_sizes, t_sizes):
     nodes["w"] = Tower.constant(point, len(s_sizes) - 1)
     edges = {f"{u}<{u}": LevelMorphism.identity(t) for u, t in nodes.items()}
     for u, n in sizes.items():
-        edges[f"w<{u}"] = LevelMorphism.strict(nodes["w"], nodes[u], tuple(first(k) for k in n))
+        edges[f"w<{u}"] = LevelMorphism(nodes["w"], nodes[u], tuple(first(k) for k in n))
     return shape, nodes, edges
 
 
@@ -513,7 +509,7 @@ def _random_cyclic_level_morphism(rng, depth):
             if comps[j] is None:
                 break
         else:
-            return LevelMorphism.strict(x, y, tuple(comps))
+            return LevelMorphism(x, y, tuple(comps))
 
 
 def _oracle_pro_zero(t, depth, margin):
@@ -592,7 +588,7 @@ def _finset_tower(levels, bonds):
 
 
 def _finset_to(x, y, images):
-    return LevelMorphism.strict(x, y, tuple(
+    return LevelMorphism(x, y, tuple(
         finset_map(x.levels[k], y.levels[k], dict(zip(x.levels[k].elements, im)))
         for k, im in enumerate(images)))
 
@@ -631,8 +627,8 @@ def _ab_tower(ranks, bonds):
 
 
 def _ab_to(x, y, matrices):
-    return LevelMorphism.strict(x, y, tuple(finab_map(x.levels[k], y.levels[k], m)
-                                            for k, m in enumerate(matrices)))
+    return LevelMorphism(x, y, tuple(finab_map(x.levels[k], y.levels[k], m)
+                                     for k, m in enumerate(matrices)))
 
 
 ONE, ID2 = [[1]], [[1, 0], [0, 1]]
