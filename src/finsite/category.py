@@ -578,6 +578,22 @@ def generated_sieves(spec: SiteSpec, u: str, depth: int) -> list[Sieve]:
     return [sieve_from_cover(spec, c) for c in distinct_covers(spec, u, depth)]
 
 
+def checked_covers(spec: SiteSpec, u: str, depth: int) -> list[tuple[Cover, Sieve]]:
+    """Each distinct cover of u through `depth` with its generated sieve,
+    less, on a thin site, those whose sieve holds id_u.
+
+    Such a sieve's comma is the slice over u, whose terminal object id_u
+    makes every colimit comparison and limit restriction over it an
+    identity, so the cover never fails the cosheaf or the sheaf check.  The
+    rule is thin-only: a declared table is a category only if `validate`
+    says so, and that comma's closure check is where the checks refuse a
+    non-associative one ("comma category not closed"); a thin category
+    composes by rule, so it is a category by construction."""
+    identity = spec.category.id_of(u) if spec.category.thin else None
+    return [(c, s) for c in distinct_covers(spec, u, depth)
+            if identity not in (s := sieve_from_cover(spec, c)).members]
+
+
 def refinement_search(spec: SiteSpec, v: str, target_sieve: Sieve, alpha: str, depth: int):
     """Smallest declared presentation level of v whose sieve sits inside alpha*target_sieve.
 

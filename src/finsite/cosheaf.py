@@ -14,7 +14,7 @@ from typing import Mapping
 
 from . import values
 from .category import (Cover, FiniteCategory, PointFilter, Sieve, SiteSpec, _comma_bases,
-                       _generating_pairs, _refinement, comma_of_sieve, distinct_covers,
+                       _generating_pairs, _refinement, checked_covers, comma_of_sieve,
                        poset_category, refinement_search, sieve_from_cover, sieve_levels)
 from .errors import EngineError, InsufficientDepth, SiteError
 from .report import CheckReport
@@ -295,13 +295,18 @@ def defect_agreement(a: Precosheaf, cover: Cover) -> bool:
 
 def check_cosheaf(a: Precosheaf, depth: int | None = None) -> CheckReport:
     """Classify every cover's defect map: iso everywhere means cosheaf, epi
-    everywhere means coseparated; the first failing cover is the witness."""
+    everywhere means coseparated; the first failing cover is the witness.
+
+    On a thin site a cover whose sieve holds id_u is not tensored: its
+    comparison is the identity, from the slice's terminal object.  Over a
+    declared table it is, since that colimit's closure check is where this
+    check refuses a table that is no category (`category.checked_covers`)."""
     d = a.depth if depth is None else min(depth, a.depth)
     all_iso = True
     all_epi = True
     witnesses = []
     for u in sorted(a.site.category.objects):
-        for cover in distinct_covers(a.site, u, d):
+        for cover, _ in checked_covers(a.site, u, d):
             defect = cosheaf_defect(a, cover)
             iso = is_iso_at_depth(defect.compare, d)
             if iso.iso:  # iso implies epi at every depth
