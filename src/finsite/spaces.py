@@ -90,25 +90,25 @@ def _inclusion(src: frozenset, dst: frozenset) -> str:
     return f"{open_label(src)}<{open_label(dst)}"
 
 
-# the open lattice is bounded as well as the points: at most the 2^10 opens
-# any 10-point space has, which admits the 12-point fence (377 opens) but not
-# the 11-point antichain (2,048)
+# the points of an open-set site are bounded, and so is its open lattice: at
+# most the 2^10 opens any 10-point space has, which admits the 12-point fence
+# (377 opens) but not the 11-point antichain (2,048)
+MAX_POINTS = 12
 MAX_OPENS = 2 ** 10
 # and so are the declared covers of each open: the 8-point fence's largest
 # open has 36,555, the 6-point antichain's top open far more
 MAX_COVERS = 2 ** 16
 
 
-def open_site(space: FiniteSpace, cover_policy: str = "all-irredundant",
-              bound: int = 12) -> SiteSpec:
+def open_site(space: FiniteSpace, cover_policy: str = "all-irredundant") -> SiteSpec:
     """The open-set site: objects are the down-sets, morphisms the inclusions.
 
     Policies: "all-irredundant" declares every inclusion-irredundant family
     with the right union; "generated" declares only the trivial cover and the
     cover by minimal open neighborhoods.  Pairwise intersections are always
     declared (down-sets are closed under intersection)."""
-    if len(space.points) > bound:
-        raise SiteError(f"space exceeds the open-lattice bound ({bound} points)")
+    if len(space.points) > MAX_POINTS:
+        raise SiteError(f"space exceeds the open-lattice bound ({MAX_POINTS} points)")
     opens = space.opens()
     if len(opens) > MAX_OPENS:
         raise SiteError(f"space exceeds the open-lattice bound ({len(opens)} opens, "

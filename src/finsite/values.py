@@ -1,8 +1,10 @@
 """The two concrete value categories: finite sets and finitely generated
 abelian groups presented by integer relation matrices.
 
-Finite (co)limits are exact: union-find / filtered products on the set side,
-Smith-normal-form kernels and cokernels on the abelian side.
+Finite (co)limits are exact.  A colimit indexes its nodes' direct sum by node
+offset (nodes sorted, then elements or generators) and glues it along the
+edges other than identities, by id: union-find on the set side, a Tietze-reduced
+cokernel on the abelian side.  Limits are filtered products and SNF kernels.
 """
 
 from __future__ import annotations
@@ -522,9 +524,9 @@ class ColimitResult:
 
     obj: object
     cocone: Mapping[str, object]
-    # FinAb assembly data: colimit presentations are Tietze-reduced, and maps
-    # out of the colimit are assembled blockwise on the unreduced generators,
-    # of which the columns of the `kept` generators are then selected.
+    # FinAb results only, for `out_map`: each node's offset in the unreduced
+    # sum of `unreduced_rank` generators, on which a map out is assembled
+    # blockwise before the columns of the `kept` generators are selected.
     offsets: Mapping[str, int] | None = None
     kept: tuple[int, ...] | None = None
     unreduced_rank: int | None = None
@@ -593,73 +595,59 @@ def into_limit(limit: LimitResult, src, member_maps: Mapping[str, object]):
     return FinAbMap(src, limit.obj, express_through(limit.incl, to_product))
 
 
-def _union_find_classes(items, pairs):
-    parent = {x: x for x in items}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
-    groups = {}
-    for x in items:
-        groups.setdefault(find(x), []).append(x)
-    return groups
-
-
 def finite_colimit(diagram: FiniteDiagram, category: str | None = None) -> ColimitResult:
     cat = diagram.category() or category
     if cat is None:
         raise EngineError("empty diagram needs an explicit value category")
     nodes = sorted(diagram.nodes)
-    if cat == FINSET:
-        items = [(u, x) for u in nodes for x in diagram.nodes[u].elements]
-        pairs = []
-        for m in diagram.shape.morphisms:
-            e = diagram.edges[m.id]
-            for x in e.src.elements:
-                pairs.append(((m.src, x), (m.dst, e(x))))
-        groups = _union_find_classes(items, pairs)
-        reps = sorted(groups)
-        label = {rep: f"q{i}" for i, rep in enumerate(reps)}
-        cls = {}
-        for rep, members in groups.items():
-            for mem in members:
-                cls[mem] = label[rep]
-        obj = FinSetObj(tuple(label.values()))
-        cocone = {
-            u: FinSetMap(diagram.nodes[u], obj, tuple((x, cls[(u, x)]) for x in diagram.nodes[u].elements))
-            for u in nodes
-        }
-        return ColimitResult(obj, cocone)
-    # FinAb: cokernel of the difference map into the node direct sum, with the
-    # presentation Tietze-reduced before anything downstream sees it.  The
-    # sparse relation columns come in a fixed order (node relations in node
-    # order, then one column per source generator of each edge by id), which
-    # fixes the reduced result.
     offsets = {}
     total = 0
+    for u in nodes:
+        offsets[u] = total
+        total += len(diagram.nodes[u]) if cat == FINSET else diagram.nodes[u].rank
+    edges = []
+    for m in sorted(diagram.edges):
+        mor = diagram.shape.morphism(m)
+        if m != diagram.shape.id_of(mor.src):
+            edges.append((mor.src, mor.dst, diagram.edges[m]))
+    if cat == FINSET:
+        # union-find with path halving; linking the larger root under the
+        # smaller keeps every root its class's least index, so the classes,
+        # labelled q0, q1, ... in index order, are labelled by least member
+        parent = list(range(total))
+
+        def find(i):
+            while parent[i] != i:
+                parent[i] = parent[parent[i]]
+                i = parent[i]
+            return i
+
+        index = {u: {x: i for i, x in enumerate(diagram.nodes[u].elements, offsets[u])} for u in nodes}
+        for src, dst, e in edges:
+            at = index[dst]
+            for i, (_, y) in enumerate(e.table, offsets[src]):  # table is in element order
+                a, b = find(i), find(at[y])
+                if a != b:
+                    parent[max(a, b)] = min(a, b)
+        names = {}
+        labels = [names.setdefault(r, f"q{len(names)}") for r in map(find, range(total))]
+        obj = FinSetObj(tuple(names.values()))
+        cocone = {}
+        for u in nodes:
+            node, off = diagram.nodes[u], offsets[u]
+            cocone[u] = FinSetMap(node, obj, tuple(zip(node.elements, labels[off:off + len(node)])))
+        return ColimitResult(obj, cocone)
+    # FinAb: the cokernel of the difference map into the sum, its sparse
+    # relation columns in a fixed order (node relations in node order, then one
+    # per source generator of each edge), Tietze-reduced before any use.
     columns = []
     for u in nodes:
         rel = diagram.nodes[u].relations
         if rel:
-            columns.extend({total + i: row[j] for i, row in enumerate(rel) if row[j]}
+            columns.extend({offsets[u] + i: row[j] for i, row in enumerate(rel) if row[j]}
                            for j in range(len(rel[0])))
-        offsets[u] = total
-        total += diagram.nodes[u].rank
-    for m in sorted(diagram.edges):
-        mor = diagram.shape.morphism(m)
-        e = diagram.edges[m]
-        if mor.src == mor.dst and m == diagram.shape.id_of(mor.src):
-            continue  # identity edges contribute zero columns
-        src_off, dst_off = offsets[mor.src], offsets[mor.dst]
+    for src, dst, e in edges:
+        src_off, dst_off = offsets[src], offsets[dst]
         for g in range(e.src.rank):
             col = {src_off + g: -1}
             for i, row in enumerate(e.matrix):

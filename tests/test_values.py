@@ -8,6 +8,7 @@ import pytest
 from finsite import intmat
 from finsite.category import poset_category
 from finsite.errors import HeterogeneousDiagram
+from finsite.randsuite import random_finset_precosheaf, random_site
 from finsite.values import (FINAB, FINSET, FinAbObj, FinSetObj, FiniteDiagram,
                             classify_map, compose, cyclic, finab_map,
                             finite_colimit, finite_limit, finset, finset_map,
@@ -159,15 +160,26 @@ def test_union_find_matches_naive_closure_oracle():
         diag = FiniteDiagram(shape, {"s": a, "t": b},
                              {"id:s": identity_map(a), "id:t": identity_map(b),
                               "f": f, "g": g})
-        res = finite_colimit(diag)
-        oracle = naive_closure_colimit(diag)
-        assert len(res.obj) == len(oracle)
-        # cocones constant on oracle blocks
-        for blk in oracle:
-            images = set()
-            for (u, x) in blk:
-                images.add(res.cocone[u](x))
-            assert len(images) == 1
+        _assert_labelled_by_least_member(diag)
+    # level 0 of seeded random finite-set precosheaves over their sites
+    for seed in range(40):
+        rng = random.Random(seed)
+        spec = random_site(rng)
+        a = random_finset_precosheaf(spec, rng)
+        cat = spec.category
+        _assert_labelled_by_least_member(FiniteDiagram(
+            cat, {u: a.values[u].levels[0] for u in cat.objects},
+            {m.id: a.action[m.id].components[0] for m in cat.morphisms}))
+
+
+def _assert_labelled_by_least_member(diag):
+    """The colimit's classes are the oracle's blocks, and the block k-th by
+    its least (node, element) is q{k} under every cocone."""
+    res = finite_colimit(diag)
+    oracle = sorted(naive_closure_colimit(diag), key=min)
+    assert len(res.obj) == len(oracle)
+    for k, blk in enumerate(oracle):
+        assert {res.cocone[u](x) for u, x in blk} == {f"q{k}"}
 
 
 def test_finab_coequalizer_times2_vs_zero_is_z2():
