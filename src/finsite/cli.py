@@ -9,15 +9,18 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import io, randsuite
-from .category import validate_site
-from .cosheaf import (Precosheaf, check_cosheaf, cosheafify, costalk,
-                      is_smooth)
+import finsite
+
+from . import io
 from .errors import EngineError
 from .report import CheckReport
-from .sheaf import Presheaf, check_sheaf, sheafify
-from .spaces import builtin_demos, demo_by_name
-from .towers import is_rudimentary_at_depth
+from .values import FINSET, category_of
+
+
+def __getattr__(name: str):
+    """The engine names that `main` runs, read through the package: each
+    command loads only the modules it runs (and a test may replace one here)."""
+    return getattr(finsite, name)
 
 
 def _count(text: str) -> int:
@@ -107,7 +110,7 @@ def _load(path: str, kind: type, depth: int = 6):
 def _tower_profile(t) -> list[str]:
     out = []
     for lv in t.levels:
-        if hasattr(lv, "elements"):
+        if category_of(lv) == FINSET:
             out.append(f"size {len(lv.elements)}")
         else:
             torsion, free = lv.invariants()
@@ -125,54 +128,57 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stdout)
         return 2
 
+    engine = sys.modules[__name__]   # read at call time, through __getattr__ above
     try:
         if args.command == "validate":
             spec = io.load(args.site)
-            return _emit(validate_site(spec))
+            return _emit(engine.validate_site(spec))
 
         if args.command == "check-cosheaf":
-            a = _load(args.precosheaf, Precosheaf, args.depth)
-            return _emit(check_cosheaf(a, args.depth))
+            a = _load(args.precosheaf, engine.Precosheaf, args.depth)
+            return _emit(engine.check_cosheaf(a, args.depth))
 
         if args.command == "check-sheaf":
-            return _emit(check_sheaf(_load(args.presheaf, Presheaf)))
+            return _emit(engine.check_sheaf(_load(args.presheaf, engine.Presheaf)))
 
         if args.command == "cosheafify":
-            result = cosheafify(_load(args.precosheaf, Precosheaf, args.depth), args.depth)
+            a = _load(args.precosheaf, engine.Precosheaf, args.depth)
+            result = engine.cosheafify(a, args.depth)
             if args.out:
                 io.save(result.precosheaf, args.out)
             return _emit(result.report)
 
         if args.command == "sheafify":
-            result = sheafify(_load(args.presheaf, Presheaf))
+            result = engine.sheafify(_load(args.presheaf, engine.Presheaf))
             if args.out:
                 io.save(result.presheaf, args.out)
             return _emit(result.report)
 
         if args.command == "costalk":
-            a = _load(args.precosheaf, Precosheaf, args.depth)
+            a = _load(args.precosheaf, engine.Precosheaf, args.depth)
             p = a.point_filter(args.point)
-            tower = costalk(a, p, args.depth)
-            rv = is_rudimentary_at_depth(tower, args.depth)
+            tower = engine.costalk(a, p, args.depth)
+            rv = engine.is_rudimentary_at_depth(tower, args.depth)
             trace = [f"level {k}: {line}" for k, line in enumerate(_tower_profile(tower))]
             return _emit(CheckReport.on(a.site, tower.depth, rv.verdict, trace=trace))
 
         if args.command == "smooth":
-            return _emit(is_smooth(_load(args.precosheaf, Precosheaf, args.depth), args.depth))
+            a = _load(args.precosheaf, engine.Precosheaf, args.depth)
+            return _emit(engine.is_smooth(a, args.depth))
 
         if args.command == "demo":
             try:
-                demo = demo_by_name(args.name)
+                demo = engine.spaces.demo_by_name(args.name)
             except EngineError:
-                names = ", ".join(d.name for d in builtin_demos())
+                names = ", ".join(d.name for d in engine.builtin_demos())
                 return _fail_input(f"unknown demo {args.name!r}; available: {names}")
             _, data = demo.make(args.depth)
             if demo.kind == "check-cosheaf":
-                inner = check_cosheaf(data, args.depth)
+                inner = engine.check_cosheaf(data, args.depth)
             elif demo.kind == "smooth":
-                inner = is_smooth(data, args.depth)
+                inner = engine.is_smooth(data, args.depth)
             else:
-                inner = check_sheaf(data)
+                inner = engine.check_sheaf(data)
             actual = inner.classification
             if demo.expected == "NOT-SHEAF":
                 matched = actual in ("SEPARATED", "NOT-SEPARATED")
@@ -188,7 +194,7 @@ def main(argv=None) -> int:
             ))
 
         if args.command == "oracle-suite":
-            report = randsuite.oracle_suite(args.seed, args.cases)
+            report = engine.randsuite.oracle_suite(args.seed, args.cases)
             return _emit(report)
     except EngineError as exc:
         return _fail_input(str(exc))

@@ -9,14 +9,13 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import finsite
+
 from . import intmat, values
 from .category import (Cover, CoverChain, Coverage, FiniteCategory, Morphism,
                        PointFilter, SiteSpec, poset_category)
-from .cosheaf import Precosheaf, precosheaf_from_tables
 from .errors import InvalidCategory, InvalidDocument, SiteError
 from .report import CheckReport
-from .sheaf import Presheaf
-from .towers import LevelMorphism, Tower
 from .values import FINAB, FINSET, FinAbObj, FinSetMap, FinSetObj
 
 
@@ -48,12 +47,13 @@ def load(path, depth: int = 6):
 def to_document(value) -> dict:
     if isinstance(value, SiteSpec):
         return _site_doc(value)
-    if isinstance(value, Precosheaf):
-        return _precosheaf_doc(value)
-    if isinstance(value, Presheaf):
-        return _presheaf_doc(value)
     if isinstance(value, CheckReport):
         return value.to_json()
+    # the presheaf side first: saving a presheaf then loads no cosheaf module
+    if isinstance(value, finsite.Presheaf):
+        return _presheaf_doc(value)
+    if isinstance(value, finsite.Precosheaf):
+        return _precosheaf_doc(value)
     raise InvalidDocument("/", f"unserializable value of type {type(value).__name__}")
 
 
@@ -305,7 +305,7 @@ def _map_doc(f) -> object:
     return [list(r) for r in f.matrix]
 
 
-def _tower_doc(t: Tower) -> dict:
+def _tower_doc(t: finsite.Tower) -> dict:
     return {
         "tower": {
             "levels": [_value_doc(x) for x in t.levels],
@@ -314,12 +314,12 @@ def _tower_doc(t: Tower) -> dict:
     }
 
 
-def _level_morphism_doc(lm: LevelMorphism) -> dict:
+def _level_morphism_doc(lm: finsite.LevelMorphism) -> dict:
     return {"shift": list(range(len(lm.components))),
             "components": [_map_doc(c) for c in lm.components]}
 
 
-def _precosheaf_doc(a: Precosheaf) -> dict:
+def _precosheaf_doc(a: finsite.Precosheaf) -> dict:
     doc = {
         "kind": "precosheaf",
         "site": _site_doc(a.site),
@@ -335,7 +335,7 @@ def _precosheaf_doc(a: Precosheaf) -> dict:
     return doc
 
 
-def _presheaf_doc(a: Presheaf) -> dict:
+def _presheaf_doc(a: finsite.Presheaf) -> dict:
     return {
         "kind": "presheaf",
         "site": _site_doc(a.site),
@@ -441,16 +441,16 @@ def _plain_tables(site, category, vals_raw, action_raw, reverse: bool):
     return objs, action
 
 
-def _precosheaf_from(doc, depth, base) -> Precosheaf:
+def _precosheaf_from(doc, depth, base) -> finsite.Precosheaf:
     site, category, vals_raw, action_raw = _header(doc, base)
     if any(isinstance(v, dict) and "tower" in v for v in vals_raw.values()):
         return _tower_precosheaf_from(site, category, vals_raw, action_raw, doc)
     objs, action = _plain_tables(site, category, vals_raw, action_raw, reverse=False)
-    return precosheaf_from_tables(site, category, objs, action,
-                                  _natural(doc.get("depth", depth), "/depth", "depth"), site.points)
+    depth = _natural(doc.get("depth", depth), "/depth", "depth")
+    return finsite.precosheaf_from_tables(site, category, objs, action, depth, site.points)
 
 
-def _tower_precosheaf_from(site, category, vals_raw, action_raw, doc) -> Precosheaf:
+def _tower_precosheaf_from(site, category, vals_raw, action_raw, doc) -> finsite.Precosheaf:
     towers = {}
     for u in site.category.objects:
         ptr = f"/values/{u}/tower"
@@ -465,7 +465,7 @@ def _tower_precosheaf_from(site, category, vals_raw, action_raw, doc) -> Precosh
             _map_from(b, levels[k + 1], levels[k], category, f"{ptr}/bonds/{k}")
             for k, b in enumerate(raw["bonds"])
         )
-        towers[u] = Tower(levels, bonds)
+        towers[u] = finsite.Tower(levels, bonds)
     depth = _natural(doc.get("depth", next(iter(towers.values())).depth), "/depth", "depth")
     for u, t in towers.items():
         if t.depth != depth:
@@ -485,11 +485,11 @@ def _tower_precosheaf_from(site, category, vals_raw, action_raw, doc) -> Precosh
                       category, f"{ptr}/components/{j}")
             for j, c in enumerate(raw["components"])
         )
-        action[m.id] = LevelMorphism(towers[m.src], towers[m.dst], comps)
-    return Precosheaf(site, category, depth, towers, action, site.points)
+        action[m.id] = finsite.LevelMorphism(towers[m.src], towers[m.dst], comps)
+    return finsite.Precosheaf(site, category, depth, towers, action, site.points)
 
 
-def _presheaf_from(doc, base) -> Presheaf:
+def _presheaf_from(doc, base) -> finsite.Presheaf:
     site, category, vals_raw, action_raw = _header(doc, base)
     objs, action = _plain_tables(site, category, vals_raw, action_raw, reverse=True)
-    return Presheaf(site, category, objs, action, site.points)
+    return finsite.Presheaf(site, category, objs, action, site.points)

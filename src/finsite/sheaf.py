@@ -6,16 +6,19 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from . import values
 from .category import (FiniteCategory, Morphism, PointFilter, Sieve, SiteSpec,
                        _ThinComposition, _comma_bases, _generating_pairs, checked_covers,
                        comma_of_sieve, common_sieve, sieve_levels)
-from .cosheaf import Precosheaf
 from .errors import EngineError, SiteError
 from .report import CheckReport
 from .values import (FINSET, FinSetMap, FinSetObj, FiniteDiagram, classify_map, compose,
                      identity_map, into_limit, maps_equal)
+
+if TYPE_CHECKING:   # an annotation only: the presheaf side runs without the cosheaf side
+    from .cosheaf import Precosheaf
 
 
 @dataclass(frozen=True)
